@@ -296,35 +296,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record_op(out, [a, b], bwd)
 
 
-def select_column(a: Tensor, j: int) -> Tensor:
-    if a.values.ndim != 2:
-        raise ValueError("select_column expects a 2-D tensor")
-    out = a.values[:, j].copy()
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad[:, j] += g
-
-    return record_op(out, [a], bwd)
-
-
-def stack_columns(cols: Sequence[Tensor]) -> Tensor:
-    if not cols:
-        raise ValueError("stack_columns needs at least one column")
-    n = cols[0].values.shape
-    for c in cols:
-        if c.values.shape != n:
-            raise ValueError("stack_columns needs same-shape 1-D columns")
-    out = np.stack([c.values for c in cols], axis=1)
-
-    def bwd(g):
-        for i, c in enumerate(cols):
-            if c.requires_grad:
-                c.grad += g[:, i]
-
-    return record_op(out, list(cols), bwd)
-
-
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
             oh: int, ow: int) -> np.ndarray:
     n, c = xp.shape[:2]

@@ -24,6 +24,15 @@ class CheckpointVersionError(CheckpointError):
     """Checkpoint written by an incompatible format version."""
 
 
+class Records(dict):
+    """Name -> array map of one blob; a missing name is a CheckpointError."""
+
+    path = ""
+
+    def __missing__(self, name: str):
+        raise CheckpointError(f"{self.path}: no record {name!r}")
+
+
 def write_blob(path: str, tensors: dict[str, np.ndarray]) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -38,7 +47,7 @@ def write_blob(path: str, tensors: dict[str, np.ndarray]) -> None:
             fh.write(data.tobytes())
 
 
-def read_blob(path: str) -> dict[str, np.ndarray]:
+def read_blob(path: str) -> Records:
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
@@ -49,7 +58,8 @@ def read_blob(path: str) -> dict[str, np.ndarray]:
     if version != VERSION:
         raise CheckpointVersionError(
             f"{path}: version {version}, this build reads {VERSION}")
-    tensors: dict[str, np.ndarray] = {}
+    tensors = Records()
+    tensors.path = path
     off = 8
     total = len(raw)
     while off < total:

@@ -313,16 +313,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    if os.environ.get("NPTT_THREADS", "").strip():
-        # worker parallelism cap; the current implementation is sequential,
-        # so any valid value is accepted as 1
-        try:
-            if int(os.environ["NPTT_THREADS"]) < 1:
-                print("error: NPTT_THREADS must be >= 1", file=sys.stderr)
-                return EXIT_USAGE
-        except ValueError:
-            print("error: NPTT_THREADS must be an integer", file=sys.stderr)
-            return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -135,28 +135,18 @@ def _class_label(model, k: int) -> str:
     return f"class {k}"
 
 
-def _dot_lines(model, patch_rel: dict[int, str]) -> list[str]:
-    topo = model.topology
-    dists = model.leaves.distributions()
+def _dot_lines(model, graph: ExplanationGraph,
+               patch_rel: dict[int, str]) -> list[str]:
     lines = ["digraph prototree {", "  rankdir=TB;",
              '  node [shape=box, fontname="sans"];']
-    for node in range(topo.num_internal):
+    for node in range(model.topology.num_internal):
         lines.append(f'  node{node} [label="node {node}", '
                      f'image="{patch_rel[node]}", labelloc=b];')
-    for leaf in range(topo.num_leaves):
-        k = int(dists[leaf].argmax())
+    for leaf, (k, p) in graph.leaf_labels.items():
         lines.append(f'  leaf{leaf} [shape=ellipse, label="'
-                     f'{_class_label(model, k)}\\np={dists[leaf, k]:.3f}"];')
-
-    def ref_name(ref: int) -> str:
-        return f"leaf{tr.leaf_index(ref)}" if tr.is_leaf_ref(ref) \
-            else f"node{ref}"
-
-    for node in range(topo.num_internal):
-        lines.append(f'  node{node} -> {ref_name(int(topo.left[node]))} '
-                     f'[label="absent"];')
-        lines.append(f'  node{node} -> {ref_name(int(topo.right[node]))} '
-                     f'[label="present"];')
+                     f'{_class_label(model, k)}\\np={p:.3f}"];')
+    for source, target, label in graph.edges:
+        lines.append(f'  {source} -> {target} [label="{label}"];')
     lines.append("}")
     return lines
 
@@ -214,16 +204,6 @@ def export_tree(model, out_dir: str, sample: np.ndarray | None = None,
         graph.patch_paths[node] = os.path.join(out_dir, rel)
         graph.files.append(graph.patch_paths[node])
 
-    dot_path = os.path.join(out_dir, "tree.dot")
-    with open(dot_path, "w") as fh:
-        fh.write("\n".join(_dot_lines(model, patch_rel)) + "\n")
-    graph.files.append(dot_path)
-
-    html_path = os.path.join(out_dir, "tree.html")
-    with open(html_path, "w") as fh:
-        fh.write(_html_tree(model, patch_rel))
-    graph.files.append(html_path)
-
     topo = model.topology
     dists = model.leaves.distributions()
     for leaf in range(topo.num_leaves):
@@ -235,6 +215,16 @@ def export_tree(model, out_dir: str, sample: np.ndarray | None = None,
             name = f"leaf{tr.leaf_index(child)}" if tr.is_leaf_ref(child) \
                 else f"node{child}"
             graph.edges.append((f"node{node}", name, label))
+
+    dot_path = os.path.join(out_dir, "tree.dot")
+    with open(dot_path, "w") as fh:
+        fh.write("\n".join(_dot_lines(model, graph, patch_rel)) + "\n")
+    graph.files.append(dot_path)
+
+    html_path = os.path.join(out_dir, "tree.html")
+    with open(html_path, "w") as fh:
+        fh.write(_html_tree(model, patch_rel))
+    graph.files.append(html_path)
 
     if sample is not None:
         graph.sample_path = _export_sample(model, sample, sample_name,

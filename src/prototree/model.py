@@ -148,12 +148,14 @@ class ProtoTreeModel:
         net.head_weight = Tensor(blob["backbone/head/weight"],
                                  requires_grad=True)
         children = blob["tree/children"].astype(np.int64)
-        topo = tr.TreeTopology(
-            left=children[:, 0].copy(), right=children[:, 1].copy(),
-            prototype_index=blob["tree/prototype_index"].astype(np.int64),
-            root=int(blob["tree/root"][0]),
-            height=int(blob["tree/height"][0]))
-        topo.validate()
+        try:
+            topo = tr.TreeTopology(
+                left=children[:, 0].copy(), right=children[:, 1].copy(),
+                prototype_index=blob["tree/prototype_index"].astype(np.int64),
+                root=int(blob["tree/root"][0]),
+                height=int(blob["tree/height"][0]))
+        except ValueError as err:
+            raise ckpt.CheckpointError(f"{path}: {err}") from None
         norm = "l1" if int(blob["meta/leaf_norm"][0]) else "softmax"
         leaves = tr.LeafParams(blob["tree/leaf_logits"].astype(np.float64),
                                norm=norm)

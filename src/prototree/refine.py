@@ -72,37 +72,17 @@ def _rebuild(model, keep_leaf: np.ndarray,
             return left
         return ("node", ref, left, right)
 
-    new_left: list[int] = []
-    new_right: list[int] = []
-    kept_nodes: list[int] = []
-    kept_leaves: list[int] = []
-
-    def number(piece) -> int:
-        if piece[0] == "leaf":
-            kept_leaves.append(piece[1])
-            return tr.leaf_ref(len(kept_leaves) - 1)
-        node = len(new_left)
-        new_left.append(0)
-        new_right.append(0)
-        kept_nodes.append(piece[1])
-        new_left[node] = number(piece[2])
-        new_right[node] = number(piece[3])
-        return node
-
-    new_root = number(collapse(topo.root))
-
+    model.topology, nodes, leaves = tr.TreeTopology.from_shape(
+        collapse(topo.root),
+        lambda piece: None if piece[0] == "leaf" else piece[2:], topo.height)
+    kept_nodes = [piece[1] for piece in nodes]
     proto_rows = [int(topo.prototype_index[i]) for i in kept_nodes]
-    model.topology = tr.TreeTopology(
-        left=np.asarray(new_left, dtype=np.int64),
-        right=np.asarray(new_right, dtype=np.int64),
-        prototype_index=np.arange(len(new_left), dtype=np.int64),
-        root=new_root, height=topo.height)
     model.prototypes = tr.PrototypeBank(
         tr.Tensor(model.prototypes.tensor.values[proto_rows].copy(),
                   requires_grad=True))
-    model.leaves = tr.LeafParams(model.leaves.logits[kept_leaves].copy(),
-                                 norm=model.leaves.norm)
-    model.topology.validate()
+    model.leaves = tr.LeafParams(
+        model.leaves.logits[[piece[1] for piece in leaves]].copy(),
+        norm=model.leaves.norm)
     model.projection = None
     model.projection_images = None
     return kept_nodes
@@ -249,45 +229,28 @@ def hard_predict(model, image: np.ndarray, strategy: str,
     (ties to the smallest leaf index); ``greedy`` walks the tree going
     right exactly when p_right > 0.5. Returns the chosen leaf's class
     distribution, the leaf id, and the root-to-leaf decision sequence as
-    (node, went_right, p_right) triples.
+    (node, went_right, p_right) triples. A batch of more than one image
+    is rejected.
     """
-    if strategy not in ("max_path", "greedy"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     batch = image[None] if image.ndim == 3 else image
-    edge, pi = _edge_probabilities(model, batch)
-    edge = edge[0]
-    topo = model.topology
-    if strategy == "max_path":
-        leaf = int(pi[0].argmax())
-        path = [(node, went_right, float(edge[node]))
-                for node, went_right in topo.path_to_leaf(leaf)]
-    else:
-        path = []
-        ref = topo.root
-        while not tr.is_leaf_ref(ref):
-            p_right = float(edge[ref])
-            went_right = p_right > 0.5
-            path.append((ref, went_right, p_right))
-            ref = int(topo.right[ref]) if went_right else int(topo.left[ref])
-        leaf = tr.leaf_index(ref)
+    if batch.shape[0] != 1:
+        raise ValueError(f"hard_predict takes one image, got {batch.shape[0]}")
+    leaves, edge = _hard_leaves(model, batch, strategy)
+    leaf = int(leaves[0])
+    path = [(node, went_right, float(edge[0, node]))
+            for node, went_right in model.topology.path_to_leaf(leaf)]
     return model.leaves.distributions()[leaf], leaf, path
 
 
-def _hard_leaves(model, images: np.ndarray, strategy: str) -> np.ndarray:
-    """Vectorized leaf choice per sample for a whole batch."""
+def _hard_leaves(model, images: np.ndarray, strategy: str,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf choice per sample for a whole batch, with the N x M p_right."""
+    if strategy not in ("max_path", "greedy"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     edge, pi = _edge_probabilities(model, images)
-    topo = model.topology
-    n = images.shape[0]
     if strategy == "max_path":
-        return pi.argmax(axis=1)
-    leaves = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        ref = topo.root
-        while not tr.is_leaf_ref(ref):
-            ref = int(topo.right[ref]) if edge[s, ref] > 0.5 \
-                else int(topo.left[ref])
-        leaves[s] = tr.leaf_index(ref)
-    return leaves
+        return pi.argmax(axis=1), edge
+    return model.topology.greedy_leaves(edge), edge
 
 
 def hard_accuracy(model, dataset: Dataset, strategy: str,
@@ -296,7 +259,7 @@ def hard_accuracy(model, dataset: Dataset, strategy: str,
     correct = 0
     for start in range(0, len(dataset), batch_size):
         chunk = dataset.images[start:start + batch_size]
-        leaves = _hard_leaves(model, chunk, strategy)
+        leaves, _ = _hard_leaves(model, chunk, strategy)
         pred = dists[leaves].argmax(axis=1)
         correct += int((pred == dataset.labels[start:start + batch_size]).sum())
     return correct / len(dataset)
@@ -317,7 +280,7 @@ def fidelity(model, dataset: Dataset, strategy: str,
     for start in range(0, len(dataset), batch_size):
         chunk = dataset.images[start:start + batch_size]
         soft = model.soft_predict(chunk).argmax(axis=1)
-        leaves = _hard_leaves(model, chunk, strategy)
+        leaves, _ = _hard_leaves(model, chunk, strategy)
         hard = dists[leaves].argmax(axis=1)
         agree += int((soft == hard).sum())
     return agree / len(dataset)
@@ -343,8 +306,9 @@ def path_length_stats(model, dataset: Dataset,
     depths = model.topology.leaf_depths()
     seen = []
     for start in range(0, len(dataset), batch_size):
-        leaves = _hard_leaves(model, dataset.images[start:start + batch_size],
-                              "greedy")
+        leaves, _ = _hard_leaves(model,
+                                 dataset.images[start:start + batch_size],
+                                 "greedy")
         seen.append(depths[leaves])
     lengths = np.concatenate(seen)
     return {"mean": float(lengths.mean()), "std": float(lengths.std()),

@@ -38,11 +38,17 @@ def leaf_index(ref: int) -> int:
 
 @dataclass
 class TreeTopology:
-    """Binary tree structure: child tables for internal nodes.
+    """Binary tree structure: child tables for internal nodes, plus an index.
 
     Internal node i owns prototype row ``prototype_index[i]`` (identity
     after every rebuild). ``root`` may itself be a leaf reference when
     pruning collapsed the whole upper tree.
+
+    ``validate`` runs on construction and indexes the tree by column
+    (node k is column k, leaf l is column M + l): ``parent`` (-1 at the
+    root), ``went_right`` and ``depth`` per column, ``preorder`` (left
+    first, so a subtree is one block of it), and ``levels[d]``, the
+    columns at depth d.
     """
 
     left: np.ndarray
@@ -50,6 +56,38 @@ class TreeTopology:
     prototype_index: np.ndarray
     root: int
     height: int
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    @classmethod
+    def from_shape(cls, root, split, height: int,
+                   ) -> tuple["TreeTopology", list, list]:
+        """Number a tree shape in left-first preorder; ``split(piece)``
+        gives a piece's (left, right) pieces, or None for a leaf. Returns
+        the topology with its nodes' and its leaves' pieces in that order.
+        """
+        left, right, nodes, leaves, top = [], [], [], [], [0]
+        stack = [(root, 0, top)]   # top[0] receives the root's ref
+        while stack:
+            piece, up, side = stack.pop()
+            halves = split(piece)
+            if halves is None:
+                ref = leaf_ref(len(leaves))
+                leaves.append(piece)
+            else:
+                ref = len(nodes)
+                nodes.append(piece)
+                left.append(0)
+                right.append(0)
+                stack.append((halves[1], ref, right))
+                stack.append((halves[0], ref, left))
+            side[up] = ref
+        topology = cls(left=np.asarray(left, dtype=np.int64),
+                       right=np.asarray(right, dtype=np.int64),
+                       prototype_index=np.arange(len(nodes), dtype=np.int64),
+                       root=top[0], height=height)
+        return topology, nodes, leaves
 
     @property
     def num_internal(self) -> int:
@@ -59,73 +97,76 @@ class TreeTopology:
     def num_leaves(self) -> int:
         return self.num_internal + 1
 
-    def children(self, node: int) -> tuple[int, int]:
-        return int(self.left[node]), int(self.right[node])
-
     def validate(self) -> None:
-        seen_leaves: list[int] = []
-        seen_nodes: list[int] = []
+        """Walk the tree once from the root and rebuild the index.
 
-        def walk(ref: int) -> None:
-            if is_leaf_ref(ref):
-                seen_leaves.append(leaf_index(ref))
-                return
-            seen_nodes.append(ref)
-            walk(int(self.left[ref]))
-            walk(int(self.right[ref]))
-
-        walk(self.root)
-        if sorted(seen_nodes) != list(range(self.num_internal)):
-            raise ValueError("internal nodes are not a bijection onto 0..M-1")
-        if sorted(seen_leaves) != list(range(self.num_leaves)):
-            raise ValueError("leaves are not numbered 0..L-1")
-        if sorted(self.prototype_index.tolist()) != list(range(self.num_internal)):
+        Raises ValueError for a child reference that is out of range or
+        reached twice, for a node or leaf the root does not reach, and for
+        a ``prototype_index`` that is not a bijection onto bank rows.
+        """
+        m = len(self.left)
+        left, right = self.left.tolist(), self.right.tolist()
+        parent, went_right = [-1] * (2 * m + 1), [False] * (2 * m + 1)
+        depth = [-1] * (2 * m + 1)
+        preorder: list[int] = []
+        stack = [(int(self.root), -1, False, 0)]
+        while stack:
+            ref, up, is_right, level = stack.pop()
+            if not -m - 1 <= ref < m:
+                raise ValueError(f"child reference {ref} is out of range")
+            col = ref if ref >= 0 else m - 1 - ref
+            if depth[col] >= 0:
+                raise ValueError(f"child reference {ref} is reached twice")
+            parent[col], went_right[col], depth[col] = up, is_right, level
+            preorder.append(col)
+            if ref >= 0:
+                stack.append((right[ref], col, True, level + 1))
+                stack.append((left[ref], col, False, level + 1))
+        if len(preorder) != 2 * m + 1:
+            unreached = [col for col, d in enumerate(depth) if d < 0]
+            raise ValueError(f"columns {unreached} are not reached from the root")
+        if sorted(self.prototype_index.tolist()) != list(range(m)):
             raise ValueError("prototype_index is not a bijection onto bank rows")
+        self.parent = np.asarray(parent, dtype=np.int64)
+        self.went_right = np.asarray(went_right, dtype=bool)
+        self.depth = np.asarray(depth, dtype=np.int64)
+        self.preorder = np.asarray(preorder, dtype=np.int64)
+        self.levels = [np.flatnonzero(self.depth == d)
+                       for d in range(max(depth) + 1)]
 
     def path_to_leaf(self, leaf: int) -> list[tuple[int, bool]]:
         """Root-to-leaf decision sequence as (node, went_right) pairs."""
-        path: list[tuple[int, bool]] = []
-
-        def walk(ref: int) -> bool:
-            if is_leaf_ref(ref):
-                return leaf_index(ref) == leaf
-            for went_right, child in ((False, int(self.left[ref])),
-                                      (True, int(self.right[ref]))):
-                path.append((ref, went_right))
-                if walk(child):
-                    return True
-                path.pop()
-            return False
-
-        if not walk(self.root):
+        if not 0 <= leaf < self.num_leaves:
             raise ValueError(f"leaf {leaf} not in tree")
-        return path
+        path: list[tuple[int, bool]] = []
+        col = self.num_internal + leaf
+        while self.parent[col] >= 0:
+            path.append((int(self.parent[col]), bool(self.went_right[col])))
+            col = self.parent[col]
+        return path[::-1]
 
     def leaf_depths(self) -> np.ndarray:
-        depths = np.zeros(self.num_leaves, dtype=np.int64)
-
-        def walk(ref: int, depth: int) -> None:
-            if is_leaf_ref(ref):
-                depths[leaf_index(ref)] = depth
-                return
-            walk(int(self.left[ref]), depth + 1)
-            walk(int(self.right[ref]), depth + 1)
-
-        walk(self.root, 0)
-        return depths
+        return self.depth[self.num_internal:].copy()
 
     def leaves_under(self, node: int) -> list[int]:
-        out: list[int] = []
+        """Leaves below internal node ``node``, left to right."""
+        start = int(np.flatnonzero(self.preorder == node)[0]) + 1
+        # the block ends at the next column no deeper than node, if any
+        ends = np.append(self.depth[self.preorder[start:]] <= self.depth[node],
+                         True)
+        block = self.preorder[start:start + int(ends.argmax())]
+        return (block[block >= self.num_internal] - self.num_internal).tolist()
 
-        def walk(ref: int) -> None:
-            if is_leaf_ref(ref):
-                out.append(leaf_index(ref))
-                return
-            walk(int(self.left[ref]))
-            walk(int(self.right[ref]))
-
-        walk(node)
-        return out
+    def greedy_leaves(self, p_right: np.ndarray) -> np.ndarray:
+        """Leaf reached by each row of the N x M ``p_right``, going right
+        exactly when p_right > 0.5; all rows descend one level at a time."""
+        ref = np.full(p_right.shape[0], self.root, dtype=np.int64)
+        for _ in self.levels[1:]:
+            rows = np.flatnonzero(ref >= 0)
+            node = ref[rows]
+            ref[rows] = np.where(p_right[rows, node] > 0.5,
+                                 self.right[node], self.left[node])
+        return -ref - 1
 
 
 @dataclass
@@ -199,28 +240,8 @@ def init_tree(h: int, num_classes: int, depth: int, seed: int,
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     if depth < 1:
         raise ValueError(f"prototype depth must be >= 1, got {depth}")
-    left: list[int] = []
-    right: list[int] = []
-    next_leaf = 0
-
-    def build(level: int) -> int:
-        nonlocal next_leaf
-        if level == h:
-            ref = leaf_ref(next_leaf)
-            next_leaf += 1
-            return ref
-        node = len(left)
-        left.append(0)
-        right.append(0)
-        left[node] = build(level + 1)
-        right[node] = build(level + 1)
-        return node
-
-    root = build(0)
-    topology = TreeTopology(left=np.asarray(left, dtype=np.int64),
-                            right=np.asarray(right, dtype=np.int64),
-                            prototype_index=np.arange(len(left), dtype=np.int64),
-                            root=root, height=h)
+    topology, _, _ = TreeTopology.from_shape(
+        0, lambda level: None if level == h else (level + 1, level + 1), h)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7EE)))
     protos = rng.normal(0.5, 0.1, (topology.num_internal, depth)).astype(dtype)
     bank = PrototypeBank(Tensor(protos, requires_grad=True))
@@ -313,28 +334,48 @@ def route(topology: TreeTopology, prototypes: PrototypeBank,
     from any tape; pass the batched form when its gradient is needed).
     """
     lat = Tensor(latent.values[None]) if latent.values.ndim == 3 else latent
-    n = lat.shape[0]
     if prototypes.depth != lat.shape[1]:
         raise ValueError(
             f"tree prototype depth {prototypes.depth} != latent depth {lat.shape[1]}")
     distances, locations = min_patch_distances(lat, prototypes.tensor)
     edge_right = ad.exp(ad.neg(distances))
-    leaf_probs: list[Tensor | None] = [None] * topology.num_leaves
-
-    def walk(ref: int, prob: Tensor) -> None:
-        if is_leaf_ref(ref):
-            leaf_probs[leaf_index(ref)] = prob
-            return
-        p_right = ad.select_column(edge_right, ref)
-        walk(int(topology.left[ref]), ad.mul(prob, ad.sub(1.0, p_right)))
-        walk(int(topology.right[ref]), ad.mul(prob, p_right))
-
-    walk(topology.root, Tensor(np.ones(n, dtype=lat.dtype)))
-    pi = ad.stack_columns([p for p in leaf_probs])
+    pi = _path_probabilities(topology, edge_right)
     return RoutingTrace(edge_right=edge_right,
                         distances=distances.values.copy(),
                         locations=locations,
                         leaf_probabilities=pi)
+
+
+def _path_probabilities(topology: TreeTopology, edge_right: Tensor) -> Tensor:
+    """N x L leaf path probabilities as one taped op, one level at a time.
+
+    A column's reach is its parent's reach times the edge taken (p or
+    1 - p), multiplied in root-to-leaf order. With g_left and g_right the
+    gradients of its children's reach, node k's reach gets
+    g_right * p + g_left * (1 - p) and its edge g_right * reach - g_left * reach.
+    """
+    p = edge_right.values
+    q = 1.0 - p
+    m = topology.num_internal
+    reach = np.empty((p.shape[0], 2 * m + 1), dtype=p.dtype)
+    reach[:, topology.preorder[0]] = 1.0
+    for cols in topology.levels[1:]:
+        up = topology.parent[cols]
+        reach[:, cols] = reach[:, up] * np.where(topology.went_right[cols],
+                                                 p[:, up], q[:, up])
+
+    def bwd(g):  # recorded only when edge_right requires grad
+        lcol, rcol = (np.where(refs >= 0, refs, m - 1 - refs)
+                      for refs in (topology.left, topology.right))
+        grad = np.empty_like(reach)
+        grad[:, m:] = g
+        for cols in reversed(topology.levels[:-1]):
+            k = cols[cols < m]
+            gl, gr = grad[:, lcol[k]], grad[:, rcol[k]]
+            grad[:, k] = gr * p[:, k] + gl * q[:, k]
+            edge_right.grad[:, k] += gr * reach[:, k] - gl * reach[:, k]
+
+    return ad.record_op(reach[:, m:].copy(), [edge_right], bwd)
 
 
 def mix_leaf_distributions(pi: Tensor, distributions: np.ndarray) -> Tensor:

@@ -54,9 +54,9 @@ def leaf_probabilities_from_edges(topology, p_right):
     """
     n = p_right.shape[0]
     out = np.zeros((n, topology.num_leaves), dtype=p_right.dtype)
-    for leaf in range(topology.num_leaves):
+    for leaf, path in enumerate_paths(topology):
         prob = np.ones(n, dtype=p_right.dtype)
-        for node, went_right in topology.path_to_leaf(leaf):
+        for node, went_right in path:
             edge = p_right[:, node]
             prob = prob * (edge if went_right else 1.0 - edge)
         out[:, leaf] = prob

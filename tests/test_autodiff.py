@@ -167,15 +167,6 @@ class TestGradientsPerOp:
 
         gradcheck(build, [x, k, bias])
 
-    def test_select_and_stack_gradient(self):
-        a = Tensor(rand((4, 3), seed=18), requires_grad=True)
-
-        def build():
-            cols = [ad.select_column(a, j) for j in (2, 0, 1)]
-            return ad.tsum(ad.mul(ad.stack_columns(cols), 0.5))
-
-        gradcheck(build, [a])
-
 
 class TestTensorBasics:
     def test_shape_value_consistency(self):

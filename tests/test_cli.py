@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from prototree.checkpoint import read_blob, write_blob
 from prototree.cli import main
 
 TINY_CONFIG = """
@@ -180,6 +181,28 @@ class TestExitCodes:
         bogus.write_bytes(b"NPTT\x63\x00\x00\x00")
         assert main(["eval", "--ckpt", str(bogus), "--data",
                      workspace["data"]]) == 4
+
+    @pytest.mark.parametrize("cell, value", [
+        pytest.param((0, 0), 7, id="child_out_of_range"),
+        pytest.param((1, 0), 0, id="cycle"),
+        pytest.param((2, 1), -3, id="bad_leaf_numbering"),
+        pytest.param(None, None, id="missing_root"),
+    ])
+    def test_corrupt_tree_is_four(self, workspace, tmp_path, capsys,
+                                  cell, value):
+        blob = read_blob(workspace["ckpt"])
+        assert blob["tree/children"].tolist() == [[1, 2], [-1, -2], [-3, -4]]
+        if cell is None:
+            del blob["tree/root"]
+        else:
+            blob["tree/children"][cell] = value
+        corrupt = str(tmp_path / "corrupt.npt")
+        write_blob(corrupt, blob)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", corrupt,
+                     "--data", workspace["data"]]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSelftestCommand:

@@ -225,6 +225,30 @@ class TestHardPredict:
         with pytest.raises(ValueError, match="strategy"):
             rf.hard_predict(model, _fixed_image(model), "softish")
 
+    def test_batch_rejected(self):
+        model = StubModel(1, 2, [0.7])
+        images = np.stack([_fixed_image(model)] * 2)
+        with pytest.raises(ValueError, match="one image"):
+            rf.hard_predict(model, images, "greedy")
+
+    def test_batch_greedy_matches_per_image(self):
+        rng = np.random.default_rng(31)
+        model = PlantedModel(3, 4, rng.uniform(0, 1, 7))
+        images = rng.uniform(0, 1, (40, 1, 1, 1)).astype(np.float32)
+        edge, _ = rf._edge_probabilities(model, images)
+        batch = model.topology.greedy_leaves(edge)
+        single = [rf.hard_predict(model, image, "greedy")[1]
+                  for image in images]
+        walked = []
+        for row in edge:
+            ref = model.topology.root
+            while not tr.is_leaf_ref(ref):
+                ref = model.topology.right[ref] if row[ref] > 0.5 \
+                    else model.topology.left[ref]
+            walked.append(tr.leaf_index(ref))
+        assert batch.tolist() == single == walked
+        assert len(set(single)) >= 3
+
 
 class TestFidelity:
     def test_soft_vs_itself_is_one(self):

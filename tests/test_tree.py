@@ -27,6 +27,22 @@ def tree_with_edge_probs(p_right_per_node, num_classes=2, height=None):
     return topo, bank, leaves, latent
 
 
+def unbalanced_topology():
+    """A pruned shape with leaves at depths 1, 3, 3 and 2: node 0 splits
+    into leaf 0 and node 1, node 1 into node 2 and leaf 3, node 2 into
+    leaves 1 and 2."""
+    return tr.TreeTopology(left=np.array([-1, 2, -2]),
+                           right=np.array([1, -4, -3]),
+                           prototype_index=np.arange(3), root=0, height=3)
+
+
+def mirrored(topo):
+    """Every node's children swapped: no longer numbered in preorder."""
+    return tr.TreeTopology(left=topo.right.copy(), right=topo.left.copy(),
+                           prototype_index=topo.prototype_index.copy(),
+                           root=topo.root, height=topo.height)
+
+
 class TestInitTree:
     def test_counts_height_three(self):
         topo, bank, leaves = tr.init_tree(3, 4, 8, seed=1)
@@ -195,10 +211,7 @@ class TestPredict:
         y_ref = leaf_probabilities_from_edges(topo, edges) \
             @ leaves.distributions()
 
-        swapped = tr.TreeTopology(left=topo.right.copy(),
-                                  right=topo.left.copy(),
-                                  prototype_index=topo.prototype_index.copy(),
-                                  root=topo.root, height=topo.height)
+        swapped = mirrored(topo)
         # leaf refs keep their identity, so each leaf's probability and
         # distribution are preserved under the mirror
         pi_swapped = leaf_probabilities_from_edges(swapped, 1.0 - edges)
@@ -278,3 +291,101 @@ class TestTopology:
     def test_leaf_depths_full_tree(self):
         topo, _, _ = tr.init_tree(4, 2, 2, seed=0)
         np.testing.assert_array_equal(topo.leaf_depths(), np.full(16, 4))
+
+
+class TestRouteAsArrays:
+    @pytest.mark.parametrize("height", range(1, 10))
+    def test_bit_identical_to_edge_products(self, height):
+        rng = np.random.default_rng(40 + height)
+        topo, bank, _ = tr.init_tree(height, 2, 3, seed=height)
+        latent = Tensor(rng.uniform(0, 1, (4, 3, 2, 2)).astype(np.float32))
+        for shape in (topo, mirrored(topo)):
+            trace = tr.route(shape, bank, latent)
+            pi = trace.leaf_probabilities.values
+            oracle = leaf_probabilities_from_edges(shape,
+                                                   trace.edge_right.values)
+            assert pi.dtype == oracle.dtype == np.float32
+            assert pi.tobytes() == oracle.tobytes()
+
+    def test_bit_identical_on_pruned_tree(self):
+        rng = np.random.default_rng(50)
+        bank = tr.PrototypeBank(Tensor(rng.uniform(0, 1, (3, 2))
+                                       .astype(np.float32)))
+        latent = Tensor(rng.uniform(0, 1, (5, 2, 3, 3)).astype(np.float32))
+        for shape in (unbalanced_topology(), mirrored(unbalanced_topology())):
+            trace = tr.route(shape, bank, latent)
+            oracle = leaf_probabilities_from_edges(shape,
+                                                   trace.edge_right.values)
+            assert trace.leaf_probabilities.values.tobytes() == oracle.tobytes()
+
+    def test_gradients_match_finite_differences_on_pruned_tree(self):
+        rng = np.random.default_rng(51)
+        topo = unbalanced_topology()
+        assert sorted(topo.leaf_depths().tolist()) == [1, 2, 3, 3]
+        bank = tr.PrototypeBank(Tensor(rng.uniform(0, 1, (3, 2)),
+                                       requires_grad=True))
+        latent = Tensor(rng.uniform(0, 1, (3, 2, 2, 2)), requires_grad=True)
+        weights = Tensor(rng.normal(0, 1, (3, 4)))
+
+        def loss():
+            pi = tr.route(topo, bank, latent).leaf_probabilities
+            return ad.tsum(ad.mul(pi, weights))
+
+        with Tape() as tape:
+            tape.backward(loss())
+        for tensor in (bank.tensor, latent):
+            numeric = ad.finite_difference_grad(lambda: loss().item(), tensor)
+            assert ad.max_relative_error(tensor.grad, numeric) < 1e-6
+
+    def test_root_leaf_gets_probability_one(self):
+        empty = np.zeros(0, dtype=np.int64)
+        topo = tr.TreeTopology(left=empty, right=empty, prototype_index=empty,
+                               root=tr.leaf_ref(0), height=1)
+        bank = tr.PrototypeBank(Tensor(np.zeros((0, 3), dtype=np.float32),
+                                       requires_grad=True))
+        latent = Tensor(np.random.default_rng(52).uniform(0, 1, (2, 3, 2, 2))
+                        .astype(np.float32))
+        with Tape():
+            trace = tr.route(topo, bank, latent)
+        np.testing.assert_array_equal(trace.leaf_probabilities.values,
+                                      np.ones((2, 1), dtype=np.float32))
+
+
+class TestTopologyIndex:
+    @staticmethod
+    def height_two(**tables):
+        """Tables of the full height-2 tree, with the given ones replaced."""
+        fields = dict(left=np.array([1, -1, -3]), right=np.array([2, -2, -4]),
+                      prototype_index=np.arange(3), root=0, height=2)
+        fields.update(tables)
+        return tr.TreeTopology(**fields)
+
+    def test_fresh_tables_are_valid(self):
+        topo = self.height_two()
+        np.testing.assert_array_equal(topo.preorder, [0, 1, 3, 4, 2, 5, 6])
+        assert [cols.tolist() for cols in topo.levels] == [[0], [1, 2],
+                                                           [3, 4, 5, 6]]
+
+    @pytest.mark.parametrize("tables, message", [
+        (dict(left=np.array([7, -1, -3])), "out of range"),
+        (dict(right=np.array([2, -2, -9])), "out of range"),
+        (dict(left=np.array([1, 0, -3])), "reached twice"),
+        (dict(right=np.array([2, -2, -3])), "reached twice"),
+        (dict(root=1), "not reached"),
+        (dict(prototype_index=np.array([0, 0, 2])), "bijection"),
+    ])
+    def test_rejects_broken_tables(self, tables, message):
+        with pytest.raises(ValueError, match=message):
+            self.height_two(**tables)
+
+    @pytest.mark.parametrize("topo", [
+        unbalanced_topology(), mirrored(unbalanced_topology()),
+        mirrored(tr.init_tree(3, 2, 2, seed=0)[0])])
+    def test_lookups_match_enumeration(self, topo):
+        paths = enumerate_paths(topo)
+        for leaf, path in paths:
+            assert topo.path_to_leaf(leaf) == path
+            assert topo.leaf_depths()[leaf] == len(path)
+        for node in range(topo.num_internal):
+            assert topo.leaves_under(node) == [
+                leaf for leaf, path in paths if node in dict(path)]
