@@ -22,8 +22,7 @@ from prototree.backbone import BackboneConfig
 from prototree.data import gen_synthetic, write_dataset
 from prototree.explain import export_tree
 from prototree.model import build_model
-from prototree.refine import default_tau, fidelity, hard_accuracy, \
-    path_length_stats, project, prune
+from prototree.refine import default_tau, evaluate, project, prune
 from prototree.train import TrainConfig, fit
 
 
@@ -88,12 +87,12 @@ def main():
         f"{mean_dist:.4f}, soft accuracy {model.accuracy(test_set):.4f}")
 
     for strategy in ("max_path", "greedy"):
-        acc = hard_accuracy(model, test_set, strategy)
-        fid = fidelity(model, test_set, strategy)
-        log(f"{strategy}: accuracy {acc:.4f}, fidelity {fid:.4f}")
-    stats = path_length_stats(model, test_set)
-    log(f"greedy path length {stats['mean']:.2f} +- {stats['std']:.2f} "
-        f"({stats['min']}, {stats['max']})")
+        result = evaluate(model, test_set, strategy)
+        log(f"{strategy}: accuracy {result.accuracy:.4f}, "
+            f"fidelity {result.fidelity:.4f}")
+    depths = result.depths
+    log(f"greedy path length {depths.mean():.2f} +- {depths.std():.2f} "
+        f"({depths.min()}, {depths.max()})")
 
     sample = test_set.images[0]
     export_tree(model, os.path.join(args.out_dir, "viz"), sample=sample,

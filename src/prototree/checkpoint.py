@@ -69,7 +69,11 @@ def read_blob(path: str) -> Records:
         off += 4
         if off + name_len > total:
             raise CheckpointError(f"{path}: truncated name at byte {off}")
-        name = raw[off:off + name_len].decode("utf-8")
+        try:
+            name = raw[off:off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(
+                f"{path}: record name at byte {off} is not UTF-8") from None
         off += name_len
         if off + 4 > total:
             raise CheckpointError(f"{path}: truncated rank at byte {off}")

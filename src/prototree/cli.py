@@ -17,8 +17,8 @@ from . import selftest
 from . import train as trn
 from .backbone import BackboneConfig
 from .checkpoint import CheckpointError
-from .data import AugmentConfig, Dataset, gen_synthetic, load_dataset, \
-    load_ppm, write_dataset
+from .data import AugmentConfig, Dataset, UnknownClassError, gen_synthetic, \
+    load_dataset, load_ppm, write_dataset
 from .model import ProtoTreeModel, build_model
 
 EXIT_USAGE = 2
@@ -129,17 +129,17 @@ def _require(path: str, kind: str) -> str:
     return path
 
 
-def _load_split(root: str, split: str) -> Dataset:
+def _load_split(root: str, split: str, class_names=None) -> Dataset:
     _require(root, "data directory")
     sub = os.path.join(root, split)
-    return load_dataset(sub if os.path.isdir(sub) else root, split)
+    return load_dataset(sub if os.path.isdir(sub) else root, split, class_names)
 
 
 def cmd_train(args) -> int:
     values = read_config(args.config, args.set or [])
     backbone_cfg, height, config = build_configs(values)
     train_set = _load_split(args.data, "train")
-    test_set = _load_split(args.data, "test")
+    test_set = _load_split(args.data, "test", train_set.class_names)
     model = build_model(backbone_cfg, height, train_set.num_classes,
                         config.seed, leaf_norm=config.leaf_norm,
                         class_names=train_set.class_names)
@@ -156,19 +156,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = ProtoTreeModel.load(_require(args.ckpt, "checkpoint"))
-    dataset = _load_split(args.data, "test")
-    if args.strategy == "soft":
-        acc = model.accuracy(dataset)
-    else:
-        acc = refine.hard_accuracy(model, dataset, args.strategy)
-    fid = refine.fidelity(model, dataset, args.strategy)
+    dataset = _load_split(args.data, "test", model.class_names)
+    result = refine.evaluate(model, dataset, args.strategy)
     print(f"strategy {args.strategy}")
-    print(f"accuracy {acc:.6f}")
-    print(f"fidelity {fid:.6f}")
+    print(f"accuracy {result.accuracy:.6f}")
+    print(f"fidelity {result.fidelity:.6f}")
     if args.strategy == "greedy" and model.topology.num_internal:
-        stats = refine.path_length_stats(model, dataset)
-        print(f"path_length_mean {stats['mean']:.4f}")
-        print(f"path_length_minmax {stats['min']} {stats['max']}")
+        print(f"path_length_mean {result.depths.mean():.4f}")
+        print(f"path_length_minmax {result.depths.min()} "
+              f"{result.depths.max()}")
     return 0
 
 
@@ -186,7 +182,7 @@ def cmd_prune(args) -> int:
 
 def cmd_project(args) -> int:
     model = ProtoTreeModel.load(_require(args.ckpt, "checkpoint"))
-    dataset = _load_split(args.data, "train")
+    dataset = _load_split(args.data, "train", model.class_names)
     records = refine.project(model, dataset, constrained=args.constrained)
     model.save(args.out)
     print("node,image_id,row,col,distance,constrained,fallback")
@@ -217,12 +213,13 @@ def cmd_explain(args) -> int:
 def cmd_ensemble_eval(args) -> int:
     models = [ProtoTreeModel.load(_require(p, "checkpoint"))
               for p in args.ckpt]
-    dataset = _load_split(args.data, "test")
-    predictions = refine.ensemble_predict(models, dataset.images)
-    acc = float((predictions.argmax(axis=1) == dataset.labels).mean())
-    for i, m in enumerate(models):
-        print(f"member_{i}_acc {m.accuracy(dataset):.6f}")
-    print(f"ensemble_acc {acc:.6f}")
+    dataset = _load_split(args.data, "test", models[0].class_names)
+    members = [m.soft_predict(dataset.images) for m in models]
+    accs = [float((p.argmax(axis=1) == dataset.labels).mean())
+            for p in members + [refine.ensemble_mean(members)]]
+    for i, acc in enumerate(accs[:-1]):
+        print(f"member_{i}_acc {acc:.6f}")
+    print(f"ensemble_acc {accs[-1]:.6f}")
     return 0
 
 
@@ -325,7 +322,7 @@ def main(argv=None) -> int:
     except CheckpointError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VERSION
-    except ConfigError as err:
+    except (ConfigError, UnknownClassError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as err:

@@ -351,8 +351,18 @@ def write_dataset(dataset: Dataset, root: str) -> None:
         writer.writerows(rows)
 
 
-def load_dataset(root: str, split: str = "train") -> Dataset:
-    """Load a dataset directory; labels.csv takes precedence over layout."""
+class UnknownClassError(ValueError):
+    """A dataset class that the model was not trained on."""
+
+
+def load_dataset(root: str, split: str = "train",
+                 class_names: list[str] | None = None) -> Dataset:
+    """Load a dataset directory; labels.csv takes precedence over layout.
+
+    Labels index ``class_names``, a model's classes, when it is given, so
+    a split that lacks a class keeps the model's numbering; otherwise
+    they index the sorted classes present under ``root``.
+    """
     index_path = os.path.join(root, "labels.csv")
     entries: list[tuple[str, str]] = []
     if os.path.exists(index_path):
@@ -374,8 +384,12 @@ def load_dataset(root: str, split: str = "train") -> Dataset:
                     entries.append((os.path.join(name, fname), name))
     if not entries:
         raise ValueError(f"no images found under {root}")
-    class_names = sorted({cls for _, cls in entries})
+    class_names = list(class_names or sorted({cls for _, cls in entries}))
     index = {name: k for k, name in enumerate(class_names)}
+    unknown = {cls for _, cls in entries} - index.keys()
+    if unknown:
+        raise UnknownClassError(f"{root}: class {min(unknown)!r} is not one "
+                                "of the model's classes")
     images = np.stack([load_ppm(os.path.join(root, rel)) for rel, _ in entries])
     labels = np.asarray([index[cls] for _, cls in entries], dtype=np.int64)
     return Dataset(images=images, labels=labels, split=split,

@@ -16,7 +16,7 @@ from . import backbone as bb
 from . import checkpoint as ckpt
 from . import tree as tr
 from .autodiff import Tensor
-from .refine import ProjectionRecord
+from .refine import ProjectionRecord, evaluate
 
 
 def _split_int(value: int) -> list[float]:
@@ -82,8 +82,7 @@ class ProtoTreeModel:
         return np.stack(maps)
 
     def accuracy(self, dataset, batch_size: int = 256) -> float:
-        pred = self.soft_predict(dataset.images, batch_size).argmax(axis=1)
-        return float((pred == dataset.labels).mean())
+        return evaluate(self, dataset, "soft", batch_size).accuracy
 
     # -- checkpoint schema --------------------------------------------------
 
@@ -129,7 +128,14 @@ class ProtoTreeModel:
 
     @classmethod
     def load(cls, path: str) -> "ProtoTreeModel":
-        blob = ckpt.read_blob(path)
+        """Read a checkpoint; any malformed record is a CheckpointError."""
+        try:
+            return cls._from_records(ckpt.read_blob(path))
+        except (IndexError, ValueError, OverflowError) as err:
+            raise ckpt.CheckpointError(f"{path}: {err}") from None
+
+    @classmethod
+    def _from_records(cls, blob: ckpt.Records) -> "ProtoTreeModel":
         arch = blob["backbone/arch"].astype(np.int64)
         n_stages = int(arch[3])
         stages = tuple(
@@ -148,14 +154,11 @@ class ProtoTreeModel:
         net.head_weight = Tensor(blob["backbone/head/weight"],
                                  requires_grad=True)
         children = blob["tree/children"].astype(np.int64)
-        try:
-            topo = tr.TreeTopology(
-                left=children[:, 0].copy(), right=children[:, 1].copy(),
-                prototype_index=blob["tree/prototype_index"].astype(np.int64),
-                root=int(blob["tree/root"][0]),
-                height=int(blob["tree/height"][0]))
-        except ValueError as err:
-            raise ckpt.CheckpointError(f"{path}: {err}") from None
+        topo = tr.TreeTopology(
+            left=children[:, 0].copy(), right=children[:, 1].copy(),
+            prototype_index=blob["tree/prototype_index"].astype(np.int64),
+            root=int(blob["tree/root"][0]),
+            height=int(blob["tree/height"][0]))
         norm = "l1" if int(blob["meta/leaf_norm"][0]) else "softmax"
         leaves = tr.LeafParams(blob["tree/leaf_logits"].astype(np.float64),
                                norm=norm)

@@ -7,7 +7,7 @@ that visualizations show real image content; a node whose prototype
 resembles no training patch routes almost every image left, so
 projection collapses it into its left child instead (see ``project``).
 Hard inference converts the soft tree into a single root-to-leaf
-decision path.
+decision path; ``evaluate`` scores any strategy from one routed pass.
 """
 
 from __future__ import annotations
@@ -215,10 +215,13 @@ def project(model, dataset: Dataset, constrained: bool = True,
     return records
 
 
-def _edge_probabilities(model, images: np.ndarray,
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    trace = tr.route(model.topology, model.prototypes, model.latent(images))
-    return trace.edge_right.values, trace.leaf_probabilities.values
+def _choose_leaves(model, trace: tr.RoutingTrace, strategy: str) -> np.ndarray:
+    """Leaf per sample of a routed batch under a hard strategy."""
+    if strategy == "max_path":
+        return trace.leaf_probabilities.values.argmax(axis=1)
+    if strategy == "greedy":
+        return model.topology.greedy_leaves(trace.edge_right.values)
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def hard_predict(model, image: np.ndarray, strategy: str,
@@ -235,81 +238,57 @@ def hard_predict(model, image: np.ndarray, strategy: str,
     batch = image[None] if image.ndim == 3 else image
     if batch.shape[0] != 1:
         raise ValueError(f"hard_predict takes one image, got {batch.shape[0]}")
-    leaves, edge = _hard_leaves(model, batch, strategy)
-    leaf = int(leaves[0])
-    path = [(node, went_right, float(edge[0, node]))
+    _, trace = model.predict_batch(batch)
+    leaf = int(_choose_leaves(model, trace, strategy)[0])
+    path = [(node, went_right, float(trace.edge_right.values[0, node]))
             for node, went_right in model.topology.path_to_leaf(leaf)]
     return model.leaves.distributions()[leaf], leaf, path
 
 
-def _hard_leaves(model, images: np.ndarray, strategy: str,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf choice per sample for a whole batch, with the N x M p_right."""
-    if strategy not in ("max_path", "greedy"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    edge, pi = _edge_probabilities(model, images)
-    if strategy == "max_path":
-        return pi.argmax(axis=1), edge
-    return model.topology.greedy_leaves(edge), edge
+@dataclass(frozen=True)
+class Evaluation:
+    accuracy: float
+    fidelity: float
+    depths: np.ndarray | None   # depth of each image's chosen leaf
 
 
-def hard_accuracy(model, dataset: Dataset, strategy: str,
-                  batch_size: int = 256) -> float:
-    dists = model.leaves.distributions()
-    correct = 0
-    for start in range(0, len(dataset), batch_size):
-        chunk = dataset.images[start:start + batch_size]
-        leaves, _ = _hard_leaves(model, chunk, strategy)
-        pred = dists[leaves].argmax(axis=1)
-        correct += int((pred == dataset.labels[start:start + batch_size]).sum())
-    return correct / len(dataset)
+def evaluate(model, dataset: Dataset, strategy: str,
+             batch_size: int = 256) -> Evaluation:
+    """Score one inference strategy with a single routed pass per chunk.
 
-
-def fidelity(model, dataset: Dataset, strategy: str,
-             batch_size: int = 256) -> float:
-    """Fraction of samples where the hard strategy's class equals the
-    soft prediction's class."""
+    ``soft`` scores the mixed leaf distributions; ``max_path`` and
+    ``greedy`` score the class of the leaf ``hard_predict`` would choose.
+    Fidelity is the fraction of images whose scored class equals the
+    soft prediction's class, so it is 1.0 for ``soft``, which chooses no
+    leaf and has no depths.
+    """
     if len(dataset) == 0:
-        raise ValueError("fidelity needs a non-empty dataset")
-    if strategy == "soft":
-        return 1.0
-    if strategy not in ("max_path", "greedy"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise ValueError("evaluate needs a non-empty dataset")
     dists = model.leaves.distributions()
-    agree = 0
+    leaf_depths = model.topology.leaf_depths()
+    correct = agree = 0
+    depths = []
     for start in range(0, len(dataset), batch_size):
-        chunk = dataset.images[start:start + batch_size]
-        soft = model.soft_predict(chunk).argmax(axis=1)
-        leaves, _ = _hard_leaves(model, chunk, strategy)
-        hard = dists[leaves].argmax(axis=1)
-        agree += int((soft == hard).sum())
-    return agree / len(dataset)
+        y_hat, trace = model.predict_batch(
+            dataset.images[start:start + batch_size])
+        soft = y_hat.values.argmax(axis=1)
+        pred = soft
+        if strategy != "soft":
+            leaves = _choose_leaves(model, trace, strategy)
+            pred = dists[leaves].argmax(axis=1)
+            depths.append(leaf_depths[leaves])
+        correct += int((pred == dataset.labels[start:start + batch_size]).sum())
+        agree += int((pred == soft).sum())
+    return Evaluation(accuracy=correct / len(dataset),
+                      fidelity=agree / len(dataset),
+                      depths=np.concatenate(depths) if depths else None)
 
 
-def ensemble_predict(models, images: np.ndarray) -> np.ndarray:
-    """Mean of the member models' soft predictions."""
-    if not models:
+def ensemble_mean(predictions: list[np.ndarray]) -> np.ndarray:
+    """Mean of the member models' N x K soft predictions."""
+    if not predictions:
         raise ValueError("ensemble needs at least one model")
-    k = models[0].num_classes
-    for m in models:
-        if m.num_classes != k:
-            raise ValueError("ensemble members disagree on the class count")
-    total = np.zeros((images.shape[0], k), dtype=np.float64)
-    for m in models:
-        total += m.soft_predict(images)
-    return (total / len(models)).astype(np.float32)
-
-
-def path_length_stats(model, dataset: Dataset,
-                      batch_size: int = 256) -> dict[str, float]:
-    """Greedy root-to-leaf depth statistics over a dataset."""
-    depths = model.topology.leaf_depths()
-    seen = []
-    for start in range(0, len(dataset), batch_size):
-        leaves, _ = _hard_leaves(model,
-                                 dataset.images[start:start + batch_size],
-                                 "greedy")
-        seen.append(depths[leaves])
-    lengths = np.concatenate(seen)
-    return {"mean": float(lengths.mean()), "std": float(lengths.std()),
-            "min": int(lengths.min()), "max": int(lengths.max())}
+    if len({p.shape[1] for p in predictions}) != 1:
+        raise ValueError("ensemble members disagree on the class count")
+    total = np.sum(predictions, axis=0, dtype=np.float64)
+    return (total / len(predictions)).astype(np.float32)

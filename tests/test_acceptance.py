@@ -20,7 +20,7 @@ from prototree.backbone import BackboneConfig
 from prototree.data import gen_synthetic
 from prototree.explain import export_tree
 from prototree.model import build_model
-from prototree.refine import ensemble_predict, fidelity, hard_accuracy
+from prototree.refine import ensemble_mean, evaluate
 from prototree.train import TrainConfig, cross_entropy, one_hot, train_epoch
 
 from conftest import DESK
@@ -160,10 +160,10 @@ def test_criterion_07_fidelity(desk_data, primary_run):
     fidelity >= 0.95, greedy accuracy within 1 pp of soft accuracy."""
     _, test_set = desk_data
     model = primary_run.model
-    fid_max = fidelity(model, test_set, "max_path")
-    fid_greedy = fidelity(model, test_set, "greedy")
+    fid_max = evaluate(model, test_set, "max_path").fidelity
+    greedy = evaluate(model, test_set, "greedy")
+    fid_greedy, greedy_acc = greedy.fidelity, greedy.accuracy
     soft = primary_run.soft_acc_projected
-    greedy_acc = hard_accuracy(model, test_set, "greedy")
     ok = fid_max >= 0.99 and fid_greedy >= 0.95 \
         and abs(greedy_acc - soft) <= 0.01
     report("criterion 7: deterministic-strategy fidelity", ok,
@@ -175,8 +175,8 @@ def test_criterion_08_ensemble(desk_data, desk_runs):
     """The 3-seed mean-prediction ensemble is at least as accurate as the
     best member minus 0.5 pp and strictly above the member mean."""
     _, test_set = desk_data
-    predictions = ensemble_predict([r.model for r in desk_runs],
-                                   test_set.images)
+    predictions = ensemble_mean([r.model.soft_predict(test_set.images)
+                                 for r in desk_runs])
     ensemble_acc = float((predictions.argmax(axis=1)
                           == test_set.labels).mean())
     member_accs = [r.soft_acc_projected for r in desk_runs]

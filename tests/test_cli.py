@@ -1,9 +1,15 @@
+import csv
 import os
+import shutil
 
+import numpy as np
 import pytest
 
+import prototree.refine
+from prototree.backbone import Backbone
 from prototree.checkpoint import read_blob, write_blob
 from prototree.cli import main
+from prototree.data import load_dataset
 
 TINY_CONFIG = """
 # desk-scale smoke configuration
@@ -32,6 +38,36 @@ def workspace(tmp_path_factory):
     assert main(["train", "--config", str(config), "--data", data,
                  "--out", ckpt, "--quiet"]) == 0
     return {"root": root, "data": data, "config": str(config), "ckpt": ckpt}
+
+
+@pytest.fixture
+def backbone_images(monkeypatch):
+    """Number of images that pass through Backbone.forward, per call."""
+    seen = []
+    forward = Backbone.forward
+
+    def counting(self, batch):
+        seen.append(len(batch))
+        return forward(self, batch)
+
+    monkeypatch.setattr(Backbone, "forward", counting)
+    return seen
+
+
+def relabelled_copy(workspace, tmp_path, relabel):
+    """Copy of the dataset whose labels.csv rows pass through relabel,
+    which returns the new class of a row or None to drop it."""
+    data = str(tmp_path / "data")
+    shutil.copytree(workspace["data"], data)
+    for split in ("train", "test"):
+        index = os.path.join(data, split, "labels.csv")
+        with open(index, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        kept = [(path, relabel(cls)) for path, cls in rows
+                if relabel(cls) is not None]
+        with open(index, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + kept)
+    return data
 
 
 class TestGenData:
@@ -88,6 +124,48 @@ class TestEval:
         fid = float([l for l in out.splitlines()
                      if l.startswith("fidelity")][0].split()[1])
         assert 0.0 <= fid <= 1.0
+
+    @pytest.mark.parametrize("strategy", ["soft", "max_path", "greedy"])
+    def test_one_backbone_pass_per_test_image(self, workspace, strategy,
+                                              backbone_images):
+        test_images = len(load_dataset(os.path.join(workspace["data"],
+                                                    "test")))
+        assert main(["eval", "--ckpt", workspace["ckpt"], "--data",
+                     workspace["data"], "--strategy", strategy]) == 0
+        assert sum(backbone_images) == test_images
+
+
+class TestLabels:
+    def test_split_missing_a_class_keeps_model_numbering(
+            self, workspace, tmp_path, monkeypatch):
+        data = relabelled_copy(workspace, tmp_path,
+                               lambda cls: cls if cls == "class_1" else None)
+        scored = []
+        evaluate = prototree.refine.evaluate
+
+        def recording(model, dataset, strategy):
+            scored.append(dataset)
+            return evaluate(model, dataset, strategy)
+
+        monkeypatch.setattr(prototree.refine, "evaluate", recording)
+        assert main(["eval", "--ckpt", workspace["ckpt"], "--data",
+                     data]) == 0
+        assert scored[0].class_names == ["class_0", "class_1"]
+        assert len(scored[0]) > 0 and (scored[0].labels == 1).all()
+
+    @pytest.mark.parametrize("command", ["eval", "project", "ensemble-eval"])
+    def test_unknown_class_is_two(self, workspace, tmp_path, capsys,
+                                  command):
+        data = relabelled_copy(workspace, tmp_path,
+                               lambda cls: cls.replace("1", "9"))
+        argv = [command, "--ckpt", workspace["ckpt"], "--data", data]
+        if command == "project":
+            argv += ["--out", str(tmp_path / "projected.npt")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'class_9'" in err and err.startswith("error: ") \
+            and err.count("\n") == 1
 
 
 class TestLifecycle:
@@ -163,6 +241,18 @@ class TestEnsembleEval:
         out = capsys.readouterr().out
         assert "ensemble_acc" in out and "member_1_acc" in out
 
+    def test_one_backbone_pass_per_member_and_image(self, workspace, capsys,
+                                                   backbone_images):
+        test_images = len(load_dataset(os.path.join(workspace["data"],
+                                                    "test")))
+        assert main(["ensemble-eval", "--ckpt", workspace["ckpt"], "--ckpt",
+                     workspace["ckpt"], "--data", workspace["data"]]) == 0
+        assert sum(backbone_images) == 2 * test_images
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == \
+            ["member_0_acc", "member_1_acc", "ensemble_acc"]
+        assert len({line.split()[1] for line in lines}) == 1
+
 
 class TestExitCodes:
     def test_unknown_flag_is_two(self, workspace):
@@ -200,6 +290,30 @@ class TestExitCodes:
         write_blob(corrupt, blob)
         capsys.readouterr()
         assert main(["eval", "--ckpt", corrupt,
+                     "--data", workspace["data"]]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["flat_children", "short_arch",
+                                      "non_utf8_name"])
+    def test_malformed_record_is_four(self, workspace, tmp_path, capsys,
+                                      case):
+        blob = read_blob(workspace["ckpt"])
+        if case == "flat_children":
+            blob["tree/children"] = blob["tree/children"].ravel()
+        elif case == "short_arch":
+            assert len(blob["backbone/arch"]) == 10   # two stages
+            blob["backbone/arch"] = blob["backbone/arch"][:5]
+        else:
+            blob["mangled-name"] = np.zeros(1)
+        corrupt = tmp_path / "corrupt.npt"
+        write_blob(str(corrupt), blob)
+        if case == "non_utf8_name":
+            raw = corrupt.read_bytes()
+            assert raw.count(b"mangled-name") == 1
+            corrupt.write_bytes(raw.replace(b"mangled-name", b"\xffangled-name"))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(corrupt),
                      "--data", workspace["data"]]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prototree.data as pd
-from prototree.data import AugmentConfig, Dataset, augment, class_motifs, \
-    gen_synthetic, load_dataset, load_ppm, save_ppm, write_dataset
+from prototree.data import AugmentConfig, Dataset, UnknownClassError, \
+    augment, class_motifs, gen_synthetic, load_dataset, load_ppm, save_ppm, \
+    write_dataset
 
 
 class TestGenSynthetic:
@@ -228,6 +230,29 @@ class TestDatasetDirectory:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no images"):
             load_dataset(str(tmp_path), "train")
+
+    def _split_without_class_1(self, tmp_path):
+        _, test = gen_synthetic(3, 4, 32, seed=45)
+        root = str(tmp_path / "ds")
+        write_dataset(test, root)
+        shutil.rmtree(os.path.join(root, "class_1"))
+        os.remove(os.path.join(root, "labels.csv"))
+        return root, test.class_names
+
+    def test_model_classes_keep_labels_of_a_partial_split(self, tmp_path):
+        root, names = self._split_without_class_1(tmp_path)
+        loaded = load_dataset(root, "test", names)
+        assert loaded.class_names == names == ["class_0", "class_1",
+                                               "class_2"]
+        assert sorted(set(loaded.labels.tolist())) == [0, 2]
+        # without the model's classes the split numbers what it holds
+        assert sorted(set(load_dataset(root, "test").labels.tolist())) \
+            == [0, 1]
+
+    def test_class_unknown_to_the_model_rejected(self, tmp_path):
+        root, names = self._split_without_class_1(tmp_path)
+        with pytest.raises(UnknownClassError, match="'class_2'"):
+            load_dataset(root, "test", names[:2])
 
 
 class TestDatasetValidation:

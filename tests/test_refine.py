@@ -40,10 +40,12 @@ class StubModel:
     def latent(self, images):
         return Tensor(np.zeros((images.shape[0], 1, 1, 1)))
 
+    def predict_batch(self, images):
+        return tr.predict(self.topology, self.prototypes, self.leaves,
+                          self.latent(images))
+
     def soft_predict(self, images):
-        y_hat, _ = tr.predict(self.topology, self.prototypes, self.leaves,
-                              self.latent(images))
-        return y_hat.values
+        return self.predict_batch(images)[0].values
 
 
 class PlantedModel(StubModel):
@@ -184,7 +186,7 @@ class TestHardPredict:
         _, max_leaf, _ = rf.hard_predict(model, image, "max_path")
         assert greedy_leaf != max_leaf
         # verify the max-path choice by exhaustive enumeration
-        edge, _ = rf._edge_probabilities(model, image[None])
+        edge = model.predict_batch(image[None])[1].edge_right.values
         best_leaf, best_prob = None, -1.0
         for leaf, path in enumerate_paths(model.topology):
             prob = 1.0
@@ -235,7 +237,7 @@ class TestHardPredict:
         rng = np.random.default_rng(31)
         model = PlantedModel(3, 4, rng.uniform(0, 1, 7))
         images = rng.uniform(0, 1, (40, 1, 1, 1)).astype(np.float32)
-        edge, _ = rf._edge_probabilities(model, images)
+        edge = model.predict_batch(images)[1].edge_right.values
         batch = model.topology.greedy_leaves(edge)
         single = [rf.hard_predict(model, image, "greedy")[1]
                   for image in images]
@@ -254,25 +256,64 @@ class TestFidelity:
     def test_soft_vs_itself_is_one(self):
         model = make_model(num_classes=3)
         train, _ = gen_synthetic(3, 4, 32, seed=71)
-        assert rf.fidelity(model, train, "soft") == 1.0
+        result = rf.evaluate(model, train, "soft")
+        assert result.fidelity == 1.0 and result.depths is None
+        assert result.accuracy == model.accuracy(train)
 
     def test_empty_dataset_rejected(self):
         model = make_model()
         empty = Dataset(images=np.zeros((0, 3, 32, 32), dtype=np.float32),
                         labels=np.zeros(0, dtype=np.int64), split="test",
                         class_names=["a", "b"])
-        with pytest.raises(ValueError, match="empty"):
-            rf.fidelity(model, empty, "greedy")
+        for strategy in ("soft", "greedy"):
+            with pytest.raises(ValueError, match="empty"):
+                rf.evaluate(model, empty, strategy)
 
     def test_agreement_fraction_counts(self):
         model = make_model(height=2, num_classes=4, seed=9)
         one_leaf_per_class(model, [0, 1, 2, 3])
         train, _ = gen_synthetic(4, 5, 32, seed=73)
-        fid = rf.fidelity(model, train, "max_path")
+        fid = rf.evaluate(model, train, "max_path").fidelity
         soft = model.soft_predict(train.images).argmax(1)
         hard = np.array([np.argmax(rf.hard_predict(model, img, "max_path")[0])
                          for img in train.images])
         assert fid == (soft == hard).mean()
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("strategy", ["max_path", "greedy"])
+    @pytest.mark.parametrize("batch_size", [256, 7])
+    def test_matches_per_image_predictions(self, strategy, batch_size):
+        rng = np.random.default_rng(37)
+        model = PlantedModel(3, 4, rng.uniform(0, 1, 7))
+        model.leaves.logits = rng.uniform(0, 5, model.leaves.logits.shape)
+        dataset = planted_set(rng.uniform(0, 1, 40))
+        result = rf.evaluate(model, dataset, strategy, batch_size=batch_size)
+        picks = [rf.hard_predict(model, image, strategy)
+                 for image in dataset.images]
+        hard = np.array([dist.argmax() for dist, _, _ in picks])
+        soft = model.soft_predict(dataset.images).argmax(axis=1)
+        assert result.accuracy == (hard == dataset.labels).mean()
+        assert result.fidelity == (hard == soft).mean()
+        assert 0 < result.fidelity < 1
+        depths = model.topology.leaf_depths()
+        assert result.depths.tolist() == [depths[leaf] for _, leaf, _ in picks]
+
+    def test_unknown_strategy_rejected(self):
+        model = PlantedModel(2, 4, [0.2, 0.4, 0.6])
+        with pytest.raises(ValueError, match="strategy"):
+            rf.evaluate(model, planted_set([0.1, 0.5]), "softish")
+
+    def test_greedy_depths_of_pruned_tree(self):
+        model = PlantedModel(2, 4, [0.2, 0.4, 0.6])
+        one_leaf_per_class(model, [0, 1, 2, 3])
+        model.leaves.logits[1] = 0.0              # uniform leaf under node 1
+        rf.prune(model, tau=rf.default_tau(4))
+        assert model.topology.leaf_depths().tolist() == [1, 2, 2]
+        # the root goes right, to the depth-2 leaves, when |x - 0.2| < ln 2
+        dataset = planted_set([0.1, 1.5, 0.7, 0.3])
+        depths = rf.evaluate(model, dataset, "greedy").depths
+        assert depths.tolist() == [2, 1, 2, 2]
 
 
 class TestEnsemble:
@@ -280,29 +321,21 @@ class TestEnsemble:
         model = make_model(num_classes=3, seed=11)
         train, _ = gen_synthetic(3, 3, 32, seed=79)
         single = model.soft_predict(train.images)
-        triple = rf.ensemble_predict([model, model, model], train.images)
+        triple = rf.ensemble_mean([single, single, single])
         np.testing.assert_allclose(triple, single, atol=1e-6)
 
     def test_hand_mean(self):
-        class Fake:
-            num_classes = 2
-
-            def __init__(self, out):
-                self.out = np.asarray(out, dtype=np.float32)
-
-            def soft_predict(self, images):
-                return np.tile(self.out, (images.shape[0], 1))
-
-        out = rf.ensemble_predict([Fake([0.8, 0.2]), Fake([0.4, 0.6])],
-                                  np.zeros((3, 3, 8, 8), dtype=np.float32))
+        members = [np.tile(np.float32(row), (3, 1))
+                   for row in ([0.8, 0.2], [0.4, 0.6])]
+        out = rf.ensemble_mean(members)
         np.testing.assert_allclose(out, [[0.6, 0.4]] * 3, atol=1e-7)
 
     def test_mixed_class_counts_rejected(self):
-        a = make_model(num_classes=2)
-        b = make_model(num_classes=3)
+        images = np.zeros((1, 3, 32, 32), dtype=np.float32)
+        members = [make_model(num_classes=k).soft_predict(images)
+                   for k in (2, 3)]
         with pytest.raises(ValueError, match="class count"):
-            rf.ensemble_predict([a, b], np.zeros((1, 3, 32, 32),
-                                                 dtype=np.float32))
+            rf.ensemble_mean(members)
 
 
 class TestPathLengthStats:
@@ -310,8 +343,9 @@ class TestPathLengthStats:
         model = make_model(height=3, num_classes=4, seed=13)
         one_leaf_per_class(model, [0, 1, 2, 3, 0, 1, 2, 3])
         train, _ = gen_synthetic(4, 3, 32, seed=83)
-        stats = rf.path_length_stats(model, train)
-        assert stats == {"mean": 3.0, "std": 0.0, "min": 3, "max": 3}
+        depths = rf.evaluate(model, train, "greedy").depths
+        assert (depths.mean(), depths.std(), depths.min(), depths.max()) \
+            == (3.0, 0.0, 3, 3)
 
     def test_pruned_asymmetric_depths(self):
         model = make_model(height=2, num_classes=4)
@@ -320,8 +354,8 @@ class TestPathLengthStats:
         model.leaves.logits = logits
         rf.prune(model, tau=rf.default_tau(4))
         train, _ = gen_synthetic(4, 3, 32, seed=89)
-        stats = rf.path_length_stats(model, train)
-        assert stats["min"] >= 1 and stats["max"] <= 2
+        depths = rf.evaluate(model, train, "greedy").depths
+        assert depths.min() >= 1 and depths.max() <= 2
 
 
 class TestProjection:
