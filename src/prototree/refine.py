@@ -264,24 +264,26 @@ def evaluate(model, dataset: Dataset, strategy: str,
     """
     if len(dataset) == 0:
         raise ValueError("evaluate needs a non-empty dataset")
-    dists = model.leaves.distributions()
-    leaf_depths = model.topology.leaf_depths()
-    correct = agree = 0
-    depths = []
+    soft, leaves = [], []
     for start in range(0, len(dataset), batch_size):
         y_hat, trace = model.predict_batch(
             dataset.images[start:start + batch_size])
-        soft = y_hat.values.argmax(axis=1)
-        pred = soft
+        soft.append(y_hat.values.argmax(axis=1))
         if strategy != "soft":
-            leaves = _choose_leaves(model, trace, strategy)
-            pred = dists[leaves].argmax(axis=1)
-            depths.append(leaf_depths[leaves])
-        correct += int((pred == dataset.labels[start:start + batch_size]).sum())
-        agree += int((pred == soft).sum())
-    return Evaluation(accuracy=correct / len(dataset),
-                      fidelity=agree / len(dataset),
-                      depths=np.concatenate(depths) if depths else None)
+            leaves.append(_choose_leaves(model, trace, strategy))
+    soft = np.concatenate(soft)
+    leaves = np.concatenate(leaves) if leaves else None
+    pred = soft if leaves is None else \
+        model.leaves.distributions()[leaves].argmax(axis=1)
+    return Evaluation(
+        accuracy=int(np.count_nonzero(pred == dataset.labels)) / len(dataset),
+        fidelity=fidelity(soft, pred),
+        depths=None if leaves is None else model.topology.leaf_depths()[leaves])
+
+
+def fidelity(soft: np.ndarray, hard: np.ndarray) -> float:
+    """Fraction of images whose hard-strategy class equals the soft class."""
+    return int(np.count_nonzero(hard == soft)) / len(soft)
 
 
 def ensemble_mean(predictions: list[np.ndarray]) -> np.ndarray:

@@ -279,6 +279,11 @@ class TestFidelity:
                          for img in train.images])
         assert fid == (soft == hard).mean()
 
+    def test_agreement_of_class_arrays(self):
+        soft = np.array([0, 1, 2, 2, 1])
+        assert rf.fidelity(soft, soft) == 1.0
+        assert rf.fidelity(soft, np.array([0, 1, 0, 2, 0])) == 3 / 5
+
 
 class TestEvaluate:
     @pytest.mark.parametrize("strategy", ["max_path", "greedy"])
