@@ -1,7 +1,8 @@
 """Command line entry point covering the full model lifecycle.
 
 Exit codes: 0 success, 2 usage or config errors, 3 missing files,
-4 checkpoint format or version mismatches, 1 anything else. Errors are
+4 checkpoint format or version mismatches, 1 anything else, aborted
+training included. Errors are
 emitted as a single machine-parsable line on stderr.
 """
 
@@ -10,6 +11,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+import numpy as np
 
 from . import explain as xp
 from . import refine
@@ -144,13 +147,16 @@ def cmd_train(args) -> int:
                         config.seed, leaf_norm=config.leaf_norm,
                         class_names=train_set.class_names)
     csv_path = args.metrics or args.out + ".metrics.csv"
-    trn.fit(model, train_set, test_set, config, csv_path=csv_path,
-            verbose=not args.quiet)
+    # a diverging run ends in fit's TrainingError; numpy's overflow
+    # warnings on the way would only add lines to that one-line error
+    with np.errstate(over="ignore", invalid="ignore"):
+        history = trn.fit(model, train_set, test_set, config,
+                          csv_path=csv_path, verbose=not args.quiet)
     model.save(args.out)
     print(f"checkpoint {args.out}")
     print(f"metrics {csv_path}")
     print(f"train_acc {model.accuracy(train_set):.6f}")
-    print(f"test_acc {model.accuracy(test_set):.6f}")
+    print(f"test_acc {history[-1]['test_acc']:.6f}")
     return 0
 
 
@@ -213,6 +219,12 @@ def cmd_explain(args) -> int:
 def cmd_ensemble_eval(args) -> int:
     models = [ProtoTreeModel.load(_require(p, "checkpoint"))
               for p in args.ckpt]
+    named = [(i, m.class_names) for i, m in enumerate(models) if m.class_names]
+    for i, names in named[1:]:
+        if names != named[0][1]:
+            raise ConfigError(
+                f"ensemble members {named[0][0]} and {i} name their classes "
+                f"differently: {named[0][1]} and {names}")
     dataset = _load_split(args.data, "test", models[0].class_names)
     members = [m.soft_predict(dataset.images) for m in models]
     accs = [float((p.argmax(axis=1) == dataset.labels).mean())
@@ -325,7 +337,7 @@ def main(argv=None) -> int:
     except (ConfigError, UnknownClassError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, trn.TrainingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

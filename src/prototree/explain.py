@@ -235,8 +235,10 @@ def export_tree(model, out_dir: str, sample: np.ndarray | None = None,
 def _export_sample(model, sample: np.ndarray, name: str, out_dir: str,
                    patch_rel: dict[int, str], png: bool,
                    graph: ExplanationGraph) -> list[tuple[int, bool, float]]:
-    dist, leaf, path = refine.hard_predict(model, sample, "greedy")
-    latent = model.latent(sample[None]).values[0]
+    lat = model.latent(sample[None])
+    _, trace = tr.predict(model.topology, model.prototypes, model.leaves, lat)
+    dist, leaf, path = refine.hard_decision(model, trace, "greedy")
+    latent = lat.values[0]
     side = sample.shape[1]
     h, w = latent.shape[1:]
     ext = "png" if png else "ppm"

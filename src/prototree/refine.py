@@ -239,6 +239,12 @@ def hard_predict(model, image: np.ndarray, strategy: str,
     if batch.shape[0] != 1:
         raise ValueError(f"hard_predict takes one image, got {batch.shape[0]}")
     _, trace = model.predict_batch(batch)
+    return hard_decision(model, trace, strategy)
+
+
+def hard_decision(model, trace: tr.RoutingTrace, strategy: str,
+                  ) -> tuple[np.ndarray, int, list[tuple[int, bool, float]]]:
+    """``hard_predict``'s result for the first image of a routed batch."""
     leaf = int(_choose_leaves(model, trace, strategy)[0])
     path = [(node, went_right, float(trace.edge_right.values[0, node]))
             for node, went_right in model.topology.path_to_leaf(leaf)]

@@ -22,6 +22,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 DISTANCE_GRAD_EPS = 1e-12  # keeps the norm's derivative finite at zero
+# candidate patches gathered per einsum call in min_patch_distances;
+# bounds the memory of the rescore whatever the number of candidates
+RESCORE_BLOCK = 4096
 
 
 def leaf_ref(leaf_index: int) -> int:
@@ -302,12 +305,7 @@ def min_patch_distances(latent: Tensor, prototypes: Tensor,
     if protos.shape[1] != d:
         raise ValueError(f"prototype depth {protos.shape[1]} != latent depth {d}")
     flat = lat.reshape(n, d, h * w)
-    sq = np.empty((n, m, h * w), dtype=lat.dtype)
-    for k in range(m):
-        diff = flat - protos[k].reshape(1, d, 1)
-        sq[:, k] = np.einsum("ndl,ndl->nl", diff, diff)
-    argmin = sq.argmin(axis=2)
-    sq_min = np.take_along_axis(sq, argmin[:, :, None], axis=2)[:, :, 0]
+    sq_min, argmin = _nearest_squared(flat, protos)
     dist = np.sqrt(sq_min)
     locations = np.stack([argmin // w, argmin % w], axis=2)
 
@@ -324,6 +322,120 @@ def min_patch_distances(latent: Tensor, prototypes: Tensor,
             latent.grad += gl.transpose(0, 2, 1).reshape(n, d, h, w)
 
     return ad.record_op(dist, [latent, prototypes], bwd), locations
+
+
+def _nearest_squared(flat: np.ndarray, protos: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest squared distance from each prototype to each image's
+    patches, and its patch index: N x M each, for the N x D x L ``flat``
+    and the M x D ``protos``.
+
+    The result is, bit for bit, that of the full scan, which measures
+    every patch z_l against every prototype p with
+    ``einsum("ndl,ndl->nl", z - p, z - p)`` and takes the first minimum.
+    One GEMM locates candidate patches, and only they are measured:
+
+    - Locate: s_l = ||z_l||^2 - 2 p.z_l, the expansion of ||z_l - p||^2
+      less the row constant P = ||p||^2, for every pair by one GEMM.
+    - Select: keep every patch with s_l <= min_l s_l + margin, and
+      every patch of a row whose limit is an inf or a nan.
+    - Rescore: the scan's einsum on each candidate, in runs of whole
+      (image, prototype) pairs of about ``RESCORE_BLOCK`` candidates;
+      segment minima over the row-major candidate order give each
+      pair's value and its first patch.
+
+    The margin. With u the unit roundoff of the latent's dtype,
+    g_k = k u / (1 - k u), Z_l = ||z_l||^2, e_l the exact squared
+    distance and f_l its einsum value:
+
+    - s_l rounds ||z_l||^2 within g_D Z_l, p.z_l within
+      g_D (Z_l + P) / 2 in any summation order, and the subtraction
+      within u (2 Z_l + P); together |s_l + P - e_l| <= 2 g_{D+1} (Z_l + P).
+    - f_l sums D non-negative terms, each rounded three times, so
+      |f_l - e_l| <= g_{D+2} e_l <= 2 g_{D+2} (Z_l + P).
+    - Hence |s_l + P - f_l| <= 4 g_{D+2} (Z_l + P), and a patch l with
+      f_l <= f_k, k the GEMM's argmin, has
+      s_l <= min s + 8 g_{D+2} (max_l Z_l + P).
+    - margin = 10 g_{D+2} (max_l Z_l + P): the extra 2 g_{D+2} covers
+      the rounding of Z, P and of min s + margin themselves, each below
+      u (2 Z + P).
+
+    Casting f_l to the latent's dtype, as the scan stores it, keeps
+    the order of the candidates and adds no tie the margin misses,
+    since u is that dtype's.
+    """
+    n, d, hw = flat.shape
+    m = protos.shape[0]
+    u = np.finfo(flat.dtype).eps / 2
+    gamma = (d + 2) * u / (1 - (d + 2) * u)
+    # the locate only ranks patches, and the rescore redoes any overflow
+    # or nan in exact arithmetic, so its estimates raise no warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        zz = np.einsum("ndl,ndl->nl", flat, flat)
+        # patch-major, so the minimum over patches reduces whole rows
+        score = np.matmul(flat.transpose(0, 2, 1), protos.T)   # N x L x M
+        score *= -2.0
+        score += zz[:, :, None]
+        best = score.min(axis=1)
+        margin = 10 * gamma * (zz.max(axis=1)[:, None]
+                               + np.einsum("md,md->m", protos, protos)[None])
+        # a row with a nan, or an inf from an overflowing ||z||^2, p.z or
+        # ||p||^2, gets a nan or an inf limit (the margin overflows too)
+        # and keeps every patch, so the rescore meets them as the scan does
+        far = score > (best + margin)[:, None, :]
+    del score
+    ends = np.cumsum(hw - far.sum(axis=1).ravel())
+    keep = np.logical_not(far.transpose(0, 2, 1), order="C").reshape(n * m, hw)
+    del far
+    # runs of whole pairs, each holding fewer than RESCORE_BLOCK + L
+    # candidates, so that no array grows with the total candidate count
+    cuts = np.searchsorted(ends, np.arange(0, ends[-1] if len(ends) else 0,
+                                           RESCORE_BLOCK), side="right")
+    bounds = np.unique(np.append(cuts, n * m))
+    # depth-major copies, so that gathering a block of candidates
+    # reads and writes contiguous rows
+    flat_t = np.ascontiguousarray(flat.transpose(1, 0, 2)).reshape(d, n * hw)
+    protos_t = np.ascontiguousarray(protos.T)
+    sq_min = np.empty(n * m, dtype=flat.dtype)
+    argmin = np.empty(n * m, dtype=np.int64)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        pair, patch = np.divmod(np.flatnonzero(keep[lo:hi]), hw)
+        img, row = np.divmod(pair + lo, m)
+        exact = _scan_einsum(flat_t, protos_t, img * hw + patch, row,
+                             hw == 1).astype(flat.dtype, copy=False)
+        starts = np.flatnonzero(np.diff(pair, prepend=-1))   # one per pair
+        sq_min[lo:hi] = np.minimum.reduceat(exact, starts)
+        at_min = exact == np.repeat(sq_min[lo:hi],
+                                    np.diff(starts, append=len(pair)))
+        at_min |= np.isnan(exact)  # the scan's argmin stops at the first nan
+        argmin[lo:hi] = patch[np.minimum.reduceat(
+            np.where(at_min, np.arange(len(pair)), len(pair)), starts)]
+    return sq_min.reshape(n, m), argmin.reshape(n, m)
+
+
+def _scan_einsum(flat_t, protos_t, column, row, single_patch: bool,
+                 ) -> np.ndarray:
+    """The full scan's einsum on D x K gathers of patches and prototypes.
+
+    einsum's inner loop must run where the scan's does, or the float
+    bits change: across the patch axis, accumulating one depth at a
+    time, when a latent has two or more patches, and as one dot product
+    along depth when it has one. The candidates therefore lie in a
+    C-contiguous 1 x D x K array (a lone one is paired with a zero
+    column), or K x D x 1 for single-patch latents.
+    """
+    k, d = len(column), flat_t.shape[0]
+    dtype = np.result_type(flat_t, protos_t)
+    if single_patch:
+        diff = np.empty((k, d, 1), dtype=dtype)
+        cols = diff[:, :, 0].T
+    else:
+        diff = np.zeros((1, d, max(k, 2)), dtype=dtype)
+        cols = diff[0, :, :k]
+    np.subtract(np.take(flat_t, column, axis=1),
+                np.take(protos_t, row, axis=1), out=cols)
+    sq = np.einsum("ndl,ndl->nl", diff, diff)
+    return sq[:, 0] if single_patch else sq[0, :k]
 
 
 def route(topology: TreeTopology, prototypes: PrototypeBank,

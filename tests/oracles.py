@@ -127,3 +127,18 @@ def enumerate_paths(topology):
 
     walk(topology.root, [])
     return paths
+
+
+def scan_min_patch_distances(latent, protos):
+    """Nearest-patch distances and locations (N x M, N x M x 2) by the
+    per-prototype scan: every patch measured against one prototype at a
+    time, the first minimum kept."""
+    n, d, h, w = latent.shape
+    flat = latent.reshape(n, d, h * w)
+    sq = np.empty((n, protos.shape[0], h * w), dtype=latent.dtype)
+    for k in range(protos.shape[0]):
+        diff = flat - protos[k].reshape(1, d, 1)
+        sq[:, k] = np.einsum("ndl,ndl->nl", diff, diff)
+    argmin = sq.argmin(axis=2)
+    sq_min = np.take_along_axis(sq, argmin[:, :, None], axis=2)[:, :, 0]
+    return np.sqrt(sq_min), np.stack([argmin // w, argmin % w], axis=2)

@@ -1,6 +1,7 @@
 import csv
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from prototree.backbone import Backbone
 from prototree.checkpoint import read_blob, write_blob
 from prototree.cli import main
 from prototree.data import load_dataset
+from prototree.model import ProtoTreeModel
 
 TINY_CONFIG = """
 # desk-scale smoke configuration
@@ -101,6 +103,21 @@ class TestTrain:
                      workspace["data"], "--out", out, "--quiet",
                      "--set", "seed=12"]) == 0
         assert open(out, "rb").read() != open(workspace["ckpt"], "rb").read()
+
+    def test_test_accuracy_scored_once_after_training(
+            self, workspace, tmp_path, capsys, backbone_images):
+        out = str(tmp_path / "d.npt")
+        assert main(["train", "--config", workspace["config"], "--data",
+                     workspace["data"], "--out", out, "--quiet"]) == 0
+        train_images = len(load_dataset(os.path.join(workspace["data"],
+                                                     "train")))
+        test_images = len(load_dataset(os.path.join(workspace["data"],
+                                                    "test")))
+        # two epochs of training and test scoring, then train_acc
+        assert sum(backbone_images) == 3 * train_images + 2 * test_images
+        printed = capsys.readouterr().out.splitlines()[-1]
+        last_epoch = open(out + ".metrics.csv").read().splitlines()[-1]
+        assert printed == f"test_acc {last_epoch.split(',')[3]}"
 
     def test_unknown_config_key_exit_two(self, workspace, tmp_path):
         code = main(["train", "--config", workspace["config"], "--data",
@@ -241,6 +258,25 @@ class TestEnsembleEval:
         out = capsys.readouterr().out
         assert "ensemble_acc" in out and "member_1_acc" in out
 
+    @pytest.mark.parametrize("names, code", [
+        pytest.param(["class_1", "class_0"], 2, id="swapped_order"),
+        pytest.param(["class_0", "class_9"], 2, id="renamed_class"),
+        pytest.param([], 0, id="unnamed_member"),
+    ])
+    def test_member_class_names_must_agree(self, workspace, tmp_path, capsys,
+                                           names, code):
+        model = ProtoTreeModel.load(workspace["ckpt"])
+        assert model.class_names == ["class_0", "class_1"]
+        model.class_names = names
+        other = str(tmp_path / "other.npt")
+        model.save(other)
+        capsys.readouterr()
+        assert main(["ensemble-eval", "--ckpt", workspace["ckpt"],
+                     "--ckpt", other, "--data", workspace["data"]]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_one_backbone_pass_per_member_and_image(self, workspace, capsys,
                                                    backbone_images):
         test_images = len(load_dataset(os.path.join(workspace["data"],
@@ -293,6 +329,19 @@ class TestExitCodes:
                      "--data", workspace["data"]]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_aborted_training_is_one(self, workspace, tmp_path, capsys):
+        capsys.readouterr()
+        # the first Adam step overflows the body, so batch 1's loss is nan
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", workspace["config"], "--data",
+                         workspace["data"], "--out", str(tmp_path / "x.npt"),
+                         "--quiet", "--set", "lr_body=1e300"]) == 1
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss") \
+            and err.count("\n") == 1
 
     @pytest.mark.parametrize("case", ["flat_children", "short_arch",
                                       "non_utf8_name"])

@@ -6,7 +6,7 @@ import pytest
 
 import prototree.explain as xp
 import prototree.refine as rf
-from prototree.backbone import BackboneConfig
+from prototree.backbone import Backbone, BackboneConfig
 from prototree.data import gen_synthetic
 from prototree.model import build_model
 
@@ -179,6 +179,24 @@ class TestExportTree:
         _, _, path = rf.hard_predict(model, sample, "greedy")
         assert graph.sample_path == path
         assert os.path.exists(tmp_path / "explain_probe.html")
+
+    def test_one_backbone_pass_on_the_explained_image(self, projected_model,
+                                                      tmp_path, monkeypatch):
+        model, train = projected_model
+        sample = 1.0 - train.images[1]
+        assert not any(np.array_equal(sample, source)
+                       for source in model.projection_images)
+        passes = []
+        forward = Backbone.forward
+
+        def counting(self, batch):
+            passes.append(np.array_equal(batch, sample[None]))
+            return forward(self, batch)
+
+        monkeypatch.setattr(Backbone, "forward", counting)
+        xp.export_tree(model, str(tmp_path), sample=sample,
+                       sample_name="probe")
+        assert sum(passes) == 1
 
     def test_faithfulness_latent_equals_prototype(self, projected_model):
         """The latent vector at the exported patch location equals the

@@ -8,7 +8,7 @@ import prototree.tree as tr
 from prototree.autodiff import Tape, Tensor
 
 from oracles import enumerate_paths, leaf_probabilities_from_edges, \
-    scan_nearest_patch
+    scan_min_patch_distances, scan_nearest_patch
 
 
 def tree_with_edge_probs(p_right_per_node, num_classes=2, height=None):
@@ -276,6 +276,151 @@ class TestMinPatchDistances:
         with pytest.raises(ValueError, match="depth"):
             tr.min_patch_distances(Tensor(np.ones((1, 3, 2, 2))),
                                    Tensor(np.ones((2, 4))))
+
+
+def bits(x):
+    return x.view(f"i{x.itemsize}")
+
+
+def assert_same_as_scan(latent, protos):
+    dist, locs = tr.min_patch_distances(Tensor(latent), Tensor(protos))
+    want_dist, want_locs = scan_min_patch_distances(latent, protos)
+    assert dist.values.dtype == want_dist.dtype
+    assert np.array_equal(bits(dist.values), bits(want_dist))
+    assert np.array_equal(locs, want_locs)
+    return locs
+
+
+@pytest.fixture
+def rescored(monkeypatch):
+    """Candidates per rescore block of min_patch_distances."""
+    sizes = []
+    scan = tr._scan_einsum
+
+    def counting(flat_t, protos_t, column, row, single_patch):
+        sizes.append(len(column))
+        return scan(flat_t, protos_t, column, row, single_patch)
+
+    monkeypatch.setattr(tr, "_scan_einsum", counting)
+    return sizes
+
+
+def margin(latent, proto):
+    """The selection margin derived in tree._nearest_squared."""
+    d = latent.shape[1]
+    u = np.finfo(latent.dtype).eps / 2
+    gamma = (d + 2) * u / (1 - (d + 2) * u)
+    z = latent.reshape(latent.shape[0], d, -1).astype(np.float64)
+    return 10 * gamma * ((z * z).sum(axis=1).max() + proto @ proto)
+
+
+class TestNearestPatchSearch:
+    """min_patch_distances against the per-prototype scan, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def real_latents(self):
+        from prototree.backbone import BackboneConfig
+        from prototree.data import gen_synthetic
+        from prototree.model import build_model
+        images, _ = gen_synthetic(4, 8, 64, seed=3)
+        config = BackboneConfig(input_side=64, latent_depth=64)
+        model = build_model(config, 1, 4, seed=7)
+        return model.latent(images.images[:16]).values
+
+    @pytest.mark.parametrize("height", [4, 9])
+    def test_real_latents(self, real_latents, height):
+        lat = real_latents
+        rng = np.random.default_rng(height)
+        _, bank, _ = tr.init_tree(height, 4, lat.shape[1], seed=height)
+        assert_same_as_scan(lat, bank.tensor.values)
+        # prototypes planted within 1e-3 of real patches, as training
+        # drives them, make near-ties between patches common
+        n, d, h, w = lat.shape
+        m = bank.count
+        patches = lat.transpose(0, 2, 3, 1).reshape(-1, d)
+        planted = patches[rng.integers(0, len(patches), m)] \
+            + rng.uniform(-1e-3, 1e-3, (m, d)).astype(np.float32)
+        assert_same_as_scan(lat, planted.astype(np.float32))
+
+    @pytest.mark.parametrize("gap, candidates", [(0.4, 2), (2.5, 1)],
+                             ids=["inside_margin", "outside_margin"])
+    def test_constructed_near_tie(self, rescored, gap, candidates):
+        rng = np.random.default_rng(31)
+        d = 64
+        proto = rng.uniform(0.2, 0.8, d).astype(np.float32)
+        offset = rng.normal(0, 1, d)
+        offset *= 0.5 / np.linalg.norm(offset)
+        lat = np.empty((1, d, 2, 2), dtype=np.float32)
+        lat[0, :, 1, 0] = proto + 1.0            # far patches
+        lat[0, :, 1, 1] = proto - 1.0
+        lat[0, :, 0, 1] = lat[0, :, 0, 0] = proto + offset
+        near = lat[0, :, 0, 1].astype(np.float64) - proto
+        # the far patches set max ||z||^2, so the margin stays put while
+        # patch (0, 0) moves gap margins farther, in exact arithmetic
+        limit = margin(lat, proto.astype(np.float64))
+        target = near @ near + gap * limit
+        lat[0, :, 0, 0] = proto + offset * np.sqrt(target / (near @ near))
+        assert margin(lat, proto.astype(np.float64)) == limit
+        far = lat[0, :, 0, 0].astype(np.float64) - proto
+        assert abs((far @ far - near @ near) / limit - gap) < 0.1
+        locs = assert_same_as_scan(lat, proto[None])
+        assert tuple(locs[0, 0]) == (0, 1)
+        assert rescored == [candidates]
+
+    def test_equal_patches_every_one_a_candidate(self, rescored):
+        rng = np.random.default_rng(32)
+        n, m, d, h, w = 4, 31, 16, 8, 8
+        lat = np.repeat(rng.uniform(0, 1, (n, d, 1, 1)), h * w, axis=2)
+        lat = lat.reshape(n, d, h, w).astype(np.float32)
+        protos = rng.uniform(0, 1, (m, d)).astype(np.float32)
+        locs = assert_same_as_scan(lat, protos)
+        assert (locs == 0).all()              # ties go to the first patch
+        assert sum(rescored) == n * m * h * w   # K = N M HW
+        assert len(rescored) > 1
+        assert max(rescored) < tr.RESCORE_BLOCK + h * w
+
+    def test_pair_crossing_a_block_boundary(self, rescored, monkeypatch):
+        monkeypatch.setattr(tr, "RESCORE_BLOCK", 4)
+        rng = np.random.default_rng(33)
+        n, m, d = 2, 3, 8
+        base = rng.uniform(0.3, 0.7, (n, d, 1, 1))
+        # three patches within rounding of each other, the last nearest
+        steps = np.array([3e-7, 2e-7, 0.0]).reshape(1, 1, 1, 3)
+        lat = (base + steps).astype(np.float32)
+        protos = np.repeat(base[:1, :, 0, 0], m, axis=0).astype(np.float32)
+        assert_same_as_scan(lat, protos)
+        # pairs of three candidates each: the runs end at pairs, not at
+        # multiples of the block
+        assert sum(rescored) == n * m * 3
+        assert all(size % 3 == 0 for size in rescored)
+        assert len(rescored) > 1
+
+    @pytest.mark.parametrize("shape", [(3, 5, 4, 4), (2, 6, 1, 1),
+                                       (1, 4, 1, 2)],
+                             ids=["grid", "single_patch", "two_patches"])
+    def test_float64_and_small_latents(self, shape):
+        rng = np.random.default_rng(34)
+        for dtype in (np.float32, np.float64):
+            lat = rng.uniform(0, 1, shape).astype(dtype)
+            protos = rng.uniform(0, 1, (7, shape[1])).astype(dtype)
+            protos[0] = lat[0, :, 0, 0] + 1e-9       # a near-exact match
+            assert_same_as_scan(lat, protos)
+
+    def test_non_finite_latent_keeps_scan_locations(self):
+        rng = np.random.default_rng(35)
+        lat = rng.uniform(0, 1, (4, 6, 3, 3)).astype(np.float32)
+        lat[0, 2, 1, 1] = np.nan
+        lat[1, 0, 0, 2] = np.inf
+        lat[2, :, 2, 2] = -np.inf
+        protos = rng.uniform(0, 1, (5, 6)).astype(np.float32)
+        protos[4, 3] = np.inf
+        try:
+            _, locs = tr.min_patch_distances(Tensor(lat), Tensor(protos))
+        except ValueError:
+            return
+        _, want = scan_min_patch_distances(lat, protos)
+        assert np.array_equal(locs, want)
+        assert ((locs >= 0) & (locs < 3)).all()
 
 
 class TestTopology:
