@@ -1,6 +1,6 @@
 """Prototype-routed soft decision trees for interpretable image recognition."""
 
-from .autodiff import Tape, Tensor, backward
+from .autodiff import Tape, Tensor
 from .backbone import Backbone, BackboneConfig
 from .data import AugmentConfig, Dataset, gen_synthetic, load_ppm, save_ppm
 from .model import ProtoTreeModel, build_model
@@ -8,14 +8,13 @@ from .refine import Evaluation, PruneReport, ProjectionRecord, \
     ensemble_mean, evaluate, hard_predict, project, prune
 from .train import TrainConfig, fit
 from .tree import LeafParams, PrototypeBank, RoutingTrace, TreeTopology, \
-    edge_probability, init_tree, nearest_patch, predict, route
+    init_tree, nearest_patch, predict, route
 
 __all__ = [
     "AugmentConfig", "Backbone", "BackboneConfig", "Dataset", "Evaluation",
     "LeafParams", "ProjectionRecord", "ProtoTreeModel", "PruneReport",
     "PrototypeBank", "RoutingTrace", "Tape", "Tensor", "TrainConfig",
-    "TreeTopology", "backward", "build_model", "edge_probability",
-    "ensemble_mean", "evaluate", "fit", "gen_synthetic", "hard_predict",
-    "init_tree", "load_ppm", "nearest_patch", "predict", "project", "prune",
-    "route", "save_ppm",
+    "TreeTopology", "build_model", "ensemble_mean", "evaluate", "fit",
+    "gen_synthetic", "hard_predict", "init_tree", "load_ppm", "nearest_patch",
+    "predict", "project", "prune", "route", "save_ppm",
 ]

@@ -3,9 +3,8 @@
 A small numpy-backed engine. Values live in a numpy array; every
 differentiable operation computes its result eagerly and, when a tape is
 active and some input participates in gradients, records a backward
-closure. Shapes are explicit everywhere: tensor-tensor operations require
-identical shapes, and the only broadcasting allowed is python-scalar with
-tensor. This keeps every gradient rule auditable.
+closure. The engine keeps only the ops the model records; anything else
+is built from ``record_op`` with its own backward rule.
 
 Precision is carried by the arrays themselves: float32 for training,
 float64 for derivative checks. Mixing the two in one operation is an
@@ -62,10 +61,6 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
-
 
 class Tape:
     """Records one forward pass; freed after its backward pass.
@@ -100,13 +95,6 @@ class Tape:
         self._consumed = True
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse-mode pass from a scalar loss recorded on a tape."""
-    if loss._tape is None:
-        raise ValueError("backward called on a tensor not recorded on any tape")
-    loss._tape.backward(loss)
-
-
 def record_op(values: np.ndarray, inputs: Sequence[Tensor],
               backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result, recording ``backward_fn`` if gradients are live.
@@ -121,65 +109,6 @@ def record_op(values: np.ndarray, inputs: Sequence[Tensor],
         tape._nodes.append((out, backward_fn))
         return out
     return Tensor(values)
-
-
-def _as_pair(a, b):
-    """Validate an elementwise pair: same-shape tensors or tensor+scalar."""
-    a_t = isinstance(a, Tensor)
-    b_t = isinstance(b, Tensor)
-    if a_t and b_t:
-        if a.shape != b.shape:
-            raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-        if a.dtype != b.dtype:
-            raise ValueError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
-    elif not (a_t or b_t):
-        raise TypeError("elementwise op needs at least one Tensor")
-    return a_t, b_t
-
-
-def add(a, b) -> Tensor:
-    a_t, b_t = _as_pair(a, b)
-    av = a.values if a_t else a
-    bv = b.values if b_t else b
-    out = av + bv
-
-    def bwd(g):
-        if a_t and a.requires_grad:
-            a.grad += g
-        if b_t and b.requires_grad:
-            b.grad += g
-
-    return record_op(out, [t for t in (a, b) if isinstance(t, Tensor)], bwd)
-
-
-def sub(a, b) -> Tensor:
-    a_t, b_t = _as_pair(a, b)
-    av = a.values if a_t else a
-    bv = b.values if b_t else b
-    out = av - bv
-
-    def bwd(g):
-        if a_t and a.requires_grad:
-            a.grad += g
-        if b_t and b.requires_grad:
-            b.grad -= g
-
-    return record_op(out, [t for t in (a, b) if isinstance(t, Tensor)], bwd)
-
-
-def mul(a, b) -> Tensor:
-    a_t, b_t = _as_pair(a, b)
-    av = a.values if a_t else a
-    bv = b.values if b_t else b
-    out = av * bv
-
-    def bwd(g):
-        if a_t and a.requires_grad:
-            a.grad += g * bv
-        if b_t and b.requires_grad:
-            b.grad += g * av
-
-    return record_op(out, [t for t in (a, b) if isinstance(t, Tensor)], bwd)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -198,16 +127,6 @@ def exp(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.grad += g * out
-
-    return record_op(out, [a], bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    out = np.log(a.values)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g / a.values
 
     return record_op(out, [a], bwd)
 
@@ -236,46 +155,6 @@ def sigmoid(a: Tensor) -> Tensor:
             a.grad += g * out * (1.0 - out)
 
     return record_op(out, [a], bwd)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    v = a.values
-    if v.ndim < 1 or v.shape[-1] < 1:
-        raise ValueError("softmax needs a non-empty last axis")
-    if not np.isfinite(v).all():
-        raise ValueError("softmax rejects non-finite input")
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        if a.requires_grad:
-            inner = (g * out).sum(axis=-1, keepdims=True)
-            a.grad += out * (g - inner)
-
-    return record_op(out, [a], bwd)
-
-
-def tsum(a: Tensor) -> Tensor:
-    out = a.values.sum(dtype=a.dtype)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g  # scalar broadcast
-
-    return record_op(np.asarray(out), [a], bwd)
-
-
-def tmean(a: Tensor) -> Tensor:
-    n = a.values.size
-    out = a.values.sum(dtype=a.dtype) / n
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g / n
-
-    return record_op(np.asarray(out), [a], bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

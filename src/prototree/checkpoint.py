@@ -74,6 +74,8 @@ def read_blob(path: str) -> Records:
         except UnicodeDecodeError:
             raise CheckpointError(
                 f"{path}: record name at byte {off} is not UTF-8") from None
+        if name in tensors:
+            raise CheckpointError(f"{path}: duplicate record {name!r}")
         off += name_len
         if off + 4 > total:
             raise CheckpointError(f"{path}: truncated rank at byte {off}")

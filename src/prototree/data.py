@@ -308,6 +308,8 @@ def load_ppm(path: str) -> np.ndarray:
         width, height, maxval = int(token()), int(token()), int(token())
     except ValueError as err:
         raise ValueError(f"{path}: malformed header near byte {pos}: {err}") from None
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: empty extent {width}x{height} at byte {pos}")
     if maxval != 255:
         raise ValueError(f"{path}: maxval {maxval} at byte {pos}, expected 255")
     pos += 1  # single whitespace after maxval

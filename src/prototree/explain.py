@@ -185,9 +185,7 @@ def export_tree(model, out_dir: str, sample: np.ndarray | None = None,
     """
     if model.projection is None:
         raise ValueError("export requires a projected model")
-    os.makedirs(out_dir, exist_ok=True)
-    proto_dir = os.path.join(out_dir, "prototypes")
-    os.makedirs(proto_dir, exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "prototypes"), exist_ok=True)
     ext = "png" if png else "ppm"
     graph = ExplanationGraph(out_dir=out_dir)
     patch_rel: dict[int, str] = {}

@@ -136,44 +136,55 @@ class ProtoTreeModel:
 
     @classmethod
     def _from_records(cls, blob: ckpt.Records) -> "ProtoTreeModel":
-        arch = blob["backbone/arch"].astype(np.int64)
+        arch = _record(blob, "backbone/arch",
+                       *blob["backbone/arch"].shape[:1], ints=True)
         n_stages = int(arch[3])
-        stages = tuple(
-            (int(arch[4 + 3 * i]), int(arch[5 + 3 * i]), int(arch[6 + 3 * i]))
-            for i in range(n_stages))
+        _record(blob, "backbone/arch", 4 + 3 * n_stages)
+        stages = tuple(tuple(int(v) for v in arch[4 + 3 * i:7 + 3 * i])
+                       for i in range(n_stages))
         config = bb.BackboneConfig(in_channels=int(arch[0]),
                                    input_side=int(arch[1]),
                                    latent_depth=int(arch[2]),
                                    stages=stages)
+        config.validate()
         net = bb.Backbone(config)
-        for i in range(n_stages):
-            net.weights.append(Tensor(blob[f"backbone/stage{i}/weight"],
-                                      requires_grad=True))
-            net.biases.append(Tensor(blob[f"backbone/stage{i}/bias"],
-                                     requires_grad=True))
-        net.head_weight = Tensor(blob["backbone/head/weight"],
+        fan_c = config.in_channels
+        for i, (out, kernel, _) in enumerate(stages):
+            net.weights.append(Tensor(_record(
+                blob, f"backbone/stage{i}/weight", out, fan_c, kernel, kernel),
+                requires_grad=True))
+            net.biases.append(Tensor(_record(
+                blob, f"backbone/stage{i}/bias", out), requires_grad=True))
+            fan_c = out
+        net.head_weight = Tensor(_record(blob, "backbone/head/weight",
+                                         config.latent_depth, fan_c, 1, 1),
                                  requires_grad=True)
-        children = blob["tree/children"].astype(np.int64)
+        m = blob["tree/children"].shape[0]
+        children = _record(blob, "tree/children", m, 2, ints=True)
         topo = tr.TreeTopology(
             left=children[:, 0].copy(), right=children[:, 1].copy(),
-            prototype_index=blob["tree/prototype_index"].astype(np.int64),
+            prototype_index=_record(blob, "tree/prototype_index", m,
+                                    ints=True),
             root=int(blob["tree/root"][0]),
             height=int(blob["tree/height"][0]))
         norm = "l1" if int(blob["meta/leaf_norm"][0]) else "softmax"
-        leaves = tr.LeafParams(blob["tree/leaf_logits"].astype(np.float64),
-                               norm=norm)
+        classes = int(blob["meta/classes"][0])
+        leaves = tr.LeafParams(
+            _record(blob, "tree/leaf_logits", m + 1, classes)
+            .astype(np.float64), norm=norm)
         names_bytes = bytes(int(b) for b in blob["meta/class_names"])
         class_names = names_bytes.decode("utf-8").split("\n") \
             if names_bytes else []
         model = cls(backbone=net, topology=topo,
-                    prototypes=tr.PrototypeBank(
-                        Tensor(blob["tree/prototypes"].copy(),
-                               requires_grad=True)),
+                    prototypes=tr.PrototypeBank(Tensor(
+                        _record(blob, "tree/prototypes", m,
+                                config.latent_depth).copy(),
+                        requires_grad=True)),
                     leaves=leaves,
                     seed=_join_int(blob["meta/seed"]),
                     class_names=class_names)
         if int(blob["proj/done"][0]):
-            info = blob["proj/info"]
+            info = _record(blob, "proj/info", m, 6)
             model.projection = [
                 ProjectionRecord(node_index=n, image_id=int(row[0]),
                                  location=(int(row[1]), int(row[2])),
@@ -181,8 +192,22 @@ class ProtoTreeModel:
                                  constrained=bool(row[4]),
                                  fallback=bool(row[5]))
                 for n, row in enumerate(info)]
-            model.projection_images = blob["proj/images"].copy()
+            model.projection_images = _record(
+                blob, "proj/images", m, config.in_channels,
+                config.input_side, config.input_side).copy()
         return model
+
+
+def _record(blob: ckpt.Records, name: str, *shape: int,
+            ints: bool = False) -> np.ndarray:
+    """The named record, which must have exactly the shape the model needs;
+    with ``ints`` it must hold small integers, returned as int64."""
+    arr = blob[name]
+    if arr.shape != shape:
+        raise ValueError(f"record {name!r} has shape {arr.shape}, not {shape}")
+    if ints and not ((np.abs(arr) < 2 ** 31) & (arr == np.round(arr))).all():
+        raise ValueError(f"record {name!r} holds non-integer values")
+    return arr.astype(np.int64) if ints else arr
 
 
 def build_model(config: bb.BackboneConfig, height: int, num_classes: int,

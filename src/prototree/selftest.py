@@ -2,7 +2,9 @@
 
 Every check prints one PASS/FAIL line; the entry point returns True only
 when all pass. These run from the installed package with no test
-dependencies, so a deployment can be audited in place.
+dependencies, so a deployment can be audited in place. The reference
+implementations below are written the slow, obvious way, share no code
+with the paths they check, and serve the test suite as its oracles too.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from .data import gen_synthetic, load_ppm, save_ppm
 from .model import build_model
 
 
-def _naive_conv2d(x, k, stride, padding):
+def naive_conv2d(x, kernel, stride=1, padding=0):
+    """Cross-correlation as one windowed sum per output cell."""
     n, c, h, w = x.shape
-    f, _, kh, kw = k.shape
+    f, _, kh, kw = kernel.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
@@ -34,8 +37,30 @@ def _naive_conv2d(x, k, stride, padding):
                 for j in range(ow):
                     window = xp[b, :, i * stride:i * stride + kh,
                                 j * stride:j * stride + kw]
-                    out[b, o, i, j] = (window * k[o]).sum()
+                    out[b, o, i, j] = (window * kernel[o]).sum()
     return out
+
+
+def softmax_extended(logits):
+    """Plain exp/sum evaluated in extended precision."""
+    ext = np.exp(np.asarray(logits, dtype=np.longdouble))
+    return (ext / ext.sum(axis=-1, keepdims=True)).astype(np.float64)
+
+
+def two_pass_leaf_update(model, dataset, floor=1e-9):
+    """Full-dataset multiplicative leaf update, computed sample by sample."""
+    sigma = model.leaves.distributions().astype(np.float64)
+    num_leaves, k = sigma.shape
+    total = np.zeros((num_leaves, k), dtype=np.float64)
+    for idx in range(len(dataset)):
+        y_hat, trace = model.predict_batch(dataset.images[idx:idx + 1])
+        pi = trace.leaf_probabilities.values[0].astype(np.float64)
+        prediction = np.maximum(y_hat.values[0].astype(np.float64), floor)
+        onehot = np.zeros(k)
+        onehot[dataset.labels[idx]] = 1.0
+        for leaf in range(num_leaves):
+            total[leaf] += sigma[leaf] * onehot * pi[leaf] / prediction
+    return total
 
 
 def check_conv_oracle() -> tuple[bool, str]:
@@ -44,7 +69,7 @@ def check_conv_oracle() -> tuple[bool, str]:
         x = rng.normal(size=(2, 3, 6, 7))
         k = rng.normal(size=(4, 3, 3, 2))
         got = ad.conv2d(Tensor(x), Tensor(k), stride, padding).values
-        want = _naive_conv2d(x, k, stride, padding)
+        want = naive_conv2d(x, k, stride, padding)
         if np.abs(got - want).max() >= 1e-6:
             return False, f"mismatch {np.abs(got - want).max():.2e}"
     return True, ""
@@ -53,10 +78,8 @@ def check_conv_oracle() -> tuple[bool, str]:
 def check_softmax_oracle() -> tuple[bool, str]:
     rng = np.random.default_rng(11)
     logits = rng.normal(size=(6, 5)) * 3
-    got = ad.softmax(Tensor(logits)).values
-    ext = np.exp(logits.astype(np.longdouble))
-    want = (ext / ext.sum(axis=1, keepdims=True)).astype(np.float64)
-    err = np.abs(got - want).max()
+    got = tree.LeafParams(logits).distributions()
+    err = np.abs(got - softmax_extended(logits)).max()
     return err < 1e-7, f"err {err:.2e}"
 
 
@@ -106,7 +129,7 @@ def check_leaf_update_equivalence() -> tuple[bool, str]:
     worst = 0.0
     for batch_size in (20, 10, 4):
         model = build_model(config, height=2, num_classes=2, seed=2)
-        reference = trn.leaf_update_full_pass(model, train_set)
+        reference = two_pass_leaf_update(model, train_set)
         trn.train_epoch(model, train_set,
                         trn.TrainConfig(batch_size=batch_size, seed=2),
                         epoch=1, adam=None)

@@ -25,10 +25,6 @@ from .model import ProtoTreeModel
 
 PREDICTION_FLOOR = 1e-9  # guards the elementwise division of the leaf update
 
-# latents are sigmoid outputs, so prototypes outside the unit box can only
-# drift away from every patch, saturating the routing and its gradients
-CLAMP_PROTOTYPES = True
-
 
 class TrainingError(RuntimeError):
     """Raised when an epoch aborts, e.g. on a non-finite loss."""
@@ -236,9 +232,10 @@ def train_epoch(model: ProtoTreeModel, dataset: Dataset, config: TrainConfig,
                 tape.backward(loss)
             adam.step(rates)
             adam.zero_grad()
-            if CLAMP_PROTOTYPES:
-                np.clip(model.prototypes.tensor.values, 0.0, 1.0,
-                        out=model.prototypes.tensor.values)
+            # latents are sigmoid outputs, so prototypes outside the unit
+            # box can only drift away from every patch, saturating routing
+            np.clip(model.prototypes.tensor.values, 0.0, 1.0,
+                    out=model.prototypes.tensor.values)
         leaf_update_batch(acc, trace.leaf_probabilities.values, y,
                           y_hat.values)
         total_loss += loss_value * len(indices)
@@ -278,19 +275,3 @@ def fit(model: ProtoTreeModel, train_set: Dataset, test_set: Dataset | None,
         if writer:
             writer.close()
     return history
-
-
-def leaf_update_full_pass(model: ProtoTreeModel, dataset: Dataset,
-                          batch_size: int = 256) -> np.ndarray:
-    """Two-pass reference update: predictions for the whole set first,
-    then the summed multiplicative rule. Used by the self-test as the
-    slow counterpart of the interleaved scheme."""
-    labels = one_hot(dataset.labels, model.num_classes, dtype=np.float64)
-    sigma = model.leaves.distributions().astype(np.float64)
-    total = np.zeros(model.leaves.logits.shape, dtype=np.float64)
-    for start in range(0, len(dataset), batch_size):
-        y = labels[start:start + batch_size]
-        y_hat, trace = model.predict_batch(dataset.images[start:start + batch_size])
-        weights = y / np.maximum(y_hat.values, PREDICTION_FLOOR)
-        total += sigma * (trace.leaf_probabilities.values.T @ weights)
-    return total

@@ -280,13 +280,6 @@ def nearest_patch(latent, prototype) -> tuple[tuple[int, int], float]:
     return (i, j), float(np.sqrt(grid[i, j]))
 
 
-def edge_probability(distance: float) -> float:
-    """Right-edge routing probability exp(-distance)."""
-    if not np.isfinite(distance) or distance < 0:
-        raise ValueError(f"distance must be finite and >= 0, got {distance}")
-    return float(np.exp(-distance))
-
-
 def min_patch_distances(latent: Tensor, prototypes: Tensor,
                         ) -> tuple[Tensor, np.ndarray]:
     """Per-sample, per-prototype distance to the nearest latent patch.

@@ -1,38 +1,36 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written the slow, obvious way and shares
-no code with the library paths it checks.
+no code with the library paths it checks. The oracles that the installed
+``prototree selftest`` also needs live in ``prototree.selftest`` and are
+re-exported here.
 """
 
 import numpy as np
 
-
-def naive_conv2d(x, kernel, stride=1, padding=0):
-    """Direct quadruple-loop cross-correlation."""
-    n, c, h, w = x.shape
-    f, _, kh, kw = kernel.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    out = np.zeros((n, f, oh, ow), dtype=np.float64)
-    for b in range(n):
-        for o in range(f):
-            for i in range(oh):
-                for j in range(ow):
-                    acc = 0.0
-                    for ci in range(c):
-                        for ki in range(kh):
-                            for kj in range(kw):
-                                acc += xp[b, ci, i * stride + ki,
-                                          j * stride + kj] * kernel[o, ci, ki, kj]
-                    out[b, o, i, j] = acc
-    return out
+import prototree.autodiff as ad
+from prototree.selftest import naive_conv2d, softmax_extended, \
+    two_pass_leaf_update  # noqa: F401  (re-exported oracles)
 
 
-def softmax_extended(logits):
-    """Plain exp/sum evaluated in extended precision."""
-    ext = np.exp(np.asarray(logits, dtype=np.longdouble))
-    return (ext / ext.sum(axis=-1, keepdims=True)).astype(np.float64)
+def weighted_sum(tensor, weights=None):
+    """Scalar loss sum(tensor * weights) on the tape; weights default to 1."""
+    w = np.ones_like(tensor.values) if weights is None else np.asarray(weights)
+
+    def bwd(g):
+        if tensor.requires_grad:
+            tensor.grad += g * w
+
+    return ad.record_op(np.asarray((tensor.values * w).sum()), [tensor], bwd)
+
+
+def square_sum(tensor):
+    """Scalar loss sum(tensor ** 2) on the tape."""
+    def bwd(g):
+        if tensor.requires_grad:
+            tensor.grad += 2.0 * g * tensor.values
+
+    return ad.record_op(np.asarray((tensor.values ** 2).sum()), [tensor], bwd)
 
 
 def scan_nearest_patch(latent, proto):
@@ -61,22 +59,6 @@ def leaf_probabilities_from_edges(topology, p_right):
             prob = prob * (edge if went_right else 1.0 - edge)
         out[:, leaf] = prob
     return out
-
-
-def two_pass_leaf_update(model, dataset, floor=1e-9):
-    """Full-dataset multiplicative leaf update, computed sample by sample."""
-    sigma = model.leaves.distributions().astype(np.float64)
-    num_leaves, k = sigma.shape
-    total = np.zeros((num_leaves, k), dtype=np.float64)
-    for idx in range(len(dataset)):
-        y_hat, trace = model.predict_batch(dataset.images[idx:idx + 1])
-        pi = trace.leaf_probabilities.values[0].astype(np.float64)
-        prediction = np.maximum(y_hat.values[0].astype(np.float64), floor)
-        onehot = np.zeros(k)
-        onehot[dataset.labels[idx]] = 1.0
-        for leaf in range(num_leaves):
-            total[leaf] += sigma[leaf] * onehot * pi[leaf] / prediction
-    return total
 
 
 def catmull_rom_scalar(t):

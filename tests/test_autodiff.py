@@ -1,3 +1,7 @@
+import ast
+import inspect
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +9,9 @@ from hypothesis import strategies as st
 
 import prototree.autodiff as ad
 from prototree.autodiff import Tape, Tensor
+from prototree.tree import LeafParams
 
-from oracles import naive_conv2d, softmax_extended
+from oracles import naive_conv2d, softmax_extended, square_sum, weighted_sum
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -57,64 +62,65 @@ class TestConv2d:
 
 
 class TestSoftmax:
+    """The softmax the model uses: LeafParams.distributions, row-wise."""
+
     def test_zero_logits_uniform(self):
-        out = ad.softmax(Tensor(np.zeros(7))).values
-        np.testing.assert_allclose(out, np.full(7, 1 / 7), atol=1e-12)
+        out = LeafParams(np.zeros((1, 7))).distributions()
+        np.testing.assert_allclose(out, np.full((1, 7), 1 / 7), atol=1e-12)
 
     def test_analytic_two_class(self):
-        out = ad.softmax(Tensor(np.array([np.log(2.0), 0.0]))).values
-        np.testing.assert_allclose(out, [2 / 3, 1 / 3], atol=1e-12)
+        out = LeafParams(np.array([[np.log(2.0), 0.0]])).distributions()
+        np.testing.assert_allclose(out, [[2 / 3, 1 / 3]], atol=1e-12)
 
     def test_matches_extended_precision_oracle(self):
-        logits = rand(5, seed=6, scale=4.0)
-        got = ad.softmax(Tensor(logits)).values
+        logits = rand((1, 5), seed=6, scale=4.0)
+        got = LeafParams(logits).distributions()
         np.testing.assert_allclose(got, softmax_extended(logits), atol=1e-7)
 
     @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8),
            st.floats(-50, 50))
     @settings(max_examples=50, deadline=None)
     def test_normalized_and_shift_invariant(self, logits, shift):
-        base = ad.softmax(Tensor(np.array(logits))).values
+        row = np.array([logits])
+        base = LeafParams(row).distributions()
         assert abs(base.sum() - 1.0) < 1e-6
-        shifted = ad.softmax(Tensor(np.array(logits) + shift)).values
+        shifted = LeafParams(row + shift).distributions()
         np.testing.assert_allclose(base, shifted, atol=1e-6)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            ad.softmax(Tensor(np.array([1.0, np.nan])))
 
 
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(rand((3, 4), seed=7), requires_grad=True)
         with Tape() as tape:
-            tape.backward(ad.tsum(x))
+            tape.backward(weighted_sum(x))
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_square_sum_gives_two_x(self):
         x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
         with Tape() as tape:
-            tape.backward(ad.tsum(ad.mul(x, x)))
+            tape.backward(square_sum(x))
         np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0])
 
     def test_accumulation_is_additive(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         for _ in range(2):
             with Tape() as tape:
-                tape.backward(ad.tsum(ad.mul(x, x)))
+                tape.backward(square_sum(x))
         np.testing.assert_allclose(x.grad, [4.0, 8.0])
 
     def test_non_scalar_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            y = ad.mul(x, 2.0)
+            y = ad.neg(x)
             with pytest.raises(ValueError, match="scalar"):
                 tape.backward(y)
 
     def test_untaped_tensor_rejected(self):
         x = Tensor(np.ones(1), requires_grad=True)
+        with Tape() as tape:
+            pass
         with pytest.raises(ValueError, match="tape"):
-            ad.backward(x)
+            tape.backward(x)
 
     def test_grad_present_iff_requires_grad(self):
         assert Tensor(np.ones(2)).grad is None
@@ -134,38 +140,24 @@ def gradcheck(build, params, tol=1e-4):
 
 
 class TestGradientsPerOp:
-    def test_elementwise_chain(self):
-        x = Tensor(rand(6, seed=8) + 3.0, requires_grad=True)
-        y = Tensor(rand(6, seed=9), requires_grad=True)
-        gradcheck(lambda: ad.tsum(ad.mul(ad.log(x), ad.sub(y, 0.25))), [x, y])
-
     def test_exp_neg_sigmoid_relu(self):
         x = Tensor(rand(8, seed=10), requires_grad=True)
-        gradcheck(lambda: ad.tsum(ad.exp(ad.neg(ad.sigmoid(x)))), [x])
-        gradcheck(lambda: ad.tmean(ad.relu(ad.add(x, 0.1))), [x])
-
-    def test_softmax_gradient(self):
-        x = Tensor(rand((2, 5), seed=11), requires_grad=True)
-        w = Tensor(rand((2, 5), seed=12))
-        gradcheck(lambda: ad.tsum(ad.mul(ad.softmax(x), w)), [x])
+        gradcheck(lambda: weighted_sum(ad.exp(ad.neg(ad.sigmoid(x)))), [x])
+        shifted = Tensor(x.values + 0.1, requires_grad=True)
+        gradcheck(lambda: weighted_sum(ad.relu(shifted), np.full(8, 1 / 8)),
+                  [shifted])
 
     def test_matmul_gradient(self):
         a = Tensor(rand((3, 4), seed=13), requires_grad=True)
         b = Tensor(rand((4, 2), seed=14), requires_grad=True)
-        gradcheck(lambda: ad.tsum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
-                  [a, b])
+        gradcheck(lambda: square_sum(ad.matmul(a, b)), [a, b])
 
     def test_conv_and_bias_gradient(self):
         x = Tensor(rand((2, 3, 5, 5), seed=15), requires_grad=True)
         k = Tensor(rand((2, 3, 3, 3), seed=16), requires_grad=True)
         bias = Tensor(rand(2, seed=17), requires_grad=True)
-
-        def build():
-            out = ad.channel_bias_add(ad.conv2d(x, k, stride=2, padding=1),
-                                      bias)
-            return ad.tsum(ad.mul(out, out))
-
-        gradcheck(build, [x, k, bias])
+        gradcheck(lambda: square_sum(ad.channel_bias_add(
+            ad.conv2d(x, k, stride=2, padding=1), bias)), [x, k, bias])
 
 
 class TestTensorBasics:
@@ -174,15 +166,35 @@ class TestTensorBasics:
         assert t.shape == (2, 3) and t.size == 6
 
     def test_dtype_mixing_rejected(self):
-        a = Tensor(np.ones(3, dtype=np.float32))
-        b = Tensor(np.ones(3, dtype=np.float64))
+        a = Tensor(np.ones((1, 3), dtype=np.float32))
+        b = Tensor(np.ones((3, 1), dtype=np.float64))
         with pytest.raises(ValueError, match="dtype"):
-            ad.add(a, b)
+            ad.matmul(a, b)
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            ad.add(Tensor(np.ones(3)), Tensor(np.ones(4)))
 
-    def test_scalar_broadcast_allowed(self):
-        out = ad.sub(1.0, Tensor(np.full(3, 0.25)))
-        np.testing.assert_allclose(out.values, 0.75)
+def _autodiff_names_used(source):
+    """Names a module takes from the engine: ``ad.name`` or
+    ``autodiff.name`` reads and ``from .autodiff import name``."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and \
+                node.value.id in ("ad", "autodiff"):
+            used.add(node.attr)
+    return used
+
+
+class TestNoDeadOps:
+    def test_every_public_function_is_used_by_the_package(self):
+        package = pathlib.Path(ad.__file__).parent
+        used = set()
+        for module in sorted(package.glob("*.py")):
+            if module.name not in ("autodiff.py", "__init__.py"):
+                used |= _autodiff_names_used(module.read_text())
+        public = sorted(name for name, obj in vars(ad).items()
+                        if inspect.isfunction(obj) and not name.startswith("_")
+                        and obj.__module__ == ad.__name__)
+        assert "conv2d" in public and "record_op" in public
+        assert [name for name in public if name not in used] == []

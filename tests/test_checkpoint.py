@@ -97,6 +97,20 @@ class TestModelRoundTrip:
         np.testing.assert_array_equal(loaded.soft_predict(images),
                                       model.soft_predict(images))
 
+    def test_appended_duplicate_record_rejected(self, tmp_path):
+        # a second record of a name used to replace the first silently
+        config = BackboneConfig(input_side=32, latent_depth=8,
+                                stages=((8, 3, 2),))
+        model = build_model(config, height=2, num_classes=2, seed=1)
+        path, extra = tmp_path / "model.npt", tmp_path / "extra.npt"
+        model.save(str(path))
+        write_blob(str(extra), {"meta/seed": read_blob(str(path))["meta/seed"]
+                                + np.float32(4.0)})
+        path.write_bytes(path.read_bytes() + extra.read_bytes()[8:])
+        with pytest.raises(CheckpointError,
+                           match="duplicate record 'meta/seed'"):
+            ProtoTreeModel.load(str(path))
+
     def test_double_round_trip_byte_identical(self, tmp_path):
         config = BackboneConfig(input_side=32, latent_depth=8,
                                 stages=((8, 3, 2),))

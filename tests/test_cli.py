@@ -367,9 +367,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name, mangle", [
+        pytest.param("tree/prototypes", lambda a: a[:0, 0], id="empty_prototypes"),
+        pytest.param("tree/prototypes", np.ravel, id="flat_prototypes"),
+        pytest.param("backbone/stage1/bias", lambda a: a[:-1], id="short_bias"),
+        pytest.param("tree/leaf_logits", np.ravel, id="flat_leaf_logits"),
+        pytest.param("backbone/head/weight", np.ravel, id="flat_head"),
+        pytest.param("backbone/arch",
+                     lambda a: np.where(np.arange(len(a)) == 5, np.nan, a),
+                     id="nan_in_stage"),
+    ])
+    def test_record_shape_is_checked_at_load(self, workspace, tmp_path,
+                                             capsys, name, mangle):
+        blob = read_blob(workspace["ckpt"])
+        blob[name] = mangle(blob[name])
+        corrupt = str(tmp_path / "corrupt.npt")
+        write_blob(corrupt, blob)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", corrupt,
+                     "--data", workspace["data"]]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+
+
+SELFTEST_STDOUT = """\
+PASS conv2d vs nested-loop oracle
+PASS softmax vs extended-precision oracle
+PASS analytic gradients vs finite differences
+PASS leaf path probabilities normalize
+PASS interleaved leaf update vs two-pass
+PASS checkpoint round trip bit-exact
+PASS ppm codec round trip
+"""
+
 
 class TestSelftestCommand:
     def test_exit_zero_and_pass_lines(self, capsys):
         assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") >= 5 and "FAIL" not in out
+        assert capsys.readouterr().out == SELFTEST_STDOUT

@@ -1,5 +1,6 @@
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -157,6 +158,51 @@ class TestPpmCodec:
         img = load_ppm(str(path))
         np.testing.assert_allclose(img[:, 0, 0],
                                    np.array([16, 32, 48]) / 255.0, atol=1e-7)
+
+    @pytest.mark.parametrize("extent", [b"0 2", b"2 0", b"-3 2", b"2 -1"])
+    def test_non_positive_extent_rejected(self, tmp_path, extent):
+        path = tmp_path / "empty.ppm"
+        path.write_bytes(b"P6\n" + extent + b"\n255\n" + b"\x00" * 100)
+        with pytest.raises(ValueError, match="extent") as err:
+            load_ppm(str(path))
+        assert str(path) in str(err.value)
+
+
+def _assert_image_or_error(raw):
+    """load_ppm on these bytes gives a non-empty 3 x H x W image or a
+    ValueError that names the file."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "fuzz.ppm")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            image = load_ppm(path)
+        except ValueError as err:
+            assert path in str(err), str(err)
+            return
+    assert image.ndim == 3 and image.shape[0] == 3 and image.size > 0
+
+
+_HEADER_TOKEN = st.one_of(
+    st.integers(-4, 6).map(lambda v: str(v).encode()),
+    st.sampled_from([b"", b"x", b"1e3", b"+2", b"0x2", b"255", b"65535",
+                     b"#", b"\xff", b"99999999999999999999"]))
+
+
+class TestPpmFuzz:
+    @given(st.binary(max_size=64))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_arbitrary_bytes(self, raw):
+        _assert_image_or_error(raw)
+
+    @given(st.sampled_from([b"P6", b"P3", b"P5", b"p6", b""]),
+           st.lists(_HEADER_TOKEN, min_size=0, max_size=4),
+           st.sampled_from([b" ", b"\n", b"\t", b"\n# note\n"]),
+           st.binary(max_size=80))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_malformed_headers(self, magic, tokens, sep, payload):
+        raw = sep.join([magic, *tokens]) + b"\n" + payload
+        _assert_image_or_error(raw)
 
 
 class TestAugment:
