@@ -142,13 +142,10 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # split by sign for stability at large |x|
+    # e = exp(-|x|) cannot overflow; min(x, -x) keeps a nan's sign bit
     v = a.values
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    e = np.exp(np.minimum(v, -v))
+    out = np.where(v >= 0, 1.0, e) / (1.0 + e)
 
     def bwd(g):
         if a.requires_grad:
@@ -178,12 +175,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
             oh: int, ow: int) -> np.ndarray:
     n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride,
-                                  j:j + stride * ow:stride]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+    sn, sc, sh, sw = xp.strides
+    # N x C x kh x kw x oh x ow window view, copied once by the reshape
+    # unless it tiles xp exactly (a 1x1 kernel at stride 1)
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (n, c, kh, kw, oh, ow),
+        (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    return windows.reshape(n, c * kh * kw, oh * ow)
 
 
 def _col2im(cols_grad: np.ndarray, padded_shape, kh: int, kw: int,
@@ -218,11 +216,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ValueError(
             f"zero-sized output: input {h}x{w}, kernel {kh}x{kw}, "
             f"stride {stride}, padding {padding}")
+    xp = x.values
     if padding:
-        xp = np.pad(x.values, ((0, 0), (0, 0), (padding, padding),
-                               (padding, padding)))
-    else:
-        xp = x.values
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x.values
     cols = _im2col(xp, kh, kw, stride, oh, ow)
     kflat = kernel.values.reshape(f, -1)
     out = np.matmul(kflat[None], cols).reshape(n, f, oh, ow)

@@ -370,11 +370,13 @@ def load_dataset(root: str, split: str = "train",
     if os.path.exists(index_path):
         with open(index_path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is not None and header[:2] != ["path", "class"]:
-                entries.append((header[0], header[1]))
-            for row in reader:
-                if row:
+            for k, row in enumerate(reader):
+                if k and not row:
+                    continue            # blank lines after the first
+                if len(row) < 2:
+                    raise ValueError(f"{index_path}:{reader.line_num}: "
+                                     "expected a path,class line")
+                if k or row[:2] != ["path", "class"]:
                     entries.append((row[0], row[1]))
     else:
         for name in sorted(os.listdir(root)):

@@ -56,30 +56,34 @@ class ProtoTreeModel:
     def latent(self, images) -> Tensor:
         return self.backbone.forward(images)
 
+    def latent_chunks(self, images: np.ndarray, batch_size: int = 256):
+        """Latent maps of a stack of images, ``batch_size`` images at a time.
+
+        numpy's stacked matmul runs one GEMM per image, so an image's
+        latent bits do not depend on the chunk it falls in; projection
+        relies on that.
+        """
+        for start in range(0, images.shape[0], batch_size):
+            yield self.latent(images[start:start + batch_size])
+
+    def predict_latent(self, latent: Tensor) -> tuple[Tensor, tr.RoutingTrace]:
+        return tr.predict(self.topology, self.prototypes, self.leaves, latent)
+
     def predict_batch(self, images) -> tuple[Tensor, tr.RoutingTrace]:
-        return tr.predict(self.topology, self.prototypes, self.leaves,
-                          self.latent(images))
+        return self.predict_latent(self.latent(images))
 
     def soft_predict(self, images: np.ndarray, batch_size: int = 256,
                      ) -> np.ndarray:
         """Soft class distributions for a stack of images, without a tape."""
         if images.ndim == 3:
             images = images[None]
-        chunks = []
-        for start in range(0, images.shape[0], batch_size):
-            y_hat, _ = self.predict_batch(images[start:start + batch_size])
-            chunks.append(y_hat.values)
-        return np.concatenate(chunks, axis=0)
+        return np.concatenate([self.predict_latent(z)[0].values for z
+                               in self.latent_chunks(images, batch_size)])
 
     def latents_per_image(self, images: np.ndarray) -> np.ndarray:
-        """Latent maps computed one image at a time.
-
-        Single-image forwards keep the float32 bits independent of any
-        batching choice, which the projection contract relies on.
-        """
-        maps = [self.latent(images[i:i + 1]).values[0]
-                for i in range(images.shape[0])]
-        return np.stack(maps)
+        """Latent maps of a stack of images, as one-image forwards give,
+        64 at a time: projection holds the training set in memory too."""
+        return np.concatenate([z.values for z in self.latent_chunks(images, 64)])
 
     def accuracy(self, dataset, batch_size: int = 256) -> float:
         return evaluate(self, dataset, "soft", batch_size).accuracy

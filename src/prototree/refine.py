@@ -145,8 +145,11 @@ def project(model, dataset: Dataset, constrained: bool = True,
     n_img, depth, h, w = latents.shape
     flat = latents.reshape(n_img, depth, h * w)
     every_image = np.arange(n_img)
-    protos = model.prototypes.tensor.values.copy()
-    found: dict[tuple[int, bytes], tuple] = {}
+    # squared distance and cell of each image's patch nearest each row: N x M
+    sq, cell = map(np.concatenate, zip(*(
+        tr._nearest_squared(flat[start:start + 256],
+                            model.prototypes.tensor.values)
+        for start in range(0, n_img, 256))))
 
     def candidates(node: int) -> tuple[np.ndarray, bool, bool]:
         """Image ids node may project onto, and the constrained and
@@ -163,15 +166,9 @@ def project(model, dataset: Dataset, constrained: bool = True,
 
     def nearest(row: int, pool: np.ndarray) -> tuple:
         """Squared distance, image id and cell of the pool patch nearest
-        to prototype row; memoized, as a collapse leaves most pools as
-        they were."""
-        key = (row, pool.tobytes())
-        if key not in found:
-            diff = flat[pool] - protos[row].reshape(1, depth, 1)
-            sq = np.einsum("ndl,ndl->nl", diff, diff)
-            img_pos, cell = divmod(int(sq.argmin()), h * w)
-            found[key] = (sq[img_pos, cell], int(pool[img_pos]), cell)
-        return found[key]
+        to prototype row; the first minimum keeps the smallest image id."""
+        image_id = int(pool[sq[pool, row].argmin()])
+        return sq[image_id, row], image_id, int(cell[image_id, row])
 
     limit = np.log(DEAD_NODE_EPS) ** 2       # squared -ln(eps)
     dead = []
@@ -200,14 +197,14 @@ def project(model, dataset: Dataset, constrained: bool = True,
                       dtype=np.float32)
     for node in range(model.topology.num_internal):
         pool, applied, fallback = candidates(node)
-        sq, image_id, cell = nearest(rows[node], pool)
-        i, j = divmod(cell, w)
+        sq_min, image_id, at = nearest(rows[node], pool)
+        i, j = divmod(at, w)
         model.prototypes.tensor.values[
             int(model.topology.prototype_index[node])] = latents[image_id, :, i, j]
         images[node] = dataset.images[image_id]
         records.append(ProjectionRecord(node_index=node, image_id=image_id,
                                         location=(int(i), int(j)),
-                                        distance=float(np.sqrt(sq)),
+                                        distance=float(np.sqrt(sq_min)),
                                         constrained=applied,
                                         fallback=fallback))
     model.projection = records
@@ -271,9 +268,8 @@ def evaluate(model, dataset: Dataset, strategy: str,
     if len(dataset) == 0:
         raise ValueError("evaluate needs a non-empty dataset")
     soft, leaves = [], []
-    for start in range(0, len(dataset), batch_size):
-        y_hat, trace = model.predict_batch(
-            dataset.images[start:start + batch_size])
+    for latent in model.latent_chunks(dataset.images, batch_size):
+        y_hat, trace = model.predict_latent(latent)
         soft.append(y_hat.values.argmax(axis=1))
         if strategy != "soft":
             leaves.append(_choose_leaves(model, trace, strategy))

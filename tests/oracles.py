@@ -45,6 +45,50 @@ def scan_nearest_patch(latent, proto):
     return best
 
 
+def assert_same_bits(got, want):
+    """got and want agree in dtype, shape and every bit, nan signs
+    included."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    uint = np.dtype(f"u{got.dtype.itemsize}")
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(uint),
+                                  np.ascontiguousarray(want).view(uint))
+
+
+def loop_im2col(xp, kh, kw, stride, oh, ow):
+    """N x (C kh kw) x (oh ow) columns of a padded NCHW batch, built by
+    one slice copy per kernel offset."""
+    n, c = xp.shape[:2]
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride,
+                                  j:j + stride * ow:stride]
+    return cols.reshape(n, c * kh * kw, oh * ow)
+
+
+def sign_split_sigmoid(v):
+    """Logistic function split by sign: 1 / (1 + exp(-x)) where x >= 0,
+    exp(x) / (1 + exp(x)) elsewhere, each half computed on its own."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def scan_projection(latents, proto, pool):
+    """Image id, (row, col) and distance of the patch nearest to proto
+    among the images in pool, by the per-node scan: one einsum measures
+    every patch of every pool image, and the first minimum in image-major
+    order wins."""
+    n, d, h, w = latents.shape
+    diff = latents[pool].reshape(len(pool), d, h * w) - proto.reshape(1, d, 1)
+    sq = np.einsum("ndl,ndl->nl", diff, diff)
+    pos, cell = divmod(int(sq.argmin()), h * w)
+    return int(pool[pos]), divmod(cell, w), float(np.sqrt(sq[pos, cell]))
+
+
 def leaf_probabilities_from_edges(topology, p_right):
     """Path probabilities computed by explicit per-leaf edge products.
 

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import prototree.autodiff as ad
 from prototree.autodiff import Tape, Tensor
 from prototree.tree import LeafParams
 
-from oracles import naive_conv2d, softmax_extended, square_sum, weighted_sum
+from oracles import assert_same_bits, loop_im2col, naive_conv2d, \
+    sign_split_sigmoid, softmax_extended, square_sum, weighted_sum
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -59,6 +61,41 @@ class TestConv2d:
         with pytest.raises(ValueError, match="zero-sized"):
             ad.conv2d(Tensor(np.ones((1, 1, 2, 2))),
                       Tensor(np.ones((1, 1, 5, 5))))
+
+
+class TestLoopReferences:
+    """The strided im2col, the zero-buffer padding and the one-pass
+    sigmoid give the loop versions' results bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_columns_and_conv(self, dtype, kernel, stride, padding):
+        x = rand((3, 4, 9, 8), seed=6).astype(dtype)
+        k = rand((5, 4, kernel, kernel), seed=7).astype(dtype)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding),
+                        (padding, padding)))
+        oh = (9 + 2 * padding - kernel) // stride + 1
+        ow = (8 + 2 * padding - kernel) // stride + 1
+        cols = loop_im2col(xp, kernel, kernel, stride, oh, ow)
+        assert_same_bits(ad._im2col(xp, kernel, kernel, stride, oh, ow), cols)
+        want = np.matmul(k.reshape(5, -1)[None], cols).reshape(3, 5, oh, ow)
+        assert_same_bits(
+            ad.conv2d(Tensor(x), Tensor(k), stride, padding).values, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid(self, dtype):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45,
+                   -1e-45, 88.72, -88.72, 104.0, -104.0]
+        rng = np.random.default_rng(11)
+        wide = rng.standard_normal(10 ** 6) \
+            * rng.choice([1e-3, 1.0, 10.0, 100.0], 10 ** 6)
+        values = np.concatenate([special, wide]).astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ad.sigmoid(Tensor(values)).values
+        assert_same_bits(got, sign_split_sigmoid(values))
 
 
 class TestSoftmax:

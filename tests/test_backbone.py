@@ -6,6 +6,8 @@ from prototree.backbone import BackboneConfig, build
 from prototree.model import build_model
 from prototree.train import cross_entropy, one_hot
 
+from oracles import assert_same_bits
+
 
 class TestConfig:
     def test_latent_side_two_stride_two_stages(self):
@@ -77,6 +79,23 @@ class TestForward:
         net = build(BackboneConfig(input_side=32, latent_depth=8), seed=0)
         with pytest.raises(ValueError, match="expected"):
             net.forward(np.zeros((1, 3, 16, 16), dtype=np.float32))
+
+
+class TestBatchIndependence:
+    """Projection computes latents in chunks; it relies on each image's
+    latent bits being those of a one-image forward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_equal_one_image_forwards(self, dtype):
+        net = build(BackboneConfig(), seed=13, dtype=dtype)
+        images = np.random.default_rng(2).uniform(0, 1, (259, 3, 64, 64)) \
+            .astype(dtype)
+        single = np.concatenate([net.forward(image[None]).values
+                                 for image in images])
+        for batch in (3, 64, 256):   # tail chunks of 1, 3 and 3 images
+            chunked = np.concatenate([net.forward(images[s:s + batch]).values
+                                      for s in range(0, len(images), batch)])
+            assert_same_bits(chunked, single)
 
 
 class TestGradientFlow:

@@ -343,6 +343,24 @@ class TestExitCodes:
         assert err.startswith("error: non-finite loss") \
             and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, lineno", [
+        pytest.param("path,class\nclass_0/00000.ppm,class_0\nonlyonefield\n",
+                     3, id="one_field_row"),
+        pytest.param("\nclass_0/00000.ppm,class_0\n", 1, id="empty_header"),
+        pytest.param("onlyonefield\n", 1, id="one_field_header"),
+    ])
+    def test_short_labels_line_is_one(self, workspace, tmp_path, capsys,
+                                      text, lineno):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        index = data / "test" / "labels.csv"
+        index.write_text(text)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", workspace["ckpt"],
+                     "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {index}:{lineno}: expected a path,class line\n"
+
     @pytest.mark.parametrize("case", ["flat_children", "short_arch",
                                       "non_utf8_name"])
     def test_malformed_record_is_four(self, workspace, tmp_path, capsys,

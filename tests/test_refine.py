@@ -8,9 +8,9 @@ import prototree.tree as tr
 from prototree.autodiff import Tensor
 from prototree.backbone import BackboneConfig
 from prototree.data import Dataset, gen_synthetic
-from prototree.model import build_model
+from prototree.model import ProtoTreeModel, build_model
 
-from oracles import enumerate_paths, scan_nearest_patch
+from oracles import assert_same_bits, enumerate_paths, scan_projection
 
 TINY = BackboneConfig(input_side=32, latent_depth=8,
                       stages=((8, 3, 2), (8, 3, 2)))
@@ -40,12 +40,10 @@ class StubModel:
     def latent(self, images):
         return Tensor(np.zeros((images.shape[0], 1, 1, 1)))
 
-    def predict_batch(self, images):
-        return tr.predict(self.topology, self.prototypes, self.leaves,
-                          self.latent(images))
-
-    def soft_predict(self, images):
-        return self.predict_batch(images)[0].values
+    latent_chunks = ProtoTreeModel.latent_chunks
+    predict_latent = ProtoTreeModel.predict_latent
+    predict_batch = ProtoTreeModel.predict_batch
+    soft_predict = ProtoTreeModel.soft_predict
 
 
 class PlantedModel(StubModel):
@@ -72,6 +70,33 @@ def planted_set(values):
     return Dataset(images=values.reshape(-1, 1, 1, 1),
                    labels=np.arange(len(values)) % 4, split="train",
                    class_names=["a", "b", "c", "d"])
+
+
+def assert_per_node_scan(model, train, records, protos, rows,
+                         constrained=True):
+    """Records and projected prototypes are, bit for bit, what the
+    per-node scan gives each node of the projected model. ``protos`` holds
+    the prototypes before projection and ``rows`` each node's row there.
+    A node's pool is the images of the majority classes of the leaves
+    below it, or every image when unconstrained or when none has those
+    classes."""
+    latents = model.latents_per_image(train.images)
+    majority = model.leaves.distributions().argmax(axis=1)
+    want = []
+    for node, row in enumerate(rows):
+        classes = [majority[l] for l in model.topology.leaves_under(node)]
+        pool = np.flatnonzero(np.isin(train.labels, classes))
+        applied = constrained and pool.size > 0
+        if not applied:
+            pool = np.arange(len(train))
+        want.append((*scan_projection(latents, protos[row], pool), applied,
+                     constrained and not applied))
+    assert [(r.image_id, r.location, r.distance, r.constrained, r.fallback)
+            for r in records] == want
+    for record in records:
+        i, j = record.location
+        assert_same_bits(model.prototypes.row(record.node_index),
+                         latents[record.image_id][:, i, j])
 
 
 def _fixed_image(model):
@@ -381,19 +406,39 @@ class TestProjection:
 
     def test_matches_brute_force_oracle(self):
         model, train = self._small_setup()
-        protos_before = model.prototypes.tensor.values.copy()
+        protos = model.prototypes.tensor.values.copy()
+        rows = model.topology.prototype_index.copy()
         records = rf.project(model, train, constrained=False)
-        latents = model.latents_per_image(train.images)
-        for node, record in enumerate(records):
-            best = None
-            for img in range(len(train)):
-                loc, dist = scan_nearest_patch(latents[img],
-                                               protos_before[node])
-                if best is None or dist < best[0] - 1e-12:
-                    best = (dist, img, loc)
-            assert record.image_id == best[1]
-            assert record.location == best[2]
-            assert abs(record.distance - best[0]) < 1e-6
+        assert_per_node_scan(model, train, records, protos, rows,
+                             constrained=False)
+
+    @pytest.mark.parametrize("case", ["constrained", "fallback",
+                                      "tie_across_images", "over_one_chunk"])
+    def test_records_match_per_node_scan(self, case):
+        model = make_model(height=2, num_classes=3, seed=17)
+        train, _ = gen_synthetic(2, 150 if case == "over_one_chunk" else 3,
+                                 32, seed=97)
+        # leaves 0 and 1 claim class 2, which no training image has
+        one_leaf_per_class(model, [2, 2, 0, 1] if case == "fallback"
+                           else [0, 1, 1, 0])
+        if case == "tie_across_images":
+            train = Dataset(np.concatenate([train.images, train.images]),
+                            np.concatenate([train.labels, train.labels]),
+                            "train", train.class_names)
+        if case == "over_one_chunk":
+            # image 280, past the first 256 images, holds node 0's patch
+            model.prototypes.tensor.values[0] = \
+                model.latents_per_image(train.images[280:281])[0][:, 2, 1]
+        protos = model.prototypes.tensor.values.copy()
+        rows = model.topology.prototype_index.copy()
+        records = rf.project(model, train)
+        assert_per_node_scan(model, train, records, protos, rows)
+        assert any(r.fallback for r in records) == (case == "fallback")
+        if case == "tie_across_images":
+            assert all(r.image_id < len(train) // 2 for r in records)
+        if case == "over_one_chunk":
+            assert (records[0].image_id, records[0].location,
+                    records[0].distance) == (280, (2, 1), 0.0)
 
     def test_exact_match_is_fixed_point(self):
         model, train = self._small_setup()
@@ -446,6 +491,8 @@ class TestDeadNodeCollapse:
         # latents are sigmoid outputs in [0, 1]: every patch lies at
         # least 2 * sqrt(8) from a prototype of all threes
         model.prototypes.tensor.values[1] = 3.0
+        protos = model.prototypes.tensor.values.copy()
+        rows = model.topology.prototype_index.copy()
         with pytest.warns(UserWarning, match=r"nodes \[1\].*left"):
             records = rf.project(model, train)
         topo = model.topology
@@ -455,12 +502,7 @@ class TestDeadNodeCollapse:
         np.testing.assert_array_equal(model.leaves.logits, logits[[0, 2, 3]])
         assert [r.node_index for r in records] == [0, 1]
         assert model.projection_images.shape[0] == 2
-        latents = model.latents_per_image(train.images)
-        for record in records:
-            i, j = record.location
-            np.testing.assert_array_equal(
-                model.prototypes.row(record.node_index),
-                latents[record.image_id][:, i, j])
+        assert_per_node_scan(model, train, records, protos, rows[[0, 2]])
 
     def test_training_predictions_move_at_most_two_eps(self):
         values = [0.0, 0.5, 0.1, 0.2, 0.3, 0.6, 0.9, 1.0]
@@ -495,6 +537,8 @@ class TestDeadNodeCollapse:
         model = PlantedModel(2, 4, [0.3, 0.4,
                                     1.0 + factor * self.DEAD_DISTANCE])
         one_leaf_per_class(model, [0, 1, 2, 3])
+        protos = model.prototypes.tensor.values.copy()
+        rows = model.topology.prototype_index.copy()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             records = rf.project(model, train)
@@ -502,6 +546,8 @@ class TestDeadNodeCollapse:
         assert bool(caught) == collapsed
         assert model.topology.num_internal == (2 if collapsed else 3)
         assert len(records) == model.topology.num_internal
+        assert_per_node_scan(model, train, records, protos,
+                             rows[:2] if collapsed else rows)
         if not collapsed:
             assert records[2].constrained
             assert train.labels[records[2].image_id] in (2, 3)
