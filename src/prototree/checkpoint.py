@@ -1,19 +1,28 @@
-"""Flat binary checkpoint blobs.
+"""Flat binary checkpoint blobs of typed records.
 
 Layout: magic ``NPTT``, a little-endian u32 version, then one record per
-tensor: u32 name length, UTF-8 name, u32 rank, u64 extents, and the
-row-major float32 payload. Records run to end of file. Round trips are
-bit-exact for float32 data.
+array: u32 name length, UTF-8 name, a one-byte dtype tag (``DTYPES``),
+u32 rank, u64 extents, and the row-major little-endian payload. Records
+run to end of file and keep their dtype, so round trips are bit-exact;
+a model's ``tree/prototypes`` row k is tree node k's prototype. A blob
+is written beside its target and renamed over it, so a failed write
+leaves any old file in place.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
 
 MAGIC = b"NPTT"
-VERSION = 1
+VERSION = 2
+# dtype tag -> payload dtype
+DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i8"),
+          3: np.dtype("u1")}
+_TAGS = {dtype: tag for tag, dtype in DTYPES.items()}
 
 
 class CheckpointError(Exception):
@@ -34,20 +43,31 @@ class Records(dict):
 
 
 def write_blob(path: str, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        for name, arr in tensors.items():
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            fh.write(data.tobytes())
+    """Write the arrays as one blob; each must be f32, f64, i64 or u8."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(MAGIC + struct.pack("<I", VERSION))
+            for name, arr in tensors.items():
+                arr = np.asarray(arr)
+                dtype = arr.dtype.newbyteorder("<")
+                if dtype not in _TAGS:
+                    raise ValueError(f"record {name!r}: dtype {arr.dtype} "
+                                     "has no checkpoint tag")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack(f"<I{len(encoded)}sBI{arr.ndim}Q",
+                                     len(encoded), encoded, _TAGS[dtype],
+                                     arr.ndim, *arr.shape))
+                fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_blob(path: str) -> Records:
+    """Every record of a blob; anything malformed is a CheckpointError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
@@ -77,21 +97,25 @@ def read_blob(path: str) -> Records:
         if name in tensors:
             raise CheckpointError(f"{path}: duplicate record {name!r}")
         off += name_len
-        if off + 4 > total:
+        if off + 5 > total:
             raise CheckpointError(f"{path}: truncated rank at byte {off}")
-        (rank,) = struct.unpack_from("<I", raw, off)
-        off += 4
+        tag, rank = struct.unpack_from("<BI", raw, off)
+        if tag not in DTYPES:
+            raise CheckpointError(
+                f"{path}: record {name!r} has unknown dtype tag {tag}")
+        dtype = DTYPES[tag]
+        off += 5
         if off + 8 * rank > total:
             raise CheckpointError(f"{path}: truncated extents at byte {off}")
         shape = struct.unpack_from(f"<{rank}Q", raw, off)
         off += 8 * rank
-        count = 1
-        for extent in shape:
-            count *= extent
-        nbytes = 4 * count
+        nbytes = dtype.itemsize * math.prod(shape)
         if off + nbytes > total:
             raise CheckpointError(f"{path}: truncated payload at byte {off}")
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
-        tensors[name] = arr.reshape(shape).copy()
+        try:
+            arr = np.frombuffer(raw, dtype, nbytes // dtype.itemsize, off)
+            tensors[name] = arr.reshape(shape).copy()
+        except ValueError as err:   # extents numpy cannot shape
+            raise CheckpointError(f"{path}: record {name!r}: {err}") from None
         off += nbytes
     return tensors

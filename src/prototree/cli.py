@@ -141,6 +141,7 @@ def _load_split(root: str, split: str, class_names=None) -> Dataset:
 def cmd_train(args) -> int:
     values = read_config(args.config, args.set or [])
     backbone_cfg, height, config = build_configs(values)
+    config.validate()   # before the seed reaches the model's generators
     train_set = _load_split(args.data, "train")
     test_set = _load_split(args.data, "test", train_set.class_names)
     model = build_model(backbone_cfg, height, train_set.num_classes,

@@ -192,8 +192,7 @@ def export_tree(model, out_dir: str, sample: np.ndarray | None = None,
     for record in model.projection:
         node = record.node_index
         source = model.projection_images[node]
-        sim = similarity_map(model.backbone, model,
-                             int(model.topology.prototype_index[node]), source)
+        sim = similarity_map(model.backbone, model, node, source)
         sim.image_id = record.image_id
         patch, _ = extract_patch(sim, source)
         rel = os.path.join("prototypes", f"node_{node}.{ext}")
@@ -236,16 +235,14 @@ def _export_sample(model, sample: np.ndarray, name: str, out_dir: str,
     lat = model.latent(sample[None])
     _, trace = tr.predict(model.topology, model.prototypes, model.leaves, lat)
     dist, leaf, path = refine.hard_decision(model, trace, "greedy")
-    latent = lat.values[0]
     side = sample.shape[1]
-    h, w = latent.shape[1:]
+    h, w = lat.shape[2:]
     ext = "png" if png else "ppm"
     found_dir = os.path.join(out_dir, f"explain_{name}_patches")
     os.makedirs(found_dir, exist_ok=True)
     rows = []
     for node, went_right, p_right in path:
-        proto = model.prototypes.row(int(model.topology.prototype_index[node]))
-        (i, j), _ = tr.nearest_patch(latent, proto)
+        i, j = trace.locations[0, node]   # the patch routing measured
         ph, pw = max(1, round(side / h)), max(1, round(side / w))
         top = min(max(0, i * ph), side - ph)
         left = min(max(0, j * pw), side - pw)

@@ -1,9 +1,11 @@
 """The full classifier: feature extractor, soft tree, leaf distributions.
 
 Also owns the checkpoint schema. Everything needed to evaluate, prune,
-project or visualize a trained model round-trips through a single blob,
-including the projection records and their source images, so downstream
-commands never need the training data back.
+project or visualize a trained model round-trips bit for bit through a
+single blob, each fact in its own dtype: integers i64, text UTF-8 u8,
+leaf logits f64, weights and prototypes in the network's float type, and
+the projection's records and source images, present once it has run, so
+downstream commands never need the training data back.
 """
 
 from __future__ import annotations
@@ -17,16 +19,6 @@ from . import checkpoint as ckpt
 from . import tree as tr
 from .autodiff import Tensor
 from .refine import ProjectionRecord, evaluate
-
-
-def _split_int(value: int) -> list[float]:
-    if not 0 <= value < 2 ** 48:
-        raise ValueError(f"cannot encode {value} into a float32 pair")
-    return [float(value >> 24), float(value & 0xFFFFFF)]
-
-
-def _join_int(pair: np.ndarray) -> int:
-    return (int(pair[0]) << 24) | int(pair[1])
 
 
 @dataclass
@@ -96,37 +88,34 @@ class ProtoTreeModel:
                 len(cfg.stages)]
         for out, kernel, stride in cfg.stages:
             arch.extend((out, kernel, stride))
-        children = np.stack([self.topology.left, self.topology.right], axis=1) \
-            if self.topology.num_internal else np.zeros((0, 2))
-        names = "\n".join(self.class_names) if self.class_names else ""
+        topo = self.topology
         blob: dict[str, np.ndarray] = {
-            "meta/classes": np.asarray([self.num_classes]),
-            "meta/seed": np.asarray(_split_int(self.seed)),
-            "meta/leaf_norm": np.asarray(
-                [1.0 if self.leaves.norm == "l1" else 0.0]),
-            "meta/class_names": np.asarray(
-                [float(b) for b in names.encode("utf-8")]),
-            "backbone/arch": np.asarray(arch),
+            "meta/seed": np.int64(self.seed),
+            "meta/leaf_norm": np.frombuffer(self.leaves.norm.encode(), np.uint8),
+            "meta/class_names": np.frombuffer(
+                "\n".join(self.class_names).encode(), np.uint8),
+            "backbone/arch": np.asarray(arch, dtype=np.int64),
         }
         for i, (weight, bias) in enumerate(zip(self.backbone.weights,
                                                self.backbone.biases)):
             blob[f"backbone/stage{i}/weight"] = weight.values
             blob[f"backbone/stage{i}/bias"] = bias.values
         blob["backbone/head/weight"] = self.backbone.head_weight.values
-        blob["tree/root"] = np.asarray([self.topology.root])
-        blob["tree/height"] = np.asarray([self.topology.height])
-        blob["tree/children"] = children
-        blob["tree/prototype_index"] = self.topology.prototype_index
+        blob["tree/root"] = np.int64(topo.root)
+        blob["tree/height"] = np.int64(topo.height)
+        blob["tree/children"] = np.stack([topo.left, topo.right], axis=1)
         blob["tree/prototypes"] = self.prototypes.tensor.values
         blob["tree/leaf_logits"] = self.leaves.logits
-        blob["proj/done"] = np.asarray(
-            [0.0 if self.projection is None else 1.0])
         if self.projection is not None:
-            info = np.asarray(
-                [[r.image_id, r.location[0], r.location[1], r.distance,
-                  1.0 if r.constrained else 0.0, 1.0 if r.fallback else 0.0]
-                 for r in self.projection]).reshape(len(self.projection), 6)
-            blob["proj/info"] = info
+            records = self.projection
+            blob["proj/cells"] = np.asarray(
+                [(r.image_id, *r.location) for r in records],
+                dtype=np.int64).reshape(-1, 3)
+            blob["proj/distances"] = np.asarray(
+                [r.distance for r in records], dtype=np.float64)
+            blob["proj/flags"] = np.asarray(
+                [(r.constrained, r.fallback) for r in records],
+                dtype=np.uint8).reshape(-1, 2)
             blob["proj/images"] = self.projection_images
         ckpt.write_blob(path, blob)
 
@@ -135,83 +124,87 @@ class ProtoTreeModel:
         """Read a checkpoint; any malformed record is a CheckpointError."""
         try:
             return cls._from_records(ckpt.read_blob(path))
-        except (IndexError, ValueError, OverflowError) as err:
+        except (IndexError, ValueError) as err:
             raise ckpt.CheckpointError(f"{path}: {err}") from None
 
     @classmethod
     def _from_records(cls, blob: ckpt.Records) -> "ProtoTreeModel":
-        arch = _record(blob, "backbone/arch",
-                       *blob["backbone/arch"].shape[:1], ints=True)
-        n_stages = int(arch[3])
-        _record(blob, "backbone/arch", 4 + 3 * n_stages)
-        stages = tuple(tuple(int(v) for v in arch[4 + 3 * i:7 + 3 * i])
+        arch = _record(blob, "backbone/arch", "i8",
+                       blob["backbone/arch"].size).tolist()
+        n_stages = arch[3]
+        _record(blob, "backbone/arch", "i8", 4 + 3 * n_stages)
+        stages = tuple(tuple(arch[4 + 3 * i:7 + 3 * i])
                        for i in range(n_stages))
-        config = bb.BackboneConfig(in_channels=int(arch[0]),
-                                   input_side=int(arch[1]),
-                                   latent_depth=int(arch[2]),
-                                   stages=stages)
+        config = bb.BackboneConfig(in_channels=arch[0], input_side=arch[1],
+                                   latent_depth=arch[2], stages=stages)
         config.validate()
         net = bb.Backbone(config)
+        real = "f8" if blob["backbone/head/weight"].dtype == "f8" else "f4"
         fan_c = config.in_channels
         for i, (out, kernel, _) in enumerate(stages):
             net.weights.append(Tensor(_record(
-                blob, f"backbone/stage{i}/weight", out, fan_c, kernel, kernel),
-                requires_grad=True))
+                blob, f"backbone/stage{i}/weight", real, out, fan_c, kernel,
+                kernel), requires_grad=True))
             net.biases.append(Tensor(_record(
-                blob, f"backbone/stage{i}/bias", out), requires_grad=True))
+                blob, f"backbone/stage{i}/bias", real, out),
+                requires_grad=True))
             fan_c = out
-        net.head_weight = Tensor(_record(blob, "backbone/head/weight",
+        net.head_weight = Tensor(_record(blob, "backbone/head/weight", real,
                                          config.latent_depth, fan_c, 1, 1),
                                  requires_grad=True)
         m = blob["tree/children"].shape[0]
-        children = _record(blob, "tree/children", m, 2, ints=True)
+        children = _record(blob, "tree/children", "i8", m, 2)
         topo = tr.TreeTopology(
             left=children[:, 0].copy(), right=children[:, 1].copy(),
-            prototype_index=_record(blob, "tree/prototype_index", m,
-                                    ints=True),
-            root=int(blob["tree/root"][0]),
-            height=int(blob["tree/height"][0]))
-        norm = "l1" if int(blob["meta/leaf_norm"][0]) else "softmax"
-        classes = int(blob["meta/classes"][0])
-        leaves = tr.LeafParams(
-            _record(blob, "tree/leaf_logits", m + 1, classes)
-            .astype(np.float64), norm=norm)
-        names_bytes = bytes(int(b) for b in blob["meta/class_names"])
-        class_names = names_bytes.decode("utf-8").split("\n") \
-            if names_bytes else []
+            root=int(_record(blob, "tree/root", "i8")),
+            height=int(_record(blob, "tree/height", "i8")))
+        norm = _text(blob, "meta/leaf_norm")
+        if norm not in ("softmax", "l1"):
+            raise ValueError(f"record 'meta/leaf_norm' holds {norm!r}")
+        classes = blob["tree/leaf_logits"].shape[-1]
+        leaves = tr.LeafParams(_record(blob, "tree/leaf_logits", "f8", m + 1,
+                                       classes), norm=norm)
+        names = _text(blob, "meta/class_names")
+        class_names = names.split("\n") if names else []
+        if class_names and len(class_names) != classes:
+            raise ValueError("record 'meta/class_names' holds "
+                             f"{len(class_names)} names for {classes} classes")
         model = cls(backbone=net, topology=topo,
                     prototypes=tr.PrototypeBank(Tensor(
-                        _record(blob, "tree/prototypes", m,
-                                config.latent_depth).copy(),
-                        requires_grad=True)),
+                        _record(blob, "tree/prototypes", real, m,
+                                config.latent_depth), requires_grad=True)),
                     leaves=leaves,
-                    seed=_join_int(blob["meta/seed"]),
+                    seed=int(_record(blob, "meta/seed", "i8")),
                     class_names=class_names)
-        if int(blob["proj/done"][0]):
-            info = _record(blob, "proj/info", m, 6)
+        if any(name.startswith("proj/") for name in blob):
+            cells = _record(blob, "proj/cells", "i8", m, 3).tolist()
+            distances = _record(blob, "proj/distances", "f8", m).tolist()
+            flags = _record(blob, "proj/flags", "u1", m, 2).tolist()
             model.projection = [
-                ProjectionRecord(node_index=n, image_id=int(row[0]),
-                                 location=(int(row[1]), int(row[2])),
-                                 distance=float(row[3]),
-                                 constrained=bool(row[4]),
-                                 fallback=bool(row[5]))
-                for n, row in enumerate(info)]
+                ProjectionRecord(n, image_id, (i, j), dist, bool(c), bool(f))
+                for n, ((image_id, i, j), dist, (c, f))
+                in enumerate(zip(cells, distances, flags))]
             model.projection_images = _record(
-                blob, "proj/images", m, config.in_channels,
-                config.input_side, config.input_side).copy()
+                blob, "proj/images", "f4", m, config.in_channels,
+                config.input_side, config.input_side)
         return model
 
 
-def _record(blob: ckpt.Records, name: str, *shape: int,
-            ints: bool = False) -> np.ndarray:
-    """The named record, which must have exactly the shape the model needs;
-    with ``ints`` it must hold small integers, returned as int64."""
+def _text(blob: ckpt.Records, name: str) -> str:
+    return _record(blob, name, "u1", blob[name].size).tobytes().decode("utf-8")
+
+
+def _record(blob: ckpt.Records, name: str, dtype: str,
+            *shape: int) -> np.ndarray:
+    """The named record, which must have exactly the dtype and the shape
+    the model needs."""
     arr = blob[name]
+    if arr.dtype != np.dtype(dtype):
+        raise ValueError(f"record {name!r} has dtype {arr.dtype}, not "
+                         f"{np.dtype(dtype)}")
     if arr.shape != shape:
         raise ValueError(f"record {name!r} has shape {arr.shape}, not {shape}")
-    if ints and not ((np.abs(arr) < 2 ** 31) & (arr == np.round(arr))).all():
-        raise ValueError(f"record {name!r} holds non-integer values")
-    return arr.astype(np.int64) if ints else arr
+    return arr
 
 
 def build_model(config: bb.BackboneConfig, height: int, num_classes: int,

@@ -76,9 +76,8 @@ def _rebuild(model, keep_leaf: np.ndarray,
         collapse(topo.root),
         lambda piece: None if piece[0] == "leaf" else piece[2:], topo.height)
     kept_nodes = [piece[1] for piece in nodes]
-    proto_rows = [int(topo.prototype_index[i]) for i in kept_nodes]
     model.prototypes = tr.PrototypeBank(
-        tr.Tensor(model.prototypes.tensor.values[proto_rows].copy(),
+        tr.Tensor(model.prototypes.tensor.values[kept_nodes].copy(),
                   requires_grad=True))
     model.leaves = tr.LeafParams(
         model.leaves.logits[[piece[1] for piece in leaves]].copy(),
@@ -173,19 +172,18 @@ def project(model, dataset: Dataset, constrained: bool = True,
     limit = np.log(DEAD_NODE_EPS) ** 2       # squared -ln(eps)
     dead = []
     for node in range(model.topology.num_internal):
-        row = int(model.topology.prototype_index[node])
         pool, _, _ = candidates(node)
-        if nearest(row, pool)[0] < limit:
+        if nearest(node, pool)[0] < limit:
             continue
         outside = np.setdiff1d(every_image, pool, assume_unique=True)
-        if not outside.size or nearest(row, outside)[0] >= limit:
+        if not outside.size or nearest(node, outside)[0] >= limit:
             dead.append(node)
-    rows = model.topology.prototype_index.tolist()
+    # column of sq and cell per surviving node: its index before any rebuild
+    rows = list(range(model.topology.num_internal))
     if dead:
         before = model.topology.num_internal
         keep_leaf = np.ones(model.topology.num_leaves, dtype=bool)
-        rows = [rows[old] for old in _rebuild(model, keep_leaf,
-                                              frozenset(dead))]
+        rows = _rebuild(model, keep_leaf, frozenset(dead))
         warnings.warn(
             f"nodes {dead} have p_right <= {DEAD_NODE_EPS} on every training "
             "image; collapsed into their left children, removing "
@@ -199,8 +197,7 @@ def project(model, dataset: Dataset, constrained: bool = True,
         pool, applied, fallback = candidates(node)
         sq_min, image_id, at = nearest(rows[node], pool)
         i, j = divmod(at, w)
-        model.prototypes.tensor.values[
-            int(model.topology.prototype_index[node])] = latents[image_id, :, i, j]
+        model.prototypes.tensor.values[node] = latents[image_id, :, i, j]
         images[node] = dataset.images[image_id]
         records.append(ProjectionRecord(node_index=node, image_id=image_id,
                                         location=(int(i), int(j)),

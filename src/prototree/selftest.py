@@ -140,15 +140,17 @@ def check_leaf_update_equivalence() -> tuple[bool, str]:
 def check_checkpoint_roundtrip() -> tuple[bool, str]:
     rng = np.random.default_rng(31)
     tensors = {"a/b": rng.normal(size=(3, 4)).astype(np.float32),
-               "scalar": np.array([7.5], dtype=np.float32),
-               "deep/nested/name": rng.normal(size=(2, 1, 5)).astype(np.float32)}
-    with tempfile.NamedTemporaryFile(suffix=".npt") as tmp:
-        write_blob(tmp.name, tensors)
-        loaded = read_blob(tmp.name)
+               "f64": np.array([np.pi, -0.0, np.inf, 5e-324]),
+               "i64": np.array([[-2 ** 63, 2 ** 63 - 1]], dtype=np.int64),
+               "deep/nested/name": np.frombuffer("ü\n".encode(), np.uint8),
+               "empty": np.zeros((2, 0), dtype=np.uint8)}
+    with tempfile.TemporaryDirectory() as tmp:
+        write_blob(f"{tmp}/t.npt", tensors)
+        loaded = read_blob(f"{tmp}/t.npt")
     for name, arr in tensors.items():
         got = loaded[name]
-        if got.shape != arr.shape or not (got.view(np.uint32)
-                                          == arr.view(np.uint32)).all():
+        if got.dtype != arr.dtype or got.shape != arr.shape \
+                or got.tobytes() != arr.tobytes():
             return False, f"tensor {name} not bit-identical"
     return True, ""
 

@@ -57,6 +57,8 @@ class TrainConfig:
         if any(b >= a for a, b in zip(self.milestones[1:], self.milestones)):
             raise ValueError(f"milestones must increase strictly: "
                              f"{self.milestones}")
+        if not 0 <= self.seed < 2 ** 63:   # a checkpoint stores it as i64
+            raise ValueError(f"seed must lie in [0, 2**63), got {self.seed}")
         if self.leaf_norm not in ("softmax", "l1"):
             raise ValueError(f"unknown leaf_norm {self.leaf_norm!r}")
         self.augment.validate()

@@ -1,6 +1,6 @@
 """Soft binary decision tree routed by prototype similarity.
 
-Internal nodes each own one row of the prototype bank. An input's latent
+Internal node k owns row k of the prototype bank. An input's latent
 grid is compared against a node's prototype over all spatial patches; the
 smallest Euclidean distance d yields the right-edge probability exp(-d),
 the left edge taking the complement. Leaf path probabilities are the
@@ -43,9 +43,9 @@ def leaf_index(ref: int) -> int:
 class TreeTopology:
     """Binary tree structure: child tables for internal nodes, plus an index.
 
-    Internal node i owns prototype row ``prototype_index[i]`` (identity
-    after every rebuild). ``root`` may itself be a leaf reference when
-    pruning collapsed the whole upper tree.
+    Internal node k owns prototype row k; every rebuild renumbers the
+    prototype bank with the nodes. ``root`` may itself be a leaf
+    reference when pruning collapsed the whole upper tree.
 
     ``validate`` runs on construction and indexes the tree by column
     (node k is column k, leaf l is column M + l): ``parent`` (-1 at the
@@ -56,7 +56,6 @@ class TreeTopology:
 
     left: np.ndarray
     right: np.ndarray
-    prototype_index: np.ndarray
     root: int
     height: int
 
@@ -88,7 +87,6 @@ class TreeTopology:
             side[up] = ref
         topology = cls(left=np.asarray(left, dtype=np.int64),
                        right=np.asarray(right, dtype=np.int64),
-                       prototype_index=np.arange(len(nodes), dtype=np.int64),
                        root=top[0], height=height)
         return topology, nodes, leaves
 
@@ -100,12 +98,16 @@ class TreeTopology:
     def num_leaves(self) -> int:
         return self.num_internal + 1
 
+    @property
+    def prototype_index(self) -> np.ndarray:
+        """Prototype row of each node, the identity: node k owns row k."""
+        return np.arange(self.num_internal)
+
     def validate(self) -> None:
         """Walk the tree once from the root and rebuild the index.
 
         Raises ValueError for a child reference that is out of range or
-        reached twice, for a node or leaf the root does not reach, and for
-        a ``prototype_index`` that is not a bijection onto bank rows.
+        reached twice, and for a node or leaf the root does not reach.
         """
         m = len(self.left)
         left, right = self.left.tolist(), self.right.tolist()
@@ -128,8 +130,6 @@ class TreeTopology:
         if len(preorder) != 2 * m + 1:
             unreached = [col for col, d in enumerate(depth) if d < 0]
             raise ValueError(f"columns {unreached} are not reached from the root")
-        if sorted(self.prototype_index.tolist()) != list(range(m)):
-            raise ValueError("prototype_index is not a bijection onto bank rows")
         self.parent = np.asarray(parent, dtype=np.int64)
         self.went_right = np.asarray(went_right, dtype=bool)
         self.depth = np.asarray(depth, dtype=np.int64)
@@ -259,25 +259,6 @@ def _patch_squared_distances(latent: np.ndarray, proto: np.ndarray) -> np.ndarra
     """H x W grid of squared Euclidean distances, exact for exact matches."""
     diff = latent - proto.reshape(-1, 1, 1)
     return (diff * diff).sum(axis=0)
-
-
-def nearest_patch(latent, prototype) -> tuple[tuple[int, int], float]:
-    """Location and distance of the patch closest to one prototype.
-
-    Ties break to the smallest row-major index.
-    """
-    lat = latent.values if isinstance(latent, Tensor) else np.asarray(latent)
-    proto = prototype.values if isinstance(prototype, Tensor) else np.asarray(prototype)
-    if lat.ndim != 3:
-        raise ValueError(f"latent must be D x H x W, got shape {lat.shape}")
-    if proto.ndim != 1 or proto.shape[0] != lat.shape[0]:
-        raise ValueError(
-            f"prototype depth {proto.shape} does not match latent depth "
-            f"{lat.shape[0]}")
-    grid = _patch_squared_distances(lat, proto)
-    flat = int(grid.argmin())
-    i, j = divmod(flat, grid.shape[1])
-    return (i, j), float(np.sqrt(grid[i, j]))
 
 
 def min_patch_distances(latent: Tensor, prototypes: Tensor,

@@ -104,6 +104,17 @@ class TestTrain:
                      "--set", "seed=12"]) == 0
         assert open(out, "rb").read() != open(workspace["ckpt"], "rb").read()
 
+    @pytest.mark.parametrize("seed", [2 ** 63, -1])
+    def test_seed_out_of_range_fails_before_training(self, workspace,
+                                                     tmp_path, capsys, seed):
+        capsys.readouterr()
+        assert main(["train", "--config", workspace["config"], "--data",
+                     workspace["data"], "--out", str(tmp_path / "m.npt"),
+                     "--quiet", "--set", f"seed={seed}"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: seed must lie in [0, 2**63), got {seed}\n"
+        assert os.listdir(tmp_path) == []
+
     def test_test_accuracy_scored_once_after_training(
             self, workspace, tmp_path, capsys, backbone_images):
         out = str(tmp_path / "d.npt")

@@ -198,6 +198,37 @@ class TestExportTree:
                        sample_name="probe")
         assert sum(passes) == 1
 
+    def test_path_crops_come_from_trace_locations(self, projected_model,
+                                                  tmp_path, monkeypatch):
+        """Each found-patch crop is the cell routing measured: plant other
+        cells in the trace and the crops follow them."""
+        model, train = projected_model
+        sample = train.images[1]
+        planted = np.random.default_rng(61).integers(
+            0, 8, (1, model.topology.num_internal, 2))
+        predict, saved = xp.tr.predict, {}
+
+        def planting(*args):
+            y_hat, trace = predict(*args)
+            assert trace.locations.shape == planted.shape
+            trace.locations = planted.copy()
+            return y_hat, trace
+
+        monkeypatch.setattr(xp.tr, "predict", planting)
+        monkeypatch.setattr(xp, "_save_image",
+                            lambda path, image, png: saved.update(
+                                {path: image.copy()}))
+        graph = xp.export_tree(model, str(tmp_path), sample=sample,
+                               sample_name="probe")
+        assert graph.sample_path
+        for node, _, _ in graph.sample_path:
+            i, j = planted[0, node]
+            crop = saved[os.path.join(str(tmp_path), "explain_probe_patches",
+                                      f"node_{node}.ppm")]
+            # the 8 x 8 latent grid tiles the 32-pixel side in 4-pixel cells
+            np.testing.assert_array_equal(
+                crop, sample[:, 4 * i:4 * i + 4, 4 * j:4 * j + 4])
+
     def test_faithfulness_latent_equals_prototype(self, projected_model):
         """The latent vector at the exported patch location equals the
         stored prototype row bit for bit."""

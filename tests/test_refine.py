@@ -407,7 +407,7 @@ class TestProjection:
     def test_matches_brute_force_oracle(self):
         model, train = self._small_setup()
         protos = model.prototypes.tensor.values.copy()
-        rows = model.topology.prototype_index.copy()
+        rows = np.arange(model.topology.num_internal)
         records = rf.project(model, train, constrained=False)
         assert_per_node_scan(model, train, records, protos, rows,
                              constrained=False)
@@ -430,7 +430,7 @@ class TestProjection:
             model.prototypes.tensor.values[0] = \
                 model.latents_per_image(train.images[280:281])[0][:, 2, 1]
         protos = model.prototypes.tensor.values.copy()
-        rows = model.topology.prototype_index.copy()
+        rows = np.arange(model.topology.num_internal)
         records = rf.project(model, train)
         assert_per_node_scan(model, train, records, protos, rows)
         assert any(r.fallback for r in records) == (case == "fallback")
@@ -492,7 +492,7 @@ class TestDeadNodeCollapse:
         # least 2 * sqrt(8) from a prototype of all threes
         model.prototypes.tensor.values[1] = 3.0
         protos = model.prototypes.tensor.values.copy()
-        rows = model.topology.prototype_index.copy()
+        rows = np.arange(model.topology.num_internal)
         with pytest.warns(UserWarning, match=r"nodes \[1\].*left"):
             records = rf.project(model, train)
         topo = model.topology
@@ -538,7 +538,7 @@ class TestDeadNodeCollapse:
                                     1.0 + factor * self.DEAD_DISTANCE])
         one_leaf_per_class(model, [0, 1, 2, 3])
         protos = model.prototypes.tensor.values.copy()
-        rows = model.topology.prototype_index.copy()
+        rows = np.arange(model.topology.num_internal)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             records = rf.project(model, train)

@@ -168,6 +168,15 @@ class TestSchedule:
             TrainConfig(milestones=(10, 10)).validate()
         TrainConfig(milestones=(5, 10)).validate()
 
+    @pytest.mark.parametrize("seed, ok", [(0, True), (2 ** 63 - 1, True),
+                                          (2 ** 63, False), (-1, False)])
+    def test_seed_must_fit_a_checkpoint(self, seed, ok):
+        if ok:
+            TrainConfig(seed=seed).validate()
+        else:
+            with pytest.raises(ValueError, match="seed"):
+                TrainConfig(seed=seed).validate()
+
 
 class TestAdam:
     def test_moves_against_gradient(self):

@@ -33,14 +33,12 @@ def unbalanced_topology():
     into leaf 0 and node 1, node 1 into node 2 and leaf 3, node 2 into
     leaves 1 and 2."""
     return tr.TreeTopology(left=np.array([-1, 2, -2]),
-                           right=np.array([1, -4, -3]),
-                           prototype_index=np.arange(3), root=0, height=3)
+                           right=np.array([1, -4, -3]), root=0, height=3)
 
 
 def mirrored(topo):
     """Every node's children swapped: no longer numbered in preorder."""
     return tr.TreeTopology(left=topo.right.copy(), right=topo.left.copy(),
-                           prototype_index=topo.prototype_index.copy(),
                            root=topo.root, height=topo.height)
 
 
@@ -74,36 +72,47 @@ class TestInitTree:
             tr.init_tree(2, 1, 4, seed=0)
 
 
+def routed_nearest_patch(latent, proto):
+    """((i, j), distance) of the patch that routing measures for one
+    D x H x W latent and one prototype: a one-node tree's trace."""
+    topo, bank, _ = tr.init_tree(1, 2, len(proto), seed=0)
+    bank = tr.PrototypeBank(Tensor(np.asarray(proto)[None]))
+    trace = tr.route(topo, bank, Tensor(np.asarray(latent)))
+    return tuple(trace.locations[0, 0].tolist()), float(trace.distances[0, 0])
+
+
 class TestNearestPatch:
+    """The nearest patch recorded in a routing trace."""
+
     def test_exact_match_distance_zero(self):
         latent = np.random.default_rng(4).uniform(0, 1, (5, 3, 3))
-        (i, j), dist = tr.nearest_patch(latent, latent[:, 1, 1].copy())
+        (i, j), dist = routed_nearest_patch(latent, latent[:, 1, 1].copy())
         assert (i, j) == (1, 1)
         assert dist == 0.0
 
     def test_two_by_two_example(self):
         latent = np.array([[[0.1, 0.2], [0.3, 0.9]]])
-        (i, j), dist = tr.nearest_patch(latent, np.array([0.25]))
+        (i, j), dist = routed_nearest_patch(latent, np.array([0.25]))
         assert (i, j) == (0, 1)
         assert abs(dist - 0.05) < 1e-12
 
     def test_tie_breaks_row_major(self):
         latent = np.full((2, 3, 3), 0.4)
-        (i, j), _ = tr.nearest_patch(latent, np.array([0.7, 0.1]))
+        (i, j), _ = routed_nearest_patch(latent, np.array([0.7, 0.1]))
         assert (i, j) == (0, 0)
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(5)
         latent = rng.uniform(0, 1, (6, 4, 5))
         proto = rng.uniform(0, 1, 6)
-        loc, dist = tr.nearest_patch(latent, proto)
+        loc, dist = routed_nearest_patch(latent, proto)
         oracle_loc, oracle_dist = scan_nearest_patch(latent, proto)
         assert loc == oracle_loc
         assert abs(dist - oracle_dist) < 1e-9
 
     def test_depth_mismatch_rejected(self):
         with pytest.raises(ValueError, match="depth"):
-            tr.nearest_patch(np.ones((3, 2, 2)), np.ones(4))
+            routed_nearest_patch(np.ones((3, 2, 2)), np.ones(4))
 
 
 def routed_edge_probability(distance):
@@ -270,7 +279,7 @@ class TestMinPatchDistances:
         dist, locs = tr.min_patch_distances(Tensor(latent), Tensor(protos))
         for n in range(3):
             for m in range(6):
-                (i, j), d = tr.nearest_patch(latent[n], protos[m])
+                (i, j), d = scan_nearest_patch(latent[n], protos[m])
                 assert (locs[n, m] == (i, j)).all()
                 assert abs(dist.values[n, m] - d) < 1e-12
 
@@ -486,8 +495,8 @@ class TestRouteAsArrays:
 
     def test_root_leaf_gets_probability_one(self):
         empty = np.zeros(0, dtype=np.int64)
-        topo = tr.TreeTopology(left=empty, right=empty, prototype_index=empty,
-                               root=tr.leaf_ref(0), height=1)
+        topo = tr.TreeTopology(left=empty, right=empty, root=tr.leaf_ref(0),
+                               height=1)
         bank = tr.PrototypeBank(Tensor(np.zeros((0, 3), dtype=np.float32),
                                        requires_grad=True))
         latent = Tensor(np.random.default_rng(52).uniform(0, 1, (2, 3, 2, 2))
@@ -503,7 +512,7 @@ class TestTopologyIndex:
     def height_two(**tables):
         """Tables of the full height-2 tree, with the given ones replaced."""
         fields = dict(left=np.array([1, -1, -3]), right=np.array([2, -2, -4]),
-                      prototype_index=np.arange(3), root=0, height=2)
+                      root=0, height=2)
         fields.update(tables)
         return tr.TreeTopology(**fields)
 
@@ -519,7 +528,6 @@ class TestTopologyIndex:
         (dict(left=np.array([1, 0, -3])), "reached twice"),
         (dict(right=np.array([2, -2, -3])), "reached twice"),
         (dict(root=1), "not reached"),
-        (dict(prototype_index=np.array([0, 0, 2])), "bijection"),
     ])
     def test_rejects_broken_tables(self, tables, message):
         with pytest.raises(ValueError, match=message):
