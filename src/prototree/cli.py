@@ -83,47 +83,60 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(kind, key: str, text: str):
+    """text as an int or a float; a ConfigError naming key otherwise."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key!r} needs {noun}, got {text!r}"
+                          ) from None
+
+
 def _parse_stages(text: str) -> tuple[tuple[int, int, int], ...]:
     stages = []
     for part in text.split(","):
         fields = part.strip().split(":")
         if len(fields) != 3:
             raise ConfigError(f"stage {part!r} must be out:kernel:stride")
-        stages.append(tuple(int(f) for f in fields))
+        stages.append(tuple(_number(int, "stages", f) for f in fields))
     return tuple(stages)
 
 
-def _bool(text: str) -> bool:
+def _bool(key: str, text: str) -> bool:
     if text.lower() in ("1", "true", "yes", "on"):
         return True
     if text.lower() in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ConfigError(f"config key {key!r} needs a boolean, got {text!r}")
 
 
 def build_configs(values: dict[str, str]) -> tuple[BackboneConfig, int,
                                                    trn.TrainConfig]:
+    def num(kind, key):
+        return _number(kind, key, values[key])
+
     backbone = BackboneConfig(
-        in_channels=int(values["in_channels"]),
+        in_channels=num(int, "in_channels"),
         stages=_parse_stages(values["stages"]),
-        latent_depth=int(values["latent_depth"]),
-        input_side=int(values["input_side"]))
-    milestones = tuple(int(m) for m in values["milestones"].split(",")
-                       if m.strip())
+        latent_depth=num(int, "latent_depth"),
+        input_side=num(int, "input_side"))
+    milestones = tuple(_number(int, "milestones", m)
+                       for m in values["milestones"].split(",") if m.strip())
     augment = AugmentConfig(
-        horizontal_flip_p=float(values["flip_p"]),
-        brightness_jitter=(float(values["brightness_lo"]),
-                           float(values["brightness_hi"])),
-        enabled=_bool(values["augment_enabled"]))
+        horizontal_flip_p=num(float, "flip_p"),
+        brightness_jitter=(num(float, "brightness_lo"),
+                           num(float, "brightness_hi")),
+        enabled=_bool("augment_enabled", values["augment_enabled"]))
     config = trn.TrainConfig(
-        epochs=int(values["epochs"]), batch_size=int(values["batch_size"]),
-        lr_body=float(values["lr_body"]), lr_head=float(values["lr_head"]),
-        lr_prototypes=float(values["lr_prototypes"]), milestones=milestones,
-        gamma=float(values["gamma"]), seed=int(values["seed"]),
-        beta1=float(values["beta1"]), beta2=float(values["beta2"]),
-        eps=float(values["eps"]), frozen_epochs=int(values["frozen_epochs"]),
+        epochs=num(int, "epochs"), batch_size=num(int, "batch_size"),
+        lr_body=num(float, "lr_body"), lr_head=num(float, "lr_head"),
+        lr_prototypes=num(float, "lr_prototypes"), milestones=milestones,
+        gamma=num(float, "gamma"), seed=num(int, "seed"),
+        beta1=num(float, "beta1"), beta2=num(float, "beta2"),
+        eps=num(float, "eps"), frozen_epochs=num(int, "frozen_epochs"),
         leaf_norm=values["leaf_norm"], augment=augment)
-    return backbone, int(values["height"]), config
+    return backbone, num(int, "height"), config
 
 
 def _require(path: str, kind: str) -> str:

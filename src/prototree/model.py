@@ -131,6 +131,9 @@ class ProtoTreeModel:
     def _from_records(cls, blob: ckpt.Records) -> "ProtoTreeModel":
         arch = _record(blob, "backbone/arch", "i8",
                        blob["backbone/arch"].size).tolist()
+        if len(arch) < 4:
+            raise ValueError(f"record 'backbone/arch' has {len(arch)} "
+                             "entries, not at least 4")
         n_stages = arch[3]
         _record(blob, "backbone/arch", "i8", 4 + 3 * n_stages)
         stages = tuple(tuple(arch[4 + 3 * i:7 + 3 * i])
@@ -191,7 +194,12 @@ class ProtoTreeModel:
 
 
 def _text(blob: ckpt.Records, name: str) -> str:
-    return _record(blob, name, "u1", blob[name].size).tobytes().decode("utf-8")
+    raw = _record(blob, name, "u1", blob[name].size).tobytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"record {name!r} is not UTF-8: {err.reason} at "
+                         f"byte {err.start}") from None
 
 
 def _record(blob: ckpt.Records, name: str, dtype: str,

@@ -269,6 +269,15 @@ def min_patch_distances(latent: Tensor, prototypes: Tensor,
     argmin locations (N x M x 2). The gradient flows only through each
     selected patch; ties resolve to the smallest row-major index before
     the backward pass, so backward is deterministic.
+
+    Backward adds prototype m's contribution coeff * (z - p) to its
+    selected patch. A patch nearest to several prototypes sums theirs in
+    prototype order, starting from zero: ``np.add.at`` applies repeated
+    indices in index order, and its index runs over (n, m, d) in C order.
+    The index is 1-D, into the flat N·L·D buffer, because only a 1-D
+    integer index takes numpy's ``ufunc.at`` fast path; an (n, patch)
+    tuple index makes the same additions in the same order, several times
+    slower when hundreds of prototypes share a patch, as at height 9.
     """
     lat = latent.values
     if lat.ndim == 3:
@@ -285,17 +294,37 @@ def min_patch_distances(latent: Tensor, prototypes: Tensor,
 
     def bwd(g):
         coeff = g / np.sqrt(sq_min + DISTANCE_GRAD_EPS)
-        rows = np.arange(n)[:, None]
-        selected = flat.transpose(0, 2, 1)[rows, argmin]      # N x M x D
-        diff_sel = selected - protos[None]                    # z - p
-        if prototypes.requires_grad:
-            prototypes.grad += -(coeff[:, :, None] * diff_sel).sum(axis=0)
-        if latent.requires_grad:
-            gl = np.zeros((n, h * w, d), dtype=lat.dtype)
-            np.add.at(gl, (rows, argmin), coeff[:, :, None] * diff_sel)
-            latent.grad += gl.transpose(0, 2, 1).reshape(n, d, h, w)
+        grad_p, grad_l = _min_patch_grads(flat, protos, argmin, coeff,
+                                          prototypes.requires_grad,
+                                          latent.requires_grad)
+        if grad_p is not None:
+            prototypes.grad += grad_p
+        if grad_l is not None:
+            latent.grad += grad_l.reshape(n, h, w, d).transpose(0, 3, 1, 2)
 
     return ad.record_op(dist, [latent, prototypes], bwd), locations
+
+
+def _min_patch_grads(flat: np.ndarray, protos: np.ndarray, argmin: np.ndarray,
+                     coeff: np.ndarray, want_protos: bool, want_latent: bool,
+                     ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Prototype (M x D) and latent (N x L x D) gradients of the min-patch
+    distances of the N x D x L latents ``flat``, given the upstream
+    gradient over the distance, ``coeff``; None where not wanted. The
+    scatter's order is described in ``min_patch_distances``.
+    """
+    n, d, length = flat.shape
+    rows = np.arange(n)[:, None]
+    contrib = flat.transpose(0, 2, 1)[rows, argmin]       # N x M x D
+    contrib -= protos
+    contrib *= coeff[:, :, None]
+    grad_p = -contrib.sum(axis=0) if want_protos else None
+    grad_l = None
+    if want_latent:
+        grad_l = np.zeros((n, length, d), dtype=flat.dtype)
+        index = (rows * length + argmin)[:, :, None] * d + np.arange(d)
+        np.add.at(grad_l.reshape(-1), index.ravel(), contrib.reshape(-1))
+    return grad_p, grad_l
 
 
 def _nearest_squared(flat: np.ndarray, protos: np.ndarray,

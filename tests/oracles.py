@@ -168,3 +168,22 @@ def scan_min_patch_distances(latent, protos):
     argmin = sq.argmin(axis=2)
     sq_min = np.take_along_axis(sq, argmin[:, :, None], axis=2)[:, :, 0]
     return np.sqrt(sq_min), np.stack([argmin // w, argmin % w], axis=2)
+
+
+def scatter_min_patch_grad(flat, protos, argmin, coeff, want_protos,
+                           want_latent):
+    """The min-patch distance gradients, with the call signature of
+    ``tree._min_patch_grads``, by a 2-D scatter: ``np.add.at`` over
+    (sample, patch) pairs, each pair adding a D-vector, with
+    coeff * (z - p) computed afresh for each gradient."""
+    n, d, length = flat.shape
+    rows = np.arange(n)[:, None]
+    selected = flat.transpose(0, 2, 1)[rows, argmin]
+    diff_sel = selected - protos[None]
+    grad_p = grad_l = None
+    if want_protos:
+        grad_p = -(coeff[:, :, None] * diff_sel).sum(axis=0)
+    if want_latent:
+        grad_l = np.zeros((n, length, d), dtype=flat.dtype)
+        np.add.at(grad_l, (rows, argmin), coeff[:, :, None] * diff_sel)
+    return grad_p, grad_l

@@ -136,6 +136,33 @@ class TestTrain:
                      "--set", "nonsense=1"])
         assert code == 2
 
+    @pytest.mark.parametrize("key, value, bad, noun", [
+        ("epochs", "abc", "abc", "an integer"),
+        ("height", "2.5", "2.5", "an integer"),
+        ("milestones", "3,x", "x", "an integer"),
+        ("stages", "8:3:2,8:three:2", "three", "an integer"),
+        ("lr_body", "fast", "fast", "a number"),
+        ("brightness_hi", "", "", "a number"),
+        ("augment_enabled", "maybe", "maybe", "a boolean"),
+    ])
+    @pytest.mark.parametrize("where", ["set", "file"])
+    def test_unparsable_config_value_exit_two(self, workspace, tmp_path,
+                                              capsys, key, value, bad,
+                                              noun, where):
+        if where == "set":
+            source = ["--config", workspace["config"],
+                      "--set", f"{key}={value}"]
+        else:
+            config = tmp_path / "bad.cfg"
+            config.write_text(TINY_CONFIG + f"{key} = {value}\n")
+            source = ["--config", str(config)]
+        capsys.readouterr()
+        assert main(["train", *source, "--data", workspace["data"],
+                     "--out", str(tmp_path / "x.npt"), "--quiet"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: config key {key!r} needs {noun}, got {bad!r}\n"
+        assert not (tmp_path / "x.npt").exists()
+
 
 class TestEval:
     def test_soft_eval_runs(self, workspace, capsys):
@@ -405,6 +432,13 @@ class TestExitCodes:
         pytest.param("backbone/arch",
                      lambda a: np.where(np.arange(len(a)) == 5, np.nan, a),
                      id="nan_in_stage"),
+        pytest.param("backbone/arch", lambda a: a[:3], id="arch_of_three"),
+        pytest.param("meta/class_names",
+                     lambda a: np.append(a, np.uint8(0xff)),
+                     id="non_utf8_class_names"),
+        pytest.param("meta/leaf_norm",
+                     lambda a: np.insert(a, 0, np.uint8(0xc3)),
+                     id="non_utf8_leaf_norm"),
     ])
     def test_record_shape_is_checked_at_load(self, workspace, tmp_path,
                                              capsys, name, mangle):

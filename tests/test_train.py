@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import prototree.train as trn
+import prototree.tree as tr
 from prototree.autodiff import Tensor
 from prototree.backbone import BackboneConfig
 from prototree.data import AugmentConfig, gen_synthetic
@@ -9,7 +10,7 @@ from prototree.model import build_model
 from prototree.train import Adam, EpochLeafAccumulator, TrainConfig, \
     cross_entropy, leaf_update_batch, one_hot, train_epoch
 
-from oracles import two_pass_leaf_update
+from oracles import scatter_min_patch_grad, two_pass_leaf_update
 
 TINY_BACKBONE = BackboneConfig(input_side=32, latent_depth=8,
                                stages=((8, 3, 2), (8, 3, 2)))
@@ -150,6 +151,33 @@ class TestDeterminism:
         assert metrics[0][0] == metrics[1][0]
         np.testing.assert_array_equal(metrics[0][1], metrics[1][1])
         np.testing.assert_array_equal(metrics[0][2], metrics[1][2])
+
+
+    def test_height_nine_fit_same_bits_as_scatter(self, monkeypatch):
+        """The distance backward leaves training's float bits where the
+        2-D scatter puts them."""
+        train_set, _ = gen_synthetic(2, 12, 32, seed=61)
+        # epoch 1 trains against uniform leaves, which pass no gradient
+        config = TrainConfig(epochs=2, batch_size=8, seed=10)
+
+        def parameters(model):
+            return [model.prototypes.tensor.values, model.leaves.logits,
+                    *(p.values for group in model.backbone.parameters()
+                      .values() for p in group)]
+
+        def trained():
+            model = tiny_model(seed=10, height=9)
+            trn.fit(model, train_set, None, config)
+            return parameters(model)
+
+        initial = parameters(tiny_model(seed=10, height=9))
+        got = trained()
+        monkeypatch.setattr(tr, "_min_patch_grads", scatter_min_patch_grad)
+        want = trained()
+        assert len(got) == len(want) == 7
+        for start, g, w in zip(initial, got, want):
+            assert g.tobytes() != start.tobytes()   # every parameter trained
+            assert g.tobytes() == w.tobytes()
 
 
 class TestSchedule:

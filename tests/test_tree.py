@@ -8,8 +8,9 @@ import prototree.tree as tr
 from prototree.autodiff import Tape, Tensor
 from prototree.train import cross_entropy
 
-from oracles import enumerate_paths, leaf_probabilities_from_edges, \
-    scan_min_patch_distances, scan_nearest_patch, weighted_sum
+from oracles import assert_same_bits, enumerate_paths, \
+    leaf_probabilities_from_edges, scan_min_patch_distances, \
+    scan_nearest_patch, scatter_min_patch_grad, weighted_sum
 
 
 def tree_with_edge_probs(p_right_per_node, num_classes=2, height=None):
@@ -325,18 +326,20 @@ def margin(latent, proto):
     return 10 * gamma * ((z * z).sum(axis=1).max() + proto @ proto)
 
 
+@pytest.fixture(scope="module")
+def real_latents():
+    """16 desk latents (64 x 8 x 8) from a fresh backbone."""
+    from prototree.backbone import BackboneConfig
+    from prototree.data import gen_synthetic
+    from prototree.model import build_model
+    images, _ = gen_synthetic(4, 8, 64, seed=3)
+    config = BackboneConfig(input_side=64, latent_depth=64)
+    model = build_model(config, 1, 4, seed=7)
+    return model.latent(images.images[:16]).values
+
+
 class TestNearestPatchSearch:
     """min_patch_distances against the per-prototype scan, bit for bit."""
-
-    @pytest.fixture(scope="class")
-    def real_latents(self):
-        from prototree.backbone import BackboneConfig
-        from prototree.data import gen_synthetic
-        from prototree.model import build_model
-        images, _ = gen_synthetic(4, 8, 64, seed=3)
-        config = BackboneConfig(input_side=64, latent_depth=64)
-        model = build_model(config, 1, 4, seed=7)
-        return model.latent(images.images[:16]).values
 
     @pytest.mark.parametrize("height", [4, 9])
     def test_real_latents(self, real_latents, height):
@@ -432,6 +435,77 @@ class TestNearestPatchSearch:
         _, want = scan_min_patch_distances(lat, protos)
         assert np.array_equal(locs, want)
         assert ((locs >= 0) & (locs < 3)).all()
+
+
+def distance_grads(latent, protos, want_latent=True, want_protos=True):
+    """Latent and prototype gradients of a random weighting of the
+    min-patch distances, through the tape; None where not tracked."""
+    lat = Tensor(latent, requires_grad=want_latent)
+    bank = Tensor(protos, requires_grad=want_protos)
+    weights = np.random.default_rng(36).normal(
+        size=(latent.shape[0], protos.shape[0])).astype(latent.dtype)
+    with Tape() as tape:
+        dist, _ = tr.min_patch_distances(lat, bank)
+        tape.backward(weighted_sum(dist, weights))
+    return lat.grad, bank.grad
+
+
+def assert_grads_same_as_scatter(monkeypatch, latent, protos, **wanted):
+    got = distance_grads(latent, protos, **wanted)
+    with monkeypatch.context() as patch:
+        patch.setattr(tr, "_min_patch_grads", scatter_min_patch_grad)
+        want = distance_grads(latent, protos, **wanted)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert_same_bits(g, w)
+            assert np.abs(w).max() > 0
+
+
+class TestMinPatchGradients:
+    """The backward of min_patch_distances against the 2-D scatter,
+    bit for bit."""
+
+    def test_real_latents_at_initialisation(self, monkeypatch, real_latents):
+        _, bank, _ = tr.init_tree(9, 4, real_latents.shape[1], seed=9)
+        protos = bank.tensor.values
+        _, locs = tr.min_patch_distances(Tensor(real_latents), Tensor(protos))
+        cells = locs[..., 0] * real_latents.shape[3] + locs[..., 1]
+        # most prototypes share one patch: long runs of repeated indices
+        assert max(np.bincount(row).max() for row in cells) > len(protos) // 2
+        assert_grads_same_as_scatter(monkeypatch, real_latents, protos)
+
+    def test_planted_one_prototype_per_patch(self, monkeypatch, real_latents):
+        rng = np.random.default_rng(37)
+        lat = real_latents
+        n, d, h, w = lat.shape
+        cells = rng.permutation(h * w)[:63]
+        protos = lat[0].reshape(d, h * w)[:, cells].T \
+            + rng.uniform(-1e-3, 1e-3, (63, d)).astype(lat.dtype)
+        _, locs = tr.min_patch_distances(Tensor(lat), Tensor(protos))
+        assert np.array_equal(locs[0, :, 0] * w + locs[0, :, 1], cells)
+        assert_grads_same_as_scatter(monkeypatch, lat, protos)
+
+    @pytest.mark.parametrize("shape", [(3, 5, 4, 4), (2, 6, 1, 1),
+                                       (1, 4, 1, 2)],
+                             ids=["grid", "single_patch", "two_patches"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float64_and_small_latents(self, monkeypatch, shape, dtype):
+        rng = np.random.default_rng(38)
+        lat = rng.uniform(0, 1, shape).astype(dtype)
+        protos = rng.uniform(0, 1, (7, shape[1])).astype(dtype)
+        assert_grads_same_as_scatter(monkeypatch, lat, protos)
+
+    @pytest.mark.parametrize("want_latent, want_protos",
+                             [(True, False), (False, True)],
+                             ids=["latent_only", "prototypes_only"])
+    def test_one_input_tracked(self, monkeypatch, real_latents, want_latent,
+                               want_protos):
+        _, bank, _ = tr.init_tree(4, 4, real_latents.shape[1], seed=4)
+        assert_grads_same_as_scatter(
+            monkeypatch, real_latents, bank.tensor.values,
+            want_latent=want_latent, want_protos=want_protos)
 
 
 class TestTopology:
