@@ -5,7 +5,7 @@ from .backbone import Backbone, BackboneConfig
 from .data import AugmentConfig, Dataset, gen_synthetic, load_ppm, save_ppm
 from .model import ProtoTreeModel, build_model
 from .refine import Evaluation, PruneReport, ProjectionRecord, \
-    ensemble_mean, evaluate, hard_predict, project, prune
+    ensemble_mean, evaluate, project, prune
 from .train import TrainConfig, fit
 from .tree import LeafParams, PrototypeBank, RoutingTrace, TreeTopology, \
     init_tree, predict, route
@@ -15,6 +15,6 @@ __all__ = [
     "LeafParams", "ProjectionRecord", "ProtoTreeModel", "PruneReport",
     "PrototypeBank", "RoutingTrace", "Tape", "Tensor", "TrainConfig",
     "TreeTopology", "build_model", "ensemble_mean", "evaluate", "fit",
-    "gen_synthetic", "hard_predict", "init_tree", "load_ppm", "predict",
+    "gen_synthetic", "init_tree", "load_ppm", "predict",
     "project", "prune", "route", "save_ppm",
 ]

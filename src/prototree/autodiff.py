@@ -254,29 +254,3 @@ def channel_bias_add(x: Tensor, bias: Tensor) -> Tensor:
             bias.grad += g.sum(axis=(0, 2, 3))
 
     return record_op(out, [x, bias], bwd)
-
-
-def finite_difference_grad(f: Callable[[], float], tensor: Tensor,
-                           step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of ``f()`` w.r.t. ``tensor`` in place.
-
-    ``f`` must re-run the forward computation from ``tensor.values``.
-    Meant for float64 tensors; the returned array matches the tensor shape.
-    """
-    flat = tensor.values.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = f()
-        flat[i] = orig - step
-        fm = f()
-        flat[i] = orig
-        grad[i] = (fp - fm) / (2.0 * step)
-    return grad.reshape(tensor.shape)
-
-
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
-                       floor: float = 1e-6) -> float:
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
-    return float((np.abs(analytic - numeric) / denom).max())

@@ -55,6 +55,8 @@ class Backbone:
     def forward(self, batch) -> Tensor:
         """Map an N x C x S x S batch to the N x D x H x W latent grid."""
         x = batch if isinstance(batch, Tensor) else Tensor(batch)
+        if x.values.ndim != 4:
+            raise ValueError(f"expected an N x C x S x S batch, got {x.shape}")
         n, c, h, w = x.shape
         cfg = self.config
         if c != cfg.in_channels or h != cfg.input_side or w != cfg.input_side:

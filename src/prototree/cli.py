@@ -35,21 +35,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_MODEL_KEYS = ("height", "latent_depth", "input_side", "in_channels", "stages")
-_TRAIN_KEYS = ("epochs", "batch_size", "lr_body", "lr_head", "lr_prototypes",
-               "milestones", "gamma", "seed", "beta1", "beta2", "eps",
-               "frozen_epochs", "leaf_norm", "augment_enabled", "flip_p",
-               "brightness_lo", "brightness_hi")
-
 _DEFAULTS: dict[str, str] = {
     "height": "4", "latent_depth": "32", "input_side": "64",
     "in_channels": "3", "stages": "16:3:2,32:3:2,64:3:2",
     "epochs": "60", "batch_size": "64", "lr_body": "0.001",
     "lr_head": "0.001", "lr_prototypes": "0.001", "milestones": "",
     "gamma": "0.5", "seed": "0", "beta1": "0.9", "beta2": "0.999",
-    "eps": "1e-8", "frozen_epochs": "0", "leaf_norm": "softmax",
-    "augment_enabled": "false", "flip_p": "0.5",
-    "brightness_lo": "0.6", "brightness_hi": "1.4",
+    "eps": "1e-8", "frozen_epochs": "0", "augment_enabled": "false",
+    "flip_p": "0.5", "brightness_lo": "0.6", "brightness_hi": "1.4",
 }
 
 
@@ -135,7 +128,7 @@ def build_configs(values: dict[str, str]) -> tuple[BackboneConfig, int,
         gamma=num(float, "gamma"), seed=num(int, "seed"),
         beta1=num(float, "beta1"), beta2=num(float, "beta2"),
         eps=num(float, "eps"), frozen_epochs=num(int, "frozen_epochs"),
-        leaf_norm=values["leaf_norm"], augment=augment)
+        augment=augment)
     return backbone, num(int, "height"), config
 
 
@@ -158,8 +151,7 @@ def cmd_train(args) -> int:
     train_set = _load_split(args.data, "train")
     test_set = _load_split(args.data, "test", train_set.class_names)
     model = build_model(backbone_cfg, height, train_set.num_classes,
-                        config.seed, leaf_norm=config.leaf_norm,
-                        class_names=train_set.class_names)
+                        config.seed, class_names=train_set.class_names)
     csv_path = args.metrics or args.out + ".metrics.csv"
     # a diverging run ends in fit's TrainingError; numpy's overflow
     # warnings on the way would only add lines to that one-line error

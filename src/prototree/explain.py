@@ -26,26 +26,23 @@ from .data import save_ppm
 class SimilarityMap:
     scores: np.ndarray        # H x W, each cell exp(-patch distance)
     prototype_index: int
-    image_id: int | None = None
 
 
 @dataclass
 class ExplanationGraph:
     out_dir: str
     patch_paths: dict[int, str] = field(default_factory=dict)
-    edges: list[tuple[str, str, str]] = field(default_factory=list)
-    leaf_labels: dict[int, tuple[int, float]] = field(default_factory=dict)
     files: list[str] = field(default_factory=list)
     sample_path: list[tuple[int, bool, float]] | None = None
 
 
-def similarity_map(backbone, model, prototype_index: int,
+def similarity_map(model, prototype_index: int,
                    image: np.ndarray) -> SimilarityMap:
     """Per-patch similarity of one image against one prototype."""
     if not 0 <= prototype_index < model.prototypes.count:
         raise ValueError(f"prototype index {prototype_index} out of range "
                          f"0..{model.prototypes.count - 1}")
-    latent = backbone.forward(image[None]).values[0]
+    latent = model.backbone.forward(image[None]).values[0]
     proto = model.prototypes.row(prototype_index)
     grid = tr._patch_squared_distances(latent, proto)
     return SimilarityMap(scores=np.exp(-np.sqrt(grid)),
@@ -135,18 +132,24 @@ def _class_label(model, k: int) -> str:
     return f"class {k}"
 
 
-def _dot_lines(model, graph: ExplanationGraph,
-               patch_rel: dict[int, str]) -> list[str]:
+def _dot_lines(model, patch_rel: dict[int, str]) -> list[str]:
+    topo = model.topology
+    dists = model.leaves.distributions()
     lines = ["digraph prototree {", "  rankdir=TB;",
              '  node [shape=box, fontname="sans"];']
-    for node in range(model.topology.num_internal):
+    for node in range(topo.num_internal):
         lines.append(f'  node{node} [label="node {node}", '
                      f'image="{patch_rel[node]}", labelloc=b];')
-    for leaf, (k, p) in graph.leaf_labels.items():
+    for leaf in range(topo.num_leaves):
+        k = int(dists[leaf].argmax())
         lines.append(f'  leaf{leaf} [shape=ellipse, label="'
-                     f'{_class_label(model, k)}\\np={p:.3f}"];')
-    for source, target, label in graph.edges:
-        lines.append(f'  {source} -> {target} [label="{label}"];')
+                     f'{_class_label(model, k)}\\np={dists[leaf, k]:.3f}"];')
+    for node in range(topo.num_internal):
+        for label, child in (("absent", int(topo.left[node])),
+                             ("present", int(topo.right[node]))):
+            target = f"leaf{tr.leaf_index(child)}" if tr.is_leaf_ref(child) \
+                else f"node{child}"
+            lines.append(f'  node{node} -> {target} [label="{label}"];')
     lines.append("}")
     return lines
 
@@ -192,30 +195,16 @@ def export_tree(model, out_dir: str, sample: np.ndarray | None = None,
     for record in model.projection:
         node = record.node_index
         source = model.projection_images[node]
-        sim = similarity_map(model.backbone, model, node, source)
-        sim.image_id = record.image_id
-        patch, _ = extract_patch(sim, source)
+        patch, _ = extract_patch(similarity_map(model, node, source), source)
         rel = os.path.join("prototypes", f"node_{node}.{ext}")
         _save_image(os.path.join(out_dir, rel), patch, png)
         patch_rel[node] = rel
         graph.patch_paths[node] = os.path.join(out_dir, rel)
         graph.files.append(graph.patch_paths[node])
 
-    topo = model.topology
-    dists = model.leaves.distributions()
-    for leaf in range(topo.num_leaves):
-        k = int(dists[leaf].argmax())
-        graph.leaf_labels[leaf] = (k, float(dists[leaf, k]))
-    for node in range(topo.num_internal):
-        for label, child in (("absent", int(topo.left[node])),
-                             ("present", int(topo.right[node]))):
-            name = f"leaf{tr.leaf_index(child)}" if tr.is_leaf_ref(child) \
-                else f"node{child}"
-            graph.edges.append((f"node{node}", name, label))
-
     dot_path = os.path.join(out_dir, "tree.dot")
     with open(dot_path, "w") as fh:
-        fh.write("\n".join(_dot_lines(model, graph, patch_rel)) + "\n")
+        fh.write("\n".join(_dot_lines(model, patch_rel)) + "\n")
     graph.files.append(dot_path)
 
     html_path = os.path.join(out_dir, "tree.html")

@@ -66,9 +66,8 @@ class ProtoTreeModel:
 
     def soft_predict(self, images: np.ndarray, batch_size: int = 256,
                      ) -> np.ndarray:
-        """Soft class distributions for a stack of images, without a tape."""
-        if images.ndim == 3:
-            images = images[None]
+        """Soft class distributions for an N x C x S x S stack of images,
+        without a tape."""
         return np.concatenate([self.predict_latent(z)[0].values for z
                                in self.latent_chunks(images, batch_size)])
 
@@ -91,7 +90,6 @@ class ProtoTreeModel:
         topo = self.topology
         blob: dict[str, np.ndarray] = {
             "meta/seed": np.int64(self.seed),
-            "meta/leaf_norm": np.frombuffer(self.leaves.norm.encode(), np.uint8),
             "meta/class_names": np.frombuffer(
                 "\n".join(self.class_names).encode(), np.uint8),
             "backbone/arch": np.asarray(arch, dtype=np.int64),
@@ -161,12 +159,15 @@ class ProtoTreeModel:
             left=children[:, 0].copy(), right=children[:, 1].copy(),
             root=int(_record(blob, "tree/root", "i8")),
             height=int(_record(blob, "tree/height", "i8")))
-        norm = _text(blob, "meta/leaf_norm")
-        if norm not in ("softmax", "l1"):
-            raise ValueError(f"record 'meta/leaf_norm' holds {norm!r}")
+        # older files name their leaf rule; softmax is the only one left
+        if "meta/leaf_norm" in blob:
+            norm = _text(blob, "meta/leaf_norm")
+            if norm != "softmax":
+                raise ValueError(f"record 'meta/leaf_norm' holds {norm!r}; "
+                                 "this build reads softmax leaves only")
         classes = blob["tree/leaf_logits"].shape[-1]
         leaves = tr.LeafParams(_record(blob, "tree/leaf_logits", "f8", m + 1,
-                                       classes), norm=norm)
+                                       classes))
         names = _text(blob, "meta/class_names")
         class_names = names.split("\n") if names else []
         if class_names and len(class_names) != classes:
@@ -216,12 +217,12 @@ def _record(blob: ckpt.Records, name: str, dtype: str,
 
 
 def build_model(config: bb.BackboneConfig, height: int, num_classes: int,
-                seed: int, dtype=np.float32, leaf_norm: str = "softmax",
+                seed: int, dtype=np.float32,
                 class_names: list[str] | None = None) -> ProtoTreeModel:
     """Fresh model: seeded backbone plus full tree of the given height."""
     net = bb.build(config, seed, dtype=dtype)
     topo, bank, leaves = tr.init_tree(height, num_classes, config.latent_depth,
-                                      seed, dtype=dtype, leaf_norm=leaf_norm)
+                                      seed, dtype=dtype)
     return ProtoTreeModel(backbone=net, topology=topo, prototypes=bank,
                           leaves=leaves, seed=seed,
                           class_names=list(class_names or []))

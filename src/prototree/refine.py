@@ -80,8 +80,7 @@ def _rebuild(model, keep_leaf: np.ndarray,
         tr.Tensor(model.prototypes.tensor.values[kept_nodes].copy(),
                   requires_grad=True))
     model.leaves = tr.LeafParams(
-        model.leaves.logits[[piece[1] for piece in leaves]].copy(),
-        norm=model.leaves.norm)
+        model.leaves.logits[[piece[1] for piece in leaves]].copy())
     model.projection = None
     model.projection_images = None
     return kept_nodes
@@ -218,27 +217,16 @@ def _choose_leaves(model, trace: tr.RoutingTrace, strategy: str) -> np.ndarray:
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def hard_predict(model, image: np.ndarray, strategy: str,
-                 ) -> tuple[np.ndarray, int, list[tuple[int, bool, float]]]:
-    """Deterministic inference for one image.
+def hard_decision(model, trace: tr.RoutingTrace, strategy: str,
+                  ) -> tuple[np.ndarray, int, list[tuple[int, bool, float]]]:
+    """Deterministic inference for the first image of a routed batch.
 
     ``max_path`` follows the leaf with the highest path probability
     (ties to the smallest leaf index); ``greedy`` walks the tree going
     right exactly when p_right > 0.5. Returns the chosen leaf's class
     distribution, the leaf id, and the root-to-leaf decision sequence as
-    (node, went_right, p_right) triples. A batch of more than one image
-    is rejected.
+    (node, went_right, p_right) triples.
     """
-    batch = image[None] if image.ndim == 3 else image
-    if batch.shape[0] != 1:
-        raise ValueError(f"hard_predict takes one image, got {batch.shape[0]}")
-    _, trace = model.predict_batch(batch)
-    return hard_decision(model, trace, strategy)
-
-
-def hard_decision(model, trace: tr.RoutingTrace, strategy: str,
-                  ) -> tuple[np.ndarray, int, list[tuple[int, bool, float]]]:
-    """``hard_predict``'s result for the first image of a routed batch."""
     leaf = int(_choose_leaves(model, trace, strategy)[0])
     path = [(node, went_right, float(trace.edge_right.values[0, node]))
             for node, went_right in model.topology.path_to_leaf(leaf)]
@@ -257,7 +245,7 @@ def evaluate(model, dataset: Dataset, strategy: str,
     """Score one inference strategy with a single routed pass per chunk.
 
     ``soft`` scores the mixed leaf distributions; ``max_path`` and
-    ``greedy`` score the class of the leaf ``hard_predict`` would choose.
+    ``greedy`` score the class of the leaf ``hard_decision`` would choose.
     Fidelity is the fraction of images whose scored class equals the
     soft prediction's class, so it is 1.0 for ``soft``, which chooses no
     leaf and has no depths.

@@ -44,7 +44,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     frozen_epochs: int = 0          # body excluded from updates early on
-    leaf_norm: str = "softmax"      # "l1" documented alternative
     augment: AugmentConfig = field(
         default_factory=lambda: AugmentConfig(enabled=False))
 
@@ -59,8 +58,6 @@ class TrainConfig:
                              f"{self.milestones}")
         if not 0 <= self.seed < 2 ** 63:   # a checkpoint stores it as i64
             raise ValueError(f"seed must lie in [0, 2**63), got {self.seed}")
-        if self.leaf_norm not in ("softmax", "l1"):
-            raise ValueError(f"unknown leaf_norm {self.leaf_norm!r}")
         self.augment.validate()
 
     def learning_rate(self, base: float, epoch: int) -> float:
@@ -111,24 +108,21 @@ def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float32) -> np.ndarra
 
 
 def cross_entropy(y_hat: Tensor, y: np.ndarray) -> Tensor:
-    """Mean cross-entropy between predicted distributions and one-hot rows."""
+    """Mean cross-entropy between N x K predicted distributions and
+    one-hot rows."""
     target = np.asarray(y, dtype=y_hat.dtype)
-    if target.ndim == 1:
-        target = target[None]
-    # single distributions are promoted to a batch of one, detached
-    hat = Tensor(y_hat.values[None]) if y_hat.values.ndim == 1 else y_hat
-    if hat.values.ndim != 2:
+    if y_hat.values.ndim != 2:
         raise ValueError(f"expected N x K predictions, got {y_hat.shape}")
-    if target.shape != hat.shape:
+    if target.shape != y_hat.shape:
         raise ValueError(f"label shape {target.shape} != prediction shape "
-                         f"{hat.shape}")
+                         f"{y_hat.shape}")
     ok = np.isin(target, (0.0, 1.0)).all() and \
         np.abs(target.sum(axis=1) - 1.0).max() == 0.0
     if not ok:
         raise ValueError("labels must be exact one-hot rows")
     # evaluate the log only at true-class entries: mathematically equal to
     # -sum(y * log yhat) for one-hot y, and exact when other entries are 0
-    values = hat.values
+    values = y_hat.values
     n = values.shape[0]
     rows = np.arange(n)
     cols = target.argmax(axis=1)
@@ -136,12 +130,12 @@ def cross_entropy(y_hat: Tensor, y: np.ndarray) -> Tensor:
     loss = np.asarray(-np.log(picked).sum() / n, dtype=values.dtype)
 
     def bwd(g):
-        if hat.requires_grad:
+        if y_hat.requires_grad:
             grad = np.zeros_like(values)
             grad[rows, cols] = -g / (picked * n)
-            hat.grad += grad
+            y_hat.grad += grad
 
-    return ad.record_op(loss, [hat], bwd)
+    return ad.record_op(loss, [y_hat], bwd)
 
 
 class EpochLeafAccumulator:

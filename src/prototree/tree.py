@@ -195,7 +195,6 @@ class LeafParams:
     """Per-leaf class logits, trained derivative-free (never on a tape)."""
 
     logits: np.ndarray
-    norm: str = "softmax"  # "l1" is the non-default alternative
 
     @property
     def num_leaves(self) -> int:
@@ -207,12 +206,6 @@ class LeafParams:
 
     def distributions(self, logits: np.ndarray | None = None) -> np.ndarray:
         c = self.logits if logits is None else logits
-        if self.norm == "l1":
-            totals = c.sum(axis=1, keepdims=True)
-            out = np.full_like(c, 1.0 / c.shape[1])
-            ok = totals[:, 0] > 0
-            out[ok] = c[ok] / totals[ok]
-            return out
         shifted = c - c.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=1, keepdims=True)
@@ -234,8 +227,7 @@ class RoutingTrace:
 
 
 def init_tree(h: int, num_classes: int, depth: int, seed: int,
-              dtype=np.float32, leaf_norm: str = "softmax",
-              ) -> tuple[TreeTopology, PrototypeBank, LeafParams]:
+              dtype=np.float32) -> tuple[TreeTopology, PrototypeBank, LeafParams]:
     """Full tree of height h: prototypes ~ N(0.5, 0.1), leaf logits zero."""
     if h < 1:
         raise ValueError(f"height must be >= 1, got {h}")
@@ -251,7 +243,7 @@ def init_tree(h: int, num_classes: int, depth: int, seed: int,
     # leaf logits live in float64: they are count-like accumulations and
     # never enter the gradient tape, so storage precision is free
     leaves = LeafParams(np.zeros((topology.num_leaves, num_classes),
-                                 dtype=np.float64), norm=leaf_norm)
+                                 dtype=np.float64))
     return topology, bank, leaves
 
 
@@ -280,7 +272,7 @@ def min_patch_distances(latent: Tensor, prototypes: Tensor,
     slower when hundreds of prototypes share a patch, as at height 9.
     """
     lat = latent.values
-    if lat.ndim == 3:
+    if lat.ndim != 4:
         raise ValueError("min_patch_distances expects a batched N x D x H x W latent")
     n, d, h, w = lat.shape
     protos = prototypes.values
@@ -443,16 +435,9 @@ def _scan_einsum(flat_t, protos_t, column, row, single_patch: bool,
 
 def route(topology: TreeTopology, prototypes: PrototypeBank,
           latent: Tensor) -> RoutingTrace:
-    """Soft-route a latent batch: all edge and leaf path probabilities.
-
-    A single D x H x W latent is promoted to a batch of one (detached
-    from any tape; pass the batched form when its gradient is needed).
-    """
-    lat = Tensor(latent.values[None]) if latent.values.ndim == 3 else latent
-    if prototypes.depth != lat.shape[1]:
-        raise ValueError(
-            f"tree prototype depth {prototypes.depth} != latent depth {lat.shape[1]}")
-    distances, locations = min_patch_distances(lat, prototypes.tensor)
+    """Soft-route an N x D x H x W latent batch: all edge and leaf path
+    probabilities."""
+    distances, locations = min_patch_distances(latent, prototypes.tensor)
     edge_right = ad.exp(ad.neg(distances))
     pi = _path_probabilities(topology, edge_right)
     return RoutingTrace(edge_right=edge_right,

@@ -9,7 +9,8 @@ re-exported here.
 import numpy as np
 
 import prototree.autodiff as ad
-from prototree.selftest import naive_conv2d, softmax_extended, \
+from prototree.selftest import finite_difference_grad, \
+    max_relative_error, naive_conv2d, softmax_extended, \
     two_pass_leaf_update  # noqa: F401  (re-exported oracles)
 
 

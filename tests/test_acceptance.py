@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 
-import prototree.autodiff as ad
 import prototree.tree as tree
 from prototree.autodiff import Tape, Tensor
 from prototree.backbone import BackboneConfig
@@ -24,7 +23,8 @@ from prototree.refine import ensemble_mean, evaluate
 from prototree.train import TrainConfig, cross_entropy, one_hot, train_epoch
 
 from conftest import DESK
-from oracles import two_pass_leaf_update
+from oracles import finite_difference_grad, max_relative_error, \
+    two_pass_leaf_update
 from test_explain import parse_dot
 
 
@@ -57,8 +57,8 @@ def test_criterion_01_gradient_correctness():
     count = 0
     for group in model.parameters().values():
         for param in group:
-            numeric = ad.finite_difference_grad(loss_value, param, step=1e-5)
-            worst = max(worst, ad.max_relative_error(param.grad, numeric))
+            numeric = finite_difference_grad(loss_value, param, step=1e-5)
+            worst = max(worst, max_relative_error(param.grad, numeric))
             count += param.size
     elapsed = time.monotonic() - start
     report("criterion 1: gradient correctness",

@@ -12,8 +12,9 @@ import prototree.autodiff as ad
 from prototree.autodiff import Tape, Tensor
 from prototree.tree import LeafParams
 
-from oracles import assert_same_bits, loop_im2col, naive_conv2d, \
-    sign_split_sigmoid, softmax_extended, square_sum, weighted_sum
+from oracles import assert_same_bits, finite_difference_grad, \
+    loop_im2col, max_relative_error, naive_conv2d, sign_split_sigmoid, \
+    softmax_extended, square_sum, weighted_sum
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -170,8 +171,8 @@ def gradcheck(build, params, tol=1e-4):
     with Tape() as tape:
         tape.backward(build())
     for p in params:
-        numeric = ad.finite_difference_grad(lambda: build().item(), p)
-        err = ad.max_relative_error(p.grad, numeric)
+        numeric = finite_difference_grad(lambda: build().item(), p)
+        err = max_relative_error(p.grad, numeric)
         assert err < tol, f"gradient mismatch {err:.2e}"
         p.zero_grad()
 

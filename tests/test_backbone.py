@@ -80,6 +80,14 @@ class TestForward:
         with pytest.raises(ValueError, match="expected"):
             net.forward(np.zeros((1, 3, 16, 16), dtype=np.float32))
 
+    def test_unbatched_image_rejected(self):
+        model = build_model(BackboneConfig(input_side=32, latent_depth=8),
+                            height=1, num_classes=2, seed=0)
+        image = np.zeros((3, 32, 32), dtype=np.float32)
+        for call in (model.backbone.forward, model.soft_predict):
+            with pytest.raises(ValueError, match="N x C x S x S"):
+                call(image)
+
 
 class TestBatchIndependence:
     """Projection computes latents in chunks; it relies on each image's

@@ -185,7 +185,6 @@ class TestModelRoundTrip:
 
     def test_projected_model_equal_bit_for_bit(self, tmp_path):
         model = projected_model()
-        model.leaves.norm = "l1"
         path = str(tmp_path / "model.npt")
         model.save(path)
         loaded = ProtoTreeModel.load(path)
@@ -197,7 +196,6 @@ class TestModelRoundTrip:
             assert a.values.dtype == b.values.dtype
             assert a.values.tobytes() == b.values.tobytes()
         assert loaded.leaves.logits.tobytes() == model.leaves.logits.tobytes()
-        assert loaded.leaves.norm == "l1"
         assert (loaded.seed, loaded.class_names) == (83, ["a", "b\u00e9", "c"])
         assert loaded.projection == model.projection
         assert loaded.projection_images.tobytes() == \
@@ -207,6 +205,21 @@ class TestModelRoundTrip:
         loaded.save(str(tmp_path / "again.npt"))
         assert open(path, "rb").read() == \
             open(tmp_path / "again.npt", "rb").read()
+
+    def test_softmax_leaf_norm_record_still_loads(self, tmp_path):
+        """Files written while an l1 leaf rule existed carry meta/leaf_norm;
+        those that say softmax load as the model they were."""
+        model = projected_model()
+        path = str(tmp_path / "model.npt")
+        model.save(path)
+        blob = read_blob(path)
+        assert "meta/leaf_norm" not in blob
+        blob["meta/leaf_norm"] = np.frombuffer(b"softmax", np.uint8)
+        write_blob(path, blob)
+        images = np.random.default_rng(9).uniform(0, 1, (5, 3, 32, 32)) \
+            .astype(np.float32)
+        assert ProtoTreeModel.load(path).soft_predict(images).tobytes() == \
+            model.soft_predict(images).tobytes()
 
     def test_float64_network_keeps_its_dtype(self, tmp_path):
         model = build_model(TINY, height=1, num_classes=2, seed=5,
@@ -232,7 +245,8 @@ class TestModelRoundTrip:
         ("meta/seed", lambda a: a.astype(np.float64), "dtype float64"),
         ("proj/flags", lambda a: a.astype(np.int64), "dtype int64"),
         ("meta/class_names", lambda a: a[:-2], "2 names for 3 classes"),
-        ("meta/leaf_norm", lambda a: np.frombuffer(b"l2", np.uint8), "'l2'"),
+        # an injected record: fresh checkpoints carry no meta/leaf_norm
+        ("meta/leaf_norm", lambda _: np.frombuffer(b"l2", np.uint8), "'l2'"),
         ("proj/distances", None, "no record 'proj/distances'"),
     ])
     def test_record_of_wrong_type_rejected(self, tmp_path, name, value,
@@ -243,7 +257,7 @@ class TestModelRoundTrip:
         if value is None:
             del blob[name]
         else:
-            blob[name] = value(blob[name])
+            blob[name] = value(blob.get(name))
         write_blob(path, blob)
         with pytest.raises(CheckpointError, match=message) as err:
             ProtoTreeModel.load(path)

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import prototree.refine
-from prototree.backbone import Backbone
+from prototree import cli
+from prototree.backbone import Backbone, BackboneConfig
 from prototree.checkpoint import read_blob, write_blob
 from prototree.cli import main
 from prototree.data import load_dataset
 from prototree.model import ProtoTreeModel
+from prototree.train import TrainConfig
 
 TINY_CONFIG = """
 # desk-scale smoke configuration
@@ -135,6 +137,18 @@ class TestTrain:
                      workspace["data"], "--out", str(tmp_path / "x.npt"),
                      "--set", "nonsense=1"])
         assert code == 2
+
+    def test_removed_leaf_norm_key_exit_two(self, workspace, tmp_path,
+                                            capsys):
+        capsys.readouterr()
+        assert main(["train", "--data", workspace["data"], "--out",
+                     str(tmp_path / "x.npt"), "--set", "leaf_norm=l1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: unknown config key 'leaf_norm'\n"
+
+    def test_default_strings_build_the_dataclass_defaults(self):
+        assert cli.build_configs(dict(cli._DEFAULTS)) == \
+            (BackboneConfig(), 4, TrainConfig())
 
     @pytest.mark.parametrize("key, value, bad, noun", [
         ("epochs", "abc", "abc", "an integer"),
@@ -436,14 +450,18 @@ class TestExitCodes:
         pytest.param("meta/class_names",
                      lambda a: np.append(a, np.uint8(0xff)),
                      id="non_utf8_class_names"),
+        # fresh checkpoints carry no meta/leaf_norm; these inject one
         pytest.param("meta/leaf_norm",
-                     lambda a: np.insert(a, 0, np.uint8(0xc3)),
+                     lambda _: np.frombuffer(b"\xc3softmax", np.uint8),
                      id="non_utf8_leaf_norm"),
+        pytest.param("meta/leaf_norm",
+                     lambda _: np.frombuffer(b"l1", np.uint8),
+                     id="l1_leaf_norm"),
     ])
     def test_record_shape_is_checked_at_load(self, workspace, tmp_path,
                                              capsys, name, mangle):
         blob = read_blob(workspace["ckpt"])
-        blob[name] = mangle(blob[name])
+        blob[name] = mangle(blob.get(name))
         corrupt = str(tmp_path / "corrupt.npt")
         write_blob(corrupt, blob)
         capsys.readouterr()

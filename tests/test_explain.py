@@ -49,8 +49,7 @@ class TestSimilarityMap:
     def test_projected_prototype_scores_one_at_source(self, projected_model):
         model, _ = projected_model
         record = model.projection[0]
-        sim = xp.similarity_map(model.backbone, model, 0,
-                                model.projection_images[0])
+        sim = xp.similarity_map(model, 0, model.projection_images[0])
         i, j = record.location
         assert sim.scores[i, j] == 1.0
         assert sim.scores.max() == 1.0
@@ -59,7 +58,7 @@ class TestSimilarityMap:
     def test_matches_per_patch_oracle(self, projected_model):
         model, train = projected_model
         image = train.images[2]
-        sim = xp.similarity_map(model.backbone, model, 1, image)
+        sim = xp.similarity_map(model, 1, image)
         latent = model.latent(image[None]).values[0]
         proto = model.prototypes.row(1)
         for i in range(sim.scores.shape[0]):
@@ -72,13 +71,13 @@ class TestSimilarityMap:
         for bias in model.backbone.biases:
             bias.values[:] = 0.0
         image = np.zeros((3, 32, 32), dtype=np.float32)
-        sim = xp.similarity_map(model.backbone, model, 0, image)
+        sim = xp.similarity_map(model, 0, image)
         assert np.ptp(sim.scores) < 1e-7
 
     def test_index_out_of_range_rejected(self, projected_model):
         model, train = projected_model
         with pytest.raises(ValueError, match="out of range"):
-            xp.similarity_map(model.backbone, model, 99, train.images[0])
+            xp.similarity_map(model, 99, train.images[0])
 
 
 class TestBicubic:
@@ -176,7 +175,8 @@ class TestExportTree:
         sample = train.images[1]
         graph = xp.export_tree(model, str(tmp_path), sample=sample,
                                sample_name="probe")
-        _, _, path = rf.hard_predict(model, sample, "greedy")
+        _, _, path = rf.hard_decision(
+            model, model.predict_batch(sample[None])[1], "greedy")
         assert graph.sample_path == path
         assert os.path.exists(tmp_path / "explain_probe.html")
 

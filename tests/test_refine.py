@@ -104,6 +104,12 @@ def _fixed_image(model):
     return np.full((3, side, side), 0.5, dtype=np.float32)
 
 
+def decide_one(model, image, strategy):
+    """``hard_decision`` for one image, routed as a batch of one."""
+    return rf.hard_decision(model, model.predict_batch(image[None])[1],
+                            strategy)
+
+
 def one_leaf_per_class(model, classes):
     logits = np.zeros_like(model.leaves.logits)
     for leaf, cls in enumerate(classes):
@@ -187,7 +193,7 @@ class TestHardPredict:
         one_leaf_per_class(model, [0, 1])
         image = _fixed_image(model)
         for strategy in ("max_path", "greedy"):
-            dist, leaf, path = rf.hard_predict(model, image, strategy)
+            dist, leaf, path = decide_one(model, image, strategy)
             assert leaf == 1
             assert len(path) == 1
             node, went_right, p = path[0]
@@ -197,18 +203,18 @@ class TestHardPredict:
         model = StubModel(2, 4, [0.6, 0.5, 0.25])
         one_leaf_per_class(model, [0, 1, 2, 3])
         image = _fixed_image(model)
-        dist, leaf, path = rf.hard_predict(model, image, "greedy")
+        dist, leaf, path = decide_one(model, image, "greedy")
         assert leaf == 2  # right at root, left at the right child
         assert [w for _, w, _ in path] == [True, False]
-        dist, leaf, path = rf.hard_predict(model, image, "max_path")
+        dist, leaf, path = decide_one(model, image, "max_path")
         assert leaf == 2  # pi = (.2, .2, .45, .15)
 
     def test_constructed_disagreement(self):
         model = StubModel(2, 4, [0.55, 0.02, 0.5])
         one_leaf_per_class(model, [0, 1, 2, 3])
         image = _fixed_image(model)
-        _, greedy_leaf, greedy_path = rf.hard_predict(model, image, "greedy")
-        _, max_leaf, _ = rf.hard_predict(model, image, "max_path")
+        _, greedy_leaf, greedy_path = decide_one(model, image, "greedy")
+        _, max_leaf, _ = decide_one(model, image, "max_path")
         assert greedy_leaf != max_leaf
         # verify the max-path choice by exhaustive enumeration
         edge = model.predict_batch(image[None])[1].edge_right.values
@@ -226,7 +232,7 @@ class TestHardPredict:
         rng = np.random.default_rng(5)
         model.leaves.logits = rng.uniform(0, 5, model.leaves.logits.shape)
         image = rng.uniform(0, 1, (3, 32, 32)).astype(np.float32)
-        _, leaf, path = rf.hard_predict(model, image, "greedy")
+        _, leaf, path = decide_one(model, image, "greedy")
         ref = model.topology.root
         for node, went_right, _ in path:
             assert node == ref
@@ -240,7 +246,7 @@ class TestHardPredict:
         # plant the prototype so the distance is exactly -log(0.5)
         model.prototypes.tensor.values[0, 0] = np.log(2.0)
         image = _fixed_image(model)
-        _, leaf, path = rf.hard_predict(model, image, "greedy")
+        _, leaf, path = decide_one(model, image, "greedy")
         p = path[0][2]
         if p == 0.5:  # exp(-log 2) may round off exact half
             assert leaf == 0
@@ -250,13 +256,7 @@ class TestHardPredict:
     def test_unknown_strategy_rejected(self):
         model = make_model()
         with pytest.raises(ValueError, match="strategy"):
-            rf.hard_predict(model, _fixed_image(model), "softish")
-
-    def test_batch_rejected(self):
-        model = StubModel(1, 2, [0.7])
-        images = np.stack([_fixed_image(model)] * 2)
-        with pytest.raises(ValueError, match="one image"):
-            rf.hard_predict(model, images, "greedy")
+            decide_one(model, _fixed_image(model), "softish")
 
     def test_batch_greedy_matches_per_image(self):
         rng = np.random.default_rng(31)
@@ -264,7 +264,7 @@ class TestHardPredict:
         images = rng.uniform(0, 1, (40, 1, 1, 1)).astype(np.float32)
         edge = model.predict_batch(images)[1].edge_right.values
         batch = model.topology.greedy_leaves(edge)
-        single = [rf.hard_predict(model, image, "greedy")[1]
+        single = [decide_one(model, image, "greedy")[1]
                   for image in images]
         walked = []
         for row in edge:
@@ -300,7 +300,7 @@ class TestFidelity:
         train, _ = gen_synthetic(4, 5, 32, seed=73)
         fid = rf.evaluate(model, train, "max_path").fidelity
         soft = model.soft_predict(train.images).argmax(1)
-        hard = np.array([np.argmax(rf.hard_predict(model, img, "max_path")[0])
+        hard = np.array([np.argmax(decide_one(model, img, "max_path")[0])
                          for img in train.images])
         assert fid == (soft == hard).mean()
 
@@ -319,7 +319,7 @@ class TestEvaluate:
         model.leaves.logits = rng.uniform(0, 5, model.leaves.logits.shape)
         dataset = planted_set(rng.uniform(0, 1, 40))
         result = rf.evaluate(model, dataset, strategy, batch_size=batch_size)
-        picks = [rf.hard_predict(model, image, strategy)
+        picks = [decide_one(model, image, strategy)
                  for image in dataset.images]
         hard = np.array([dist.argmax() for dist, _, _ in picks])
         soft = model.soft_predict(dataset.images).argmax(axis=1)

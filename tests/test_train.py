@@ -23,9 +23,13 @@ def tiny_model(seed=0, num_classes=2, height=2):
 
 class TestCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
-        loss = cross_entropy(Tensor(np.array([1.0, 0.0])),
-                             np.array([1.0, 0.0]))
+        loss = cross_entropy(Tensor(np.array([[1.0, 0.0]])),
+                             np.array([[1.0, 0.0]]))
         assert abs(loss.item()) < 1e-12
+
+    def test_unbatched_prediction_rejected(self):
+        with pytest.raises(ValueError, match="N x K"):
+            cross_entropy(Tensor(np.array([1.0, 0.0])), np.array([1.0, 0.0]))
 
     def test_uniform_over_four(self):
         loss = cross_entropy(Tensor(np.full((1, 4), 0.25)),

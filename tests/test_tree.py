@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import prototree.autodiff as ad
 import prototree.tree as tr
 from prototree.autodiff import Tape, Tensor
 from prototree.train import cross_entropy
 
 from oracles import assert_same_bits, enumerate_paths, \
-    leaf_probabilities_from_edges, scan_min_patch_distances, \
-    scan_nearest_patch, scatter_min_patch_grad, weighted_sum
+    finite_difference_grad, leaf_probabilities_from_edges, \
+    max_relative_error, scan_min_patch_distances, scan_nearest_patch, \
+    scatter_min_patch_grad, weighted_sum
 
 
 def tree_with_edge_probs(p_right_per_node, num_classes=2, height=None):
@@ -78,7 +78,7 @@ def routed_nearest_patch(latent, proto):
     D x H x W latent and one prototype: a one-node tree's trace."""
     topo, bank, _ = tr.init_tree(1, 2, len(proto), seed=0)
     bank = tr.PrototypeBank(Tensor(np.asarray(proto)[None]))
-    trace = tr.route(topo, bank, Tensor(np.asarray(latent)))
+    trace = tr.route(topo, bank, Tensor(np.asarray(latent)[None]))
     return tuple(trace.locations[0, 0].tolist()), float(trace.distances[0, 0])
 
 
@@ -178,6 +178,11 @@ class TestRoute:
         assert np.abs(trace.leaf_probabilities.values.sum(axis=1) - 1.0).max() \
             < 1e-6
 
+    def test_unbatched_latent_rejected(self):
+        topo, bank, _ = tr.init_tree(2, 2, 3, seed=0, dtype=np.float64)
+        with pytest.raises(ValueError, match="batched N x D x H x W"):
+            tr.route(topo, bank, Tensor(np.ones((3, 2, 2))))
+
 
 class TestPredict:
     def test_equal_leaves_collapse(self):
@@ -249,9 +254,9 @@ class TestGradients:
 
         with Tape() as tape:
             tape.backward(loss_value())
-        numeric = ad.finite_difference_grad(lambda: loss_value().item(),
-                                            bank.tensor)
-        err = ad.max_relative_error(bank.tensor.grad, numeric)
+        numeric = finite_difference_grad(lambda: loss_value().item(),
+                                         bank.tensor)
+        err = max_relative_error(bank.tensor.grad, numeric)
         assert err < 1e-4, f"prototype gradient mismatch {err:.2e}"
 
     def test_latent_gradients_through_argmin(self):
@@ -267,8 +272,8 @@ class TestGradients:
 
         with Tape() as tape:
             tape.backward(loss_value())
-        numeric = ad.finite_difference_grad(lambda: loss_value().item(), latent)
-        err = ad.max_relative_error(latent.grad, numeric)
+        numeric = finite_difference_grad(lambda: loss_value().item(), latent)
+        err = max_relative_error(latent.grad, numeric)
         assert err < 1e-4
 
 
@@ -564,8 +569,8 @@ class TestRouteAsArrays:
         with Tape() as tape:
             tape.backward(loss())
         for tensor in (bank.tensor, latent):
-            numeric = ad.finite_difference_grad(lambda: loss().item(), tensor)
-            assert ad.max_relative_error(tensor.grad, numeric) < 1e-6
+            numeric = finite_difference_grad(lambda: loss().item(), tensor)
+            assert max_relative_error(tensor.grad, numeric) < 1e-6
 
     def test_root_leaf_gets_probability_one(self):
         empty = np.zeros(0, dtype=np.int64)
