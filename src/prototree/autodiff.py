@@ -13,6 +13,10 @@ error.
 
 from __future__ import annotations
 
+import os
+import queue
+import re
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -111,6 +115,115 @@ def record_op(values: np.ndarray, inputs: Sequence[Tensor],
     return Tensor(values)
 
 
+def _blas_threads(cpus: int) -> int:
+    """Threads OpenBLAS runs: the first positive count among the variables
+    it reads, in its order, capped at ``cpus``; one per CPU if none."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        digits = re.match(r"\s*[+-]?\d+", os.environ.get(name, ""))  # as atoi
+        if digits and int(digits.group()) > 0:
+            return min(int(digits.group()), cpus)
+    return cpus
+
+
+def _worker_count() -> int:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // _blas_threads(cpus))
+
+
+# slices a batch is split into: the CPUs that BLAS's own threads leave idle
+_WORKERS = _worker_count()
+_POOL: "_Pool | None" = None
+_POOL_LOCK = threading.Lock()
+_IN_SLICE = threading.local()
+
+
+class _Pool:
+    """Daemon threads running ``(fn, part, done)`` tasks; each puts None,
+    or what ``fn(part)`` raised, on its ``done`` queue."""
+
+    def __init__(self):
+        self.tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self.size = 0
+
+    def grow(self, size: int) -> None:
+        for _ in range(size - self.size):
+            threading.Thread(target=self._serve, name="prototree-split",
+                             daemon=True).start()
+        self.size = max(self.size, size)
+
+    def _serve(self) -> None:
+        _IN_SLICE.active = True
+        while True:
+            # a task's buffers must not outlive it, so it is no local here
+            self._run(*self.tasks.get())
+
+    @staticmethod
+    def _run(fn, part: slice, done: queue.SimpleQueue) -> None:
+        try:
+            fn(part)
+        except BaseException as err:   # re-raised by the caller
+            done.put(err)
+        else:
+            done.put(None)
+
+
+def _drop_pool() -> None:
+    # a forked child has none of the pool's threads; it starts its own
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _pool(size: int) -> _Pool:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = _Pool()
+        _POOL.grow(size)
+        return _POOL
+
+
+def _split_batch(n: int, fn: Callable[[slice], None]) -> None:
+    """Run ``fn(part)`` over contiguous slices ``part`` of ``range(n)``.
+
+    The calling thread runs the last slice and a pool, started on first
+    use, runs the others, up to ``_WORKERS`` slices in all. ``fn`` must
+    write only its own slice's rows of buffers the caller allocated, so
+    that nothing it computes depends on the number of slices; any sum
+    across slices stays with the caller. It must not touch a tape or a
+    ``Tensor``, nor call ``_split_batch`` again: a pool thread waiting on
+    its own pool could wait forever, so a nested call raises. The first
+    exception a slice raises reaches the caller, after every slice ended.
+    """
+    if getattr(_IN_SLICE, "active", False):
+        raise RuntimeError("_split_batch called from inside a slice")
+    parts = max(1, min(_WORKERS, n))
+    edges = [k * n // parts for k in range(parts + 1)]
+    if parts > 1:
+        done: queue.SimpleQueue = queue.SimpleQueue()
+        tasks = _pool(parts - 1).tasks
+        for lo, hi in zip(edges[:-2], edges[1:-1]):
+            tasks.put((fn, slice(lo, hi), done))
+    errors = []
+    _IN_SLICE.active = True
+    try:
+        fn(slice(edges[-2], n))
+    except BaseException as err:   # raised below, once every slice ended
+        errors.append(err)
+    finally:
+        _IN_SLICE.active = False
+    errors += [done.get() for _ in range(parts - 1)]
+    first = next((err for err in errors if err is not None), None)
+    if first is not None:
+        raise first
+
+
 def neg(a: Tensor) -> Tensor:
     out = -a.values
 
@@ -173,31 +286,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
-            oh: int, ow: int) -> np.ndarray:
+            oh: int, ow: int, out: np.ndarray | None = None) -> np.ndarray:
     n, c = xp.shape[:2]
     sn, sc, sh, sw = xp.strides
-    # N x C x kh x kw x oh x ow window view, copied once by the reshape
-    # unless it tiles xp exactly (a 1x1 kernel at stride 1)
+    # N x C x kh x kw x oh x ow window view; without ``out``, copied once by
+    # the reshape unless it tiles xp exactly (a 1x1 kernel at stride 1)
     windows = np.lib.stride_tricks.as_strided(
         xp, (n, c, kh, kw, oh, ow),
         (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
-    return windows.reshape(n, c * kh * kw, oh * ow)
+    if out is None:
+        return windows.reshape(n, c * kh * kw, oh * ow)
+    out.reshape(windows.shape)[...] = windows
+    return out
 
 
-def _col2im(cols_grad: np.ndarray, padded_shape, kh: int, kw: int,
-            stride: int, oh: int, ow: int) -> np.ndarray:
-    n, c, hp, wp = padded_shape
-    out = np.zeros(padded_shape, dtype=cols_grad.dtype)
+def _col2im(cols_grad: np.ndarray, out: np.ndarray, kh: int, kw: int,
+            stride: int, oh: int, ow: int) -> None:
+    """Add each column gradient into the padded-input gradient ``out``."""
+    n, c = out.shape[:2]
     cg = cols_grad.reshape(n, c, kh, kw, oh, ow)
     for i in range(kh):
         for j in range(kw):
             out[:, :, i:i + stride * oh:stride,
                 j:j + stride * ow:stride] += cg[:, :, i, j]
-    return out
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of an NCHW batch with an FCkk kernel stack."""
+    """Cross-correlation of an NCHW batch with an FCkk kernel stack.
+
+    Forward and backward run image by image over ``_split_batch``; the
+    kernel gradient is summed over the batch afterwards, in image order.
+    """
     if x.values.ndim != 4 or kernel.values.ndim != 4:
         raise ValueError("conv2d expects 4-D input and kernel")
     n, c, h, w = x.shape
@@ -216,27 +335,54 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ValueError(
             f"zero-sized output: input {h}x{w}, kernel {kh}x{kw}, "
             f"stride {stride}, padding {padding}")
-    xp = x.values
+    # a 1x1 kernel at stride 1 without padding reads x itself as columns
+    direct = kh == kw == stride == 1 and not padding
+    dtype, xv = x.dtype, x.values
+    xp = xv
     if padding:
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = x.values
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
+    cols = _im2col(xp, kh, kw, stride, oh, ow) if direct else \
+        np.empty((n, c * kh * kw, oh * ow), dtype=dtype)
     kflat = kernel.values.reshape(f, -1)
-    out = np.matmul(kflat[None], cols).reshape(n, f, oh, ow)
+    out = np.empty((n, f, oh * ow), dtype=dtype)
+
+    def forward(part):
+        if padding:
+            xp[part, :, padding:padding + h, padding:padding + w] = xv[part]
+        if not direct:
+            _im2col(xp[part], kh, kw, stride, oh, ow, out=cols[part])
+        np.matmul(kflat, cols[part], out=out[part])
+
+    _split_batch(n, forward)
 
     def bwd(g):
         gf = g.reshape(n, f, oh * ow)
+        per_image = cols_grad = None
         if kernel.requires_grad:
-            kernel.grad += np.matmul(gf, cols.transpose(0, 2, 1)) \
-                .sum(axis=0).reshape(kernel.shape)
+            per_image = np.empty((n, f, c * kh * kw), dtype=dtype)
         if x.requires_grad:
-            cols_grad = np.matmul(kflat.T[None], gf)
-            gx = _col2im(cols_grad, xp.shape, kh, kw, stride, oh, ow)
-            if padding:
-                gx = gx[:, :, padding:padding + h, padding:padding + w]
-            x.grad += gx
+            x_grad = x.grad
+            cols_grad = np.empty((n, c * kh * kw, oh * ow), dtype=dtype)
+            # 1x1 at stride 1: each column gradient is the input gradient
+            gx = cols_grad.reshape(n, c, h, w) if direct else \
+                np.zeros(xp.shape, dtype=dtype)
 
-    return record_op(out, [x, kernel], bwd)
+        def backward(part):
+            if per_image is not None:
+                np.matmul(gf[part], cols[part].transpose(0, 2, 1),
+                          out=per_image[part])
+            if cols_grad is not None:
+                np.matmul(kflat.T, gf[part], out=cols_grad[part])
+                if not direct:
+                    _col2im(cols_grad[part], gx[part], kh, kw, stride, oh, ow)
+                x_grad[part] += gx[part, :, padding:padding + h,
+                                   padding:padding + w]
+
+        _split_batch(n, backward)
+        if per_image is not None:
+            kernel.grad += per_image.sum(axis=0).reshape(kernel.shape)
+
+    return record_op(out.reshape(n, f, oh, ow), [x, kernel], bwd)
 
 
 def channel_bias_add(x: Tensor, bias: Tensor) -> Tensor:

@@ -394,7 +394,15 @@ def load_dataset(root: str, split: str = "train",
     if unknown:
         raise UnknownClassError(f"{root}: class {min(unknown)!r} is not one "
                                 "of the model's classes")
-    images = np.stack([load_ppm(os.path.join(root, rel)) for rel, _ in entries])
+    images = []
+    for rel, _ in entries:
+        image = load_ppm(os.path.join(root, rel))
+        if images and image.shape != images[0].shape:
+            raise ValueError(
+                f"{os.path.join(root, rel)}: image shape {image.shape} differs "
+                f"from the first image's {images[0].shape}")
+        images.append(image)
+    images = np.stack(images)
     labels = np.asarray([index[cls] for _, cls in entries], dtype=np.int64)
     return Dataset(images=images, labels=labels, split=split,
                    class_names=class_names)

@@ -143,6 +143,8 @@ def project(model, dataset: Dataset, constrained: bool = True,
     n_img, depth, h, w = latents.shape
     flat = latents.reshape(n_img, depth, h * w)
     every_image = np.arange(n_img)
+    # majority class per leaf, taken again when a collapse renumbers leaves
+    leaf_majority = model.leaves.distributions().argmax(axis=1)
     # squared distance and cell of each image's patch nearest each row: N x M
     sq, cell = map(np.concatenate, zip(*(
         tr._nearest_squared(flat[start:start + 256],
@@ -154,7 +156,6 @@ def project(model, dataset: Dataset, constrained: bool = True,
         fallback flags of its record."""
         if not constrained:
             return every_image, False, False
-        leaf_majority = model.leaves.distributions().argmax(axis=1)
         classes = {int(leaf_majority[l])
                    for l in model.topology.leaves_under(node)}
         mask = np.isin(dataset.labels, sorted(classes))
@@ -183,6 +184,7 @@ def project(model, dataset: Dataset, constrained: bool = True,
         before = model.topology.num_internal
         keep_leaf = np.ones(model.topology.num_leaves, dtype=bool)
         rows = _rebuild(model, keep_leaf, frozenset(dead))
+        leaf_majority = model.leaves.distributions().argmax(axis=1)
         warnings.warn(
             f"nodes {dead} have p_right <= {DEAD_NODE_EPS} on every training "
             "image; collapsed into their left children, removing "

@@ -306,16 +306,27 @@ def _min_patch_grads(flat: np.ndarray, protos: np.ndarray, argmin: np.ndarray,
     scatter's order is described in ``min_patch_distances``.
     """
     n, d, length = flat.shape
-    rows = np.arange(n)[:, None]
-    contrib = flat.transpose(0, 2, 1)[rows, argmin]       # N x M x D
-    contrib -= protos
-    contrib *= coeff[:, :, None]
-    grad_p = -contrib.sum(axis=0) if want_protos else None
-    grad_l = None
+    m = protos.shape[0]
+    contrib = np.empty((n, m, d), dtype=flat.dtype)      # N x M x D
+    grad_l = index = None
     if want_latent:
         grad_l = np.zeros((n, length, d), dtype=flat.dtype)
-        index = (rows * length + argmin)[:, :, None] * d + np.arange(d)
-        np.add.at(grad_l.reshape(-1), index.ravel(), contrib.reshape(-1))
+        index = np.empty((n, m, d), dtype=np.int64)
+
+    def grads(part):
+        images = np.arange(n)[part, None]
+        mine = contrib[part]
+        np.subtract(flat.transpose(0, 2, 1)[images, argmin[part]], protos,
+                    out=mine)
+        mine *= coeff[part, :, None]
+        if grad_l is not None:
+            np.add(((images * length + argmin[part]) * d)[:, :, None],
+                   np.arange(d), out=index[part])
+            np.add.at(grad_l.reshape(-1), index[part].reshape(-1),
+                      mine.reshape(-1))
+
+    ad._split_batch(n, grads)
+    grad_p = -contrib.sum(axis=0) if want_protos else None
     return grad_p, grad_l
 
 
@@ -357,54 +368,69 @@ def _nearest_squared(flat: np.ndarray, protos: np.ndarray,
 
     Casting f_l to the latent's dtype, as the scan stores it, keeps
     the order of the candidates and adds no tie the margin misses,
-    since u is that dtype's.
+    since u is that dtype's. Each slice of images that
+    ``autodiff._split_batch`` hands out runs all three steps.
     """
     n, d, hw = flat.shape
     m = protos.shape[0]
     u = np.finfo(flat.dtype).eps / 2
     gamma = (d + 2) * u / (1 - (d + 2) * u)
-    # the locate only ranks patches, and the rescore redoes any overflow
-    # or nan in exact arithmetic, so its estimates raise no warnings
     with np.errstate(invalid="ignore", over="ignore"):
-        zz = np.einsum("ndl,ndl->nl", flat, flat)
-        # patch-major, so the minimum over patches reduces whole rows
-        score = np.matmul(flat.transpose(0, 2, 1), protos.T)   # N x L x M
-        score *= -2.0
-        score += zz[:, :, None]
-        best = score.min(axis=1)
-        margin = 10 * gamma * (zz.max(axis=1)[:, None]
-                               + np.einsum("md,md->m", protos, protos)[None])
-        # a row with a nan, or an inf from an overflowing ||z||^2, p.z or
-        # ||p||^2, gets a nan or an inf limit (the margin overflows too)
-        # and keeps every patch, so the rescore meets them as the scan does
-        far = score > (best + margin)[:, None, :]
-    del score
-    ends = np.cumsum(hw - far.sum(axis=1).ravel())
-    keep = np.logical_not(far.transpose(0, 2, 1), order="C").reshape(n * m, hw)
-    del far
-    # runs of whole pairs, each holding fewer than RESCORE_BLOCK + L
-    # candidates, so that no array grows with the total candidate count
-    cuts = np.searchsorted(ends, np.arange(0, ends[-1] if len(ends) else 0,
-                                           RESCORE_BLOCK), side="right")
-    bounds = np.unique(np.append(cuts, n * m))
+        pp = np.einsum("md,md->m", protos, protos)
+    score = np.empty((n, hw, m), dtype=np.result_type(flat, protos))
+    far = np.empty((n, hw, m), dtype=bool)
     # depth-major copies, so that gathering a block of candidates
     # reads and writes contiguous rows
-    flat_t = np.ascontiguousarray(flat.transpose(1, 0, 2)).reshape(d, n * hw)
+    flat_t = np.empty((d, n * hw), dtype=flat.dtype)
     protos_t = np.ascontiguousarray(protos.T)
     sq_min = np.empty(n * m, dtype=flat.dtype)
     argmin = np.empty(n * m, dtype=np.int64)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        pair, patch = np.divmod(np.flatnonzero(keep[lo:hi]), hw)
-        img, row = np.divmod(pair + lo, m)
-        exact = _scan_einsum(flat_t, protos_t, img * hw + patch, row,
-                             hw == 1).astype(flat.dtype, copy=False)
-        starts = np.flatnonzero(np.diff(pair, prepend=-1))   # one per pair
-        sq_min[lo:hi] = np.minimum.reduceat(exact, starts)
-        at_min = exact == np.repeat(sq_min[lo:hi],
-                                    np.diff(starts, append=len(pair)))
-        at_min |= np.isnan(exact)  # the scan's argmin stops at the first nan
-        argmin[lo:hi] = patch[np.minimum.reduceat(
-            np.where(at_min, np.arange(len(pair)), len(pair)), starts)]
+
+    def nearest(part):
+        lat, s = flat[part], score[part]
+        flat_t.reshape(d, n, hw)[:, part] = lat.transpose(1, 0, 2)
+        # the locate only ranks patches, and the rescore redoes any
+        # overflow or nan in exact arithmetic, so it raises no warnings
+        with np.errstate(invalid="ignore", over="ignore"):
+            zz = np.einsum("ndl,ndl->nl", lat, lat)
+            # patch-major, so the minimum over patches reduces whole rows
+            np.matmul(lat.transpose(0, 2, 1), protos.T, out=s)   # N x L x M
+            s *= -2.0
+            s += zz[:, :, None]
+            best = s.min(axis=1)
+            margin = 10 * gamma * (zz.max(axis=1)[:, None] + pp[None])
+            # a row with a nan, or an inf from an overflowing ||z||^2, p.z
+            # or ||p||^2, gets a nan or an inf limit (the margin overflows
+            # too) and keeps every patch, so the rescore meets them as the
+            # scan does
+            np.greater(s, (best + margin)[:, None, :], out=far[part])
+        ends = np.cumsum(hw - far[part].sum(axis=1).ravel())
+        # the slice's scores are spent: their first bytes hold its
+        # candidate mask, image by image and row by row
+        kept = s.reshape(-1).view(bool)[:s.size].reshape(-1, hw)
+        np.logical_not(far[part].transpose(0, 2, 1),
+                       out=kept.reshape(s.shape[0], m, hw))
+        # runs of whole pairs, each holding fewer than RESCORE_BLOCK + L
+        # candidates, so that no array grows with the total candidate count
+        cuts = np.searchsorted(ends, np.arange(
+            0, ends[-1] if len(ends) else 0, RESCORE_BLOCK), side="right")
+        bounds = np.unique(np.append(cuts, len(ends)))
+        first = part.start * m        # the slice's first (image, row) pair
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            pair, patch = np.divmod(np.flatnonzero(kept[lo:hi]), hw)
+            img, row = np.divmod(pair + first + lo, m)
+            exact = _scan_einsum(flat_t, protos_t, img * hw + patch, row,
+                                 hw == 1).astype(flat.dtype, copy=False)
+            starts = np.flatnonzero(np.diff(pair, prepend=-1))   # one per pair
+            at = slice(first + lo, first + hi)
+            sq_min[at] = np.minimum.reduceat(exact, starts)
+            at_min = exact == np.repeat(sq_min[at],
+                                        np.diff(starts, append=len(pair)))
+            at_min |= np.isnan(exact)  # the scan's argmin stops at the first nan
+            argmin[at] = patch[np.minimum.reduceat(
+                np.where(at_min, np.arange(len(pair)), len(pair)), starts)]
+
+    ad._split_batch(n, nearest)
     return sq_min.reshape(n, m), argmin.reshape(n, m)
 
 

@@ -1,7 +1,12 @@
 import ast
 import inspect
+import multiprocessing
 import pathlib
+import sys
+import threading
+import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -97,6 +102,172 @@ class TestLoopReferences:
             warnings.simplefilter("error")
             got = ad.sigmoid(Tensor(values)).values
         assert_same_bits(got, sign_split_sigmoid(values))
+
+
+def conv_run(x, k, stride, padding):
+    """Output, input gradient and kernel gradient of a weighted conv2d."""
+    xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    with Tape() as tape:
+        out = ad.conv2d(xt, kt, stride, padding)
+        weights = rand(out.shape, seed=8).astype(x.dtype)
+        tape.backward(weighted_sum(out, weights))
+    return out.values, xt.grad, kt.grad
+
+
+def conv_in_child(x, k, conn):
+    conn.send(conv_run(x, k, 1, 1))
+    conn.close()
+
+
+class TestSplitBatch:
+    """Slices of a batch run on worker threads; no float bit depends on
+    how many."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_conv2d_bits_do_not_depend_on_workers(self, monkeypatch, dtype,
+                                                  kernel, stride, padding):
+        for n in (1, 3, 17):
+            x = rand((n, 4, 9, 8), seed=n).astype(dtype)
+            k = rand((5, 4, kernel, kernel), seed=n + 1).astype(dtype)
+            runs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(ad, "_WORKERS", workers)
+                runs.append(conv_run(x, k, stride, padding))
+            for run in runs[1:]:
+                for got, want in zip(run, runs[0]):
+                    assert_same_bits(got, want)
+
+    def test_one_by_one_input_gradient_is_the_column_gradient(self):
+        # bit for bit what adding the columns into a zero buffer gave;
+        # x.grad starts at +0.0, so even a -0.0 column would land as +0.0
+        x = Tensor(rand((2, 3, 4, 5), seed=20), requires_grad=True)
+        k = Tensor(rand((6, 3, 1, 1), seed=21))
+        weights = rand((2, 6, 4, 5), seed=22)
+        weights[:, :, 1] = 0.0
+        with Tape() as tape:
+            tape.backward(weighted_sum(ad.conv2d(x, k), weights))
+        cols_grad = np.matmul(k.values.reshape(6, 3).T,
+                              weights.reshape(2, 6, 20))
+        want = np.zeros(x.shape)
+        ad._col2im(cols_grad, want, 1, 1, 1, 4, 5)
+        assert_same_bits(x.grad, 0.0 + want)
+
+    def test_slices_cover_the_batch_in_order(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 3)
+        seen = []
+        ad._split_batch(8, seen.append)
+        assert sorted((p.start, p.stop) for p in seen) == [(0, 2), (2, 5),
+                                                           (5, 8)]
+        seen.clear()
+        ad._split_batch(2, seen.append)
+        assert sorted((p.start, p.stop) for p in seen) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("failing", [0, 6], ids=["pool", "caller"])
+    def test_exception_in_a_slice_reaches_the_caller(self, monkeypatch,
+                                                     failing):
+        monkeypatch.setattr(ad, "_WORKERS", 3)
+        done = []
+
+        def fn(part):
+            if part.start <= failing < part.stop:
+                raise ArithmeticError(f"slice {part.start}")
+            done.append(part.start)
+
+        with pytest.raises(ArithmeticError, match="slice"):
+            ad._split_batch(9, fn)
+        assert len(done) == 2       # the other slices ran to the end
+
+    def test_nested_call_raises(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        with pytest.raises(RuntimeError, match="inside a slice"):
+            ad._split_batch(4, lambda part: ad._split_batch(2, print))
+        ad._split_batch(4, lambda part: None)   # the caller is usable again
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        # more threads than cores, switching often: every row of every
+        # call is written exactly once, and by that call's slices
+        monkeypatch.setattr(ad, "_WORKERS", 3)
+        counts = np.zeros((4, 50, 7), dtype=np.int64)
+
+        def caller(k):
+            for r in range(50):
+                def fn(part):
+                    for i in range(part.start, part.stop):
+                        counts[k, r, i] += 1
+                ad._split_batch(7, fn)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (counts == 1).all()
+
+    def test_pool_keeps_no_task_alive(self, monkeypatch):
+        # a finished slice's buffers are freed with the caller's last
+        # reference, not when the pool thread takes its next task
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        buffer = np.zeros(4)
+        alive = weakref.ref(buffer)
+        ad._split_batch(2, lambda part, b=buffer: b[part].fill(1.0))
+        del buffer
+        deadline = time.monotonic() + 10
+        while alive() is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert alive() is None
+
+    def test_forked_child_gets_a_pool_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        x = rand((5, 3, 6, 6), seed=23).astype(np.float32)
+        k = rand((4, 3, 3, 3), seed=24).astype(np.float32)
+        want = conv_run(x, k, 1, 1)         # starts the parent's pool
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=conv_in_child, args=(x, k, send))
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(120), "the forked child hung"
+            got = receive.recv()
+        finally:
+            child.join(timeout=60)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+                child.join()
+        assert not hung and child.exitcode == 0
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("env, workers", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "3"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": "junk"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+    ])
+    def test_workers_are_the_cpus_blas_leaves_idle(self, monkeypatch, env,
+                                                   workers):
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        assert ad._worker_count() == workers
 
 
 class TestSoftmax:

@@ -11,7 +11,7 @@ from prototree import cli
 from prototree.backbone import Backbone, BackboneConfig
 from prototree.checkpoint import read_blob, write_blob
 from prototree.cli import main
-from prototree.data import load_dataset
+from prototree.data import load_dataset, save_ppm
 from prototree.model import ProtoTreeModel
 from prototree.train import TrainConfig
 
@@ -116,6 +116,20 @@ class TestTrain:
         assert capsys.readouterr().err == \
             f"error: seed must lie in [0, 2**63), got {seed}\n"
         assert os.listdir(tmp_path) == []
+
+    def test_image_of_another_size_exit_one(self, workspace, tmp_path,
+                                            capsys):
+        data = relabelled_copy(workspace, tmp_path, lambda cls: cls)
+        with open(os.path.join(data, "train", "labels.csv"),
+                  newline="") as fh:
+            odd = os.path.join(data, "train", list(csv.reader(fh))[3][0])
+        save_ppm(odd, np.zeros((3, 16, 16), dtype=np.float32))
+        capsys.readouterr()
+        assert main(["train", "--config", workspace["config"], "--data",
+                     data, "--out", str(tmp_path / "m.npt"), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {odd}: image shape (3, 16, 16) differs from the first "
+            "image's (3, 32, 32)\n")
 
     def test_test_accuracy_scored_once_after_training(
             self, workspace, tmp_path, capsys, backbone_images):

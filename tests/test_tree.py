@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prototree.autodiff as ad
 import prototree.tree as tr
 from prototree.autodiff import Tape, Tensor
 from prototree.train import cross_entropy
@@ -511,6 +512,27 @@ class TestMinPatchGradients:
         assert_grads_same_as_scatter(
             monkeypatch, real_latents, bank.tensor.values,
             want_latent=want_latent, want_protos=want_protos)
+
+
+class TestSplitBatch:
+    """min_patch_distances and its gradients run in slices of the batch;
+    no float bit depends on how many."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_bits_do_not_depend_on_workers(self, monkeypatch, dtype, n):
+        rng = np.random.default_rng(40 + n)
+        lat = rng.uniform(0, 1, (n, 6, 4, 5)).astype(dtype)
+        protos = rng.uniform(0, 1, (31, 6)).astype(dtype)
+        protos[::3] = lat[-1].reshape(6, 20)[:, :11].T   # exact matches
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ad, "_WORKERS", workers)
+            dist, locs = tr.min_patch_distances(Tensor(lat), Tensor(protos))
+            runs.append((dist.values, locs, *distance_grads(lat, protos)))
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert_same_bits(got, want)
 
 
 class TestTopology:
