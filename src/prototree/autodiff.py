@@ -125,12 +125,17 @@ def _blas_threads(cpus: int) -> int:
     return cpus
 
 
+# the most slices ever timed: more threads per batch were never measured,
+# and small slices serialise on the GIL
+_MAX_WORKERS = 2
+
+
 def _worker_count() -> int:
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:      # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, cpus // _blas_threads(cpus))
+    return max(1, min(_MAX_WORKERS, cpus // _blas_threads(cpus)))
 
 
 # slices a batch is split into: the CPUs that BLAS's own threads leave idle
@@ -141,8 +146,9 @@ _IN_SLICE = threading.local()
 
 
 class _Pool:
-    """Daemon threads running ``(fn, part, done)`` tasks; each puts None,
-    or what ``fn(part)`` raised, on its ``done`` queue."""
+    """Daemon threads running ``(fn, part, errors, done)`` tasks under the
+    numpy error state ``errors``; each puts None, or what ``fn(part)``
+    raised, on its ``done`` queue."""
 
     def __init__(self):
         self.tasks: queue.SimpleQueue = queue.SimpleQueue()
@@ -161,9 +167,10 @@ class _Pool:
             self._run(*self.tasks.get())
 
     @staticmethod
-    def _run(fn, part: slice, done: queue.SimpleQueue) -> None:
+    def _run(fn, part: slice, errors: dict, done: queue.SimpleQueue) -> None:
         try:
-            fn(part)
+            with np.errstate(**errors):
+                fn(part)
         except BaseException as err:   # re-raised by the caller
             done.put(err)
         else:
@@ -198,8 +205,10 @@ def _split_batch(n: int, fn: Callable[[slice], None]) -> None:
     that nothing it computes depends on the number of slices; any sum
     across slices stays with the caller. It must not touch a tape or a
     ``Tensor``, nor call ``_split_batch`` again: a pool thread waiting on
-    its own pool could wait forever, so a nested call raises. The first
-    exception a slice raises reaches the caller, after every slice ended.
+    its own pool could wait forever, so a nested call raises. Every slice
+    runs under the caller's numpy error state, which a new thread would
+    not inherit. The first exception a slice raises reaches the caller,
+    after every slice ended.
     """
     if getattr(_IN_SLICE, "active", False):
         raise RuntimeError("_split_batch called from inside a slice")
@@ -207,9 +216,9 @@ def _split_batch(n: int, fn: Callable[[slice], None]) -> None:
     edges = [k * n // parts for k in range(parts + 1)]
     if parts > 1:
         done: queue.SimpleQueue = queue.SimpleQueue()
-        tasks = _pool(parts - 1).tasks
+        tasks, errors = _pool(parts - 1).tasks, np.geterr()
         for lo, hi in zip(edges[:-2], edges[1:-1]):
-            tasks.put((fn, slice(lo, hi), done))
+            tasks.put((fn, slice(lo, hi), errors, done))
     errors = []
     _IN_SLICE.active = True
     try:

@@ -25,6 +25,12 @@ DISTANCE_GRAD_EPS = 1e-12  # keeps the norm's derivative finite at zero
 # candidate patches gathered per einsum call in min_patch_distances;
 # bounds the memory of the rescore whatever the number of candidates
 RESCORE_BLOCK = 4096
+# multiply-adds of the nearest-patch GEMM (N x L x M x D) below which the
+# distance ops keep a batch whole: small slices run short numpy calls that
+# serialise on the GIL. Timed on 2 vCPUs with one BLAS thread, L = 64,
+# two slices lose up to 4e6 (height 6, batch 16: 1.7 -> 2.5 ms) and win
+# from 1.6e7 on (height 4, batch 256: 9.3 -> 5.9 ms)
+SPLIT_MIN_MACS = 1 << 23
 
 
 def leaf_ref(leaf_index: int) -> int:
@@ -297,6 +303,15 @@ def min_patch_distances(latent: Tensor, prototypes: Tensor,
     return ad.record_op(dist, [latent, prototypes], bwd), locations
 
 
+def _split_if_large(n: int, macs: int, fn) -> None:
+    """``fn`` over slices of ``range(n)`` from ``SPLIT_MIN_MACS`` on, else
+    over the whole batch at once."""
+    if macs >= SPLIT_MIN_MACS:
+        ad._split_batch(n, fn)
+    else:
+        fn(slice(0, n))
+
+
 def _min_patch_grads(flat: np.ndarray, protos: np.ndarray, argmin: np.ndarray,
                      coeff: np.ndarray, want_protos: bool, want_latent: bool,
                      ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -325,7 +340,7 @@ def _min_patch_grads(flat: np.ndarray, protos: np.ndarray, argmin: np.ndarray,
             np.add.at(grad_l.reshape(-1), index[part].reshape(-1),
                       mine.reshape(-1))
 
-    ad._split_batch(n, grads)
+    _split_if_large(n, flat.size * m, grads)
     grad_p = -contrib.sum(axis=0) if want_protos else None
     return grad_p, grad_l
 
@@ -369,7 +384,7 @@ def _nearest_squared(flat: np.ndarray, protos: np.ndarray,
     Casting f_l to the latent's dtype, as the scan stores it, keeps
     the order of the candidates and adds no tie the margin misses,
     since u is that dtype's. Each slice of images that
-    ``autodiff._split_batch`` hands out runs all three steps.
+    ``_split_if_large`` hands out runs all three steps.
     """
     n, d, hw = flat.shape
     m = protos.shape[0]
@@ -430,7 +445,7 @@ def _nearest_squared(flat: np.ndarray, protos: np.ndarray,
             argmin[at] = patch[np.minimum.reduceat(
                 np.where(at_min, np.arange(len(pair)), len(pair)), starts)]
 
-    ad._split_batch(n, nearest)
+    _split_if_large(n, flat.size * m, nearest)
     return sq_min.reshape(n, m), argmin.reshape(n, m)
 
 

@@ -249,24 +249,44 @@ class TestSplitBatch:
         for g, w in zip(got, want):
             assert_same_bits(g, w)
 
-    @pytest.mark.parametrize("env, workers", [
-        ({}, 1),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "3"}, 1),
-        ({"OMP_NUM_THREADS": "1"}, 4),
-        ({"OMP_NUM_THREADS": "junk"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+    @pytest.mark.parametrize("mode", ["raise", "ignore"])
+    def test_slices_keep_the_callers_error_state(self, monkeypatch, mode):
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        big = np.array([1e38, 1e38, 1.0, 1.0], dtype=np.float32)
+
+        def fn(part):           # overflows in the pool's slice only
+            big[part] *= np.float32(10)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over=mode):
+                if mode == "raise":
+                    with pytest.raises(FloatingPointError):
+                        ad._split_batch(4, fn)
+                else:
+                    ad._split_batch(4, fn)
+        assert not caught
+
+    @pytest.mark.parametrize("env, cpus, workers", [
+        ({}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 2),    # capped at 2
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "3"}, 4, 1),
+        ({"OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OMP_NUM_THREADS": "junk"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 4, 1),
     ])
     def test_workers_are_the_cpus_blas_leaves_idle(self, monkeypatch, env,
-                                                   workers):
+                                                   cpus, workers):
         for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                      "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                            raising=False)
+        monkeypatch.setattr(ad.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
         assert ad._worker_count() == workers
 
 

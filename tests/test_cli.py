@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import prototree.autodiff as ad
 import prototree.refine
 from prototree import cli
 from prototree.backbone import Backbone, BackboneConfig
@@ -404,6 +405,23 @@ class TestExitCodes:
             assert main(["train", "--config", workspace["config"], "--data",
                          workspace["data"], "--out", str(tmp_path / "x.npt"),
                          "--quiet", "--set", "lr_body=1e300"]) == 1
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss") \
+            and err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflow_in_split_conv_is_one(self, workspace, tmp_path, capsys,
+                                           monkeypatch, workers):
+        # huge but finite body weights overflow the conv GEMMs, which run
+        # on pool threads at 2 workers: those keep the caller's errstate
+        monkeypatch.setattr(ad, "_WORKERS", workers)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", workspace["config"], "--data",
+                         workspace["data"], "--out", str(tmp_path / "x.npt"),
+                         "--quiet", "--set", "lr_body=1e20"]) == 1
         assert not caught
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite loss") \

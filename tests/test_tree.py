@@ -525,6 +525,7 @@ class TestSplitBatch:
         lat = rng.uniform(0, 1, (n, 6, 4, 5)).astype(dtype)
         protos = rng.uniform(0, 1, (31, 6)).astype(dtype)
         protos[::3] = lat[-1].reshape(6, 20)[:, :11].T   # exact matches
+        monkeypatch.setattr(tr, "SPLIT_MIN_MACS", 0)    # split any size
         runs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(ad, "_WORKERS", workers)
@@ -533,6 +534,20 @@ class TestSplitBatch:
         for run in runs[1:]:
             for got, want in zip(run, runs[0]):
                 assert_same_bits(got, want)
+
+
+    def test_small_batches_stay_whole(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ad, "_split_batch",
+                            lambda n, fn: calls.append(n) or fn(slice(0, n)))
+        flat = np.ones((2, 4, 5))       # 2 x 5 x 3 x 4 = 120 multiply-adds
+        protos = np.zeros((3, 4))
+        for limit, want in ((121, []), (120, [2, 2])):
+            monkeypatch.setattr(tr, "SPLIT_MIN_MACS", limit)
+            _, argmin = tr._nearest_squared(flat, protos)
+            tr._min_patch_grads(flat, protos, argmin, np.ones((2, 3)),
+                                True, True)
+            assert calls == want
 
 
 class TestTopology:
