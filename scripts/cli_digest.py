@@ -4,10 +4,15 @@
 Runs gen-data (8 classes, 40 train images each), a 3-epoch train, prune,
 project, eval with each strategy, visualize, explain, ensemble-eval and
 selftest in a fresh temporary directory. It prints one line per command,
-the sha1 of its stdout and its exit code, one sha1 per output file and
-one for the generated dataset, each with the work directory's path
-replaced by a fixed token; stderr is not compared. Two checkouts print
-the same lines exactly when the outputs are byte-identical:
+the sha1 of its stdout and its exit code, one sha1 per checkpoint record
+of each ``.npt`` file (its name, dtype, shape and payload), one per other
+output file and one for the generated dataset, each with the work
+directory's path replaced by a fixed token; stderr is not compared. A
+change to one checkpoint record shows as that record's line alone. Two
+checkouts print the same lines exactly when the outputs are
+byte-identical. To compare them, run this same script in both: copy it
+into the other checkout's ``scripts/`` directory, since it runs the
+package of the checkout it sits in:
 
     python3 scripts/cli_digest.py --height 4 > a.txt   # in checkout A
     python3 scripts/cli_digest.py --height 4 > b.txt   # in checkout B
@@ -29,6 +34,7 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
+from prototree.checkpoint import read_blob  # noqa: E402
 from prototree.cli import main as cli_main  # noqa: E402
 
 
@@ -77,7 +83,8 @@ def digest(height: int, tau: str | None) -> list[str]:
                 code = cli_main(argv)
             lines.append(f"{sha1(out.getvalue().encode())}  stdout "
                          f"{label} exit {code}")
-        # the generated images get one line, every other file its own
+        # the generated images get one line, each checkpoint record and
+        # every other file its own
         data = hashlib.sha1()
         for path in _files(work):
             with open(path, "rb") as fh:
@@ -85,6 +92,11 @@ def digest(height: int, tau: str | None) -> list[str]:
             rel = os.path.relpath(path, work)
             if rel.startswith("data" + os.sep):
                 data.update(rel.encode() + b"\0" + content)
+            elif rel.endswith(".npt"):
+                for name, arr in read_blob(path).items():
+                    head = f"{name}\0{arr.dtype.str}\0{arr.shape}\0"
+                    lines.append(f"{sha1(head.encode() + arr.tobytes())}  "
+                                 f"record {rel} {name}")
             else:
                 lines.append(f"{sha1(content)}  file {rel}")
         lines.append(f"{data.hexdigest()}  dir data")

@@ -35,8 +35,8 @@ class Tensor:
 
     __slots__ = ("values", "requires_grad", "grad", "_tape")
 
-    def __init__(self, values, requires_grad: bool = False, dtype=None):
-        arr = np.array(values, dtype=dtype, copy=True) if dtype else np.asarray(values)
+    def __init__(self, values, requires_grad: bool = False):
+        arr = np.asarray(values)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.values = arr

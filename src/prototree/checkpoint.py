@@ -3,8 +3,10 @@
 Layout: magic ``NPTT``, a little-endian u32 version, then one record per
 array: u32 name length, UTF-8 name, a one-byte dtype tag (``DTYPES``),
 u32 rank, u64 extents, and the row-major little-endian payload. Records
-run to end of file and keep their dtype, so round trips are bit-exact;
-a model's ``tree/prototypes`` row k is tree node k's prototype. A blob
+run to end of file and keep their dtype, so round trips are bit-exact.
+In a model's blob, ``tree/prototypes`` row k is tree node k's prototype,
+and ``tree/children`` and ``tree/root`` store leaf l as ``-(l + 1)``;
+``tree/height``, written by older builds, is ignored on load. A blob
 is written beside its target and renamed over it, so a failed write
 leaves any old file in place.
 """
@@ -27,10 +29,6 @@ _TAGS = {dtype: tag for tag, dtype in DTYPES.items()}
 
 class CheckpointError(Exception):
     """Malformed or unreadable checkpoint blob."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """Checkpoint written by an incompatible format version."""
 
 
 class Records(dict):
@@ -71,12 +69,12 @@ def read_blob(path: str) -> Records:
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
-        raise CheckpointVersionError(f"{path}: bad magic {raw[:4]!r}")
+        raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < 8:
         raise CheckpointError(f"{path}: truncated header")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != VERSION:
-        raise CheckpointVersionError(
+        raise CheckpointError(
             f"{path}: version {version}, this build reads {VERSION}")
     tensors = Records()
     tensors.path = path

@@ -23,30 +23,23 @@ from .data import save_ppm
 
 
 @dataclass
-class SimilarityMap:
-    scores: np.ndarray        # H x W, each cell exp(-patch distance)
-    prototype_index: int
-
-
-@dataclass
 class ExplanationGraph:
-    out_dir: str
     patch_paths: dict[int, str] = field(default_factory=dict)
     files: list[str] = field(default_factory=list)
     sample_path: list[tuple[int, bool, float]] | None = None
 
 
 def similarity_map(model, prototype_index: int,
-                   image: np.ndarray) -> SimilarityMap:
-    """Per-patch similarity of one image against one prototype."""
+                   image: np.ndarray) -> np.ndarray:
+    """Per-patch similarity of one image against one prototype: an H x W
+    grid, each cell exp(-patch distance)."""
     if not 0 <= prototype_index < model.prototypes.count:
         raise ValueError(f"prototype index {prototype_index} out of range "
                          f"0..{model.prototypes.count - 1}")
     latent = model.backbone.forward(image[None]).values[0]
     proto = model.prototypes.row(prototype_index)
     grid = tr._patch_squared_distances(latent, proto)
-    return SimilarityMap(scores=np.exp(-np.sqrt(grid)),
-                         prototype_index=prototype_index)
+    return np.exp(-np.sqrt(grid))
 
 
 def catmull_rom_weight(t: np.ndarray) -> np.ndarray:
@@ -79,7 +72,7 @@ def bicubic_upsample(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return rows @ grid @ cols.T
 
 
-def extract_patch(sim: SimilarityMap, source_image: np.ndarray,
+def extract_patch(scores: np.ndarray, source_image: np.ndarray,
                   ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
     """Crop around the upsampled similarity maximum.
 
@@ -88,11 +81,11 @@ def extract_patch(sim: SimilarityMap, source_image: np.ndarray,
     (top, left, height, width) is clamped to stay inside the image.
     """
     _, side_h, side_w = source_image.shape
-    upsampled = bicubic_upsample(sim.scores, side_h, side_w)
+    upsampled = bicubic_upsample(scores, side_h, side_w)
     flat = int(upsampled.argmax())
     r, c = divmod(flat, side_w)
-    ph = max(1, round(side_h / sim.scores.shape[0]))
-    pw = max(1, round(side_w / sim.scores.shape[1]))
+    ph = max(1, round(side_h / scores.shape[0]))
+    pw = max(1, round(side_w / scores.shape[1]))
     top = min(max(0, r - ph // 2), side_h - ph)
     left = min(max(0, c - pw // 2), side_w - pw)
     return source_image[:, top:top + ph, left:left + pw].copy(), \
@@ -147,8 +140,8 @@ def _dot_lines(model, patch_rel: dict[int, str]) -> list[str]:
     for node in range(topo.num_internal):
         for label, child in (("absent", int(topo.left[node])),
                              ("present", int(topo.right[node]))):
-            target = f"leaf{tr.leaf_index(child)}" if tr.is_leaf_ref(child) \
-                else f"node{child}"
+            target = f"leaf{child - topo.num_internal}" \
+                if child >= topo.num_internal else f"node{child}"
             lines.append(f'  node{node} -> {target} [label="{label}"];')
     lines.append("}")
     return lines
@@ -158,17 +151,17 @@ def _html_tree(model, patch_rel: dict[int, str]) -> str:
     topo = model.topology
     dists = model.leaves.distributions()
 
-    def render(ref: int) -> str:
-        if tr.is_leaf_ref(ref):
-            leaf = tr.leaf_index(ref)
+    def render(col: int) -> str:
+        if col >= topo.num_internal:
+            leaf = col - topo.num_internal
             k = int(dists[leaf].argmax())
             return (f"<li class='leaf'>leaf {leaf}: "
                     f"<b>{_class_label(model, k)}</b> "
                     f"(p={dists[leaf, k]:.3f})</li>")
-        return (f"<li>node {ref} <img src='{patch_rel[ref]}' "
-                f"alt='prototype {ref}'><ul>"
-                f"<li class='edge'>absent</li>{render(int(topo.left[ref]))}"
-                f"<li class='edge'>present</li>{render(int(topo.right[ref]))}"
+        return (f"<li>node {col} <img src='{patch_rel[col]}' "
+                f"alt='prototype {col}'><ul>"
+                f"<li class='edge'>absent</li>{render(int(topo.left[col]))}"
+                f"<li class='edge'>present</li>{render(int(topo.right[col]))}"
                 f"</ul></li>")
 
     return ("<!DOCTYPE html><html><head><meta charset='utf-8'>"
@@ -190,7 +183,7 @@ def export_tree(model, out_dir: str, sample: np.ndarray | None = None,
         raise ValueError("export requires a projected model")
     os.makedirs(os.path.join(out_dir, "prototypes"), exist_ok=True)
     ext = "png" if png else "ppm"
-    graph = ExplanationGraph(out_dir=out_dir)
+    graph = ExplanationGraph()
     patch_rel: dict[int, str] = {}
     for record in model.projection:
         node = record.node_index

@@ -6,6 +6,11 @@ single blob, each fact in its own dtype: integers i64, text UTF-8 u8,
 leaf logits f64, weights and prototypes in the network's float type, and
 the projection's records and source images, present once it has run, so
 downstream commands never need the training data back.
+
+``tree/children`` (M x 2) and ``tree/root`` store internal node k as k
+and leaf l as ``-(l + 1)``; ``_swap_leaf_numbering`` converts them to the
+topology's columns on load and back on save. ``tree/height`` is no longer
+written; older files carry it, and loading ignores it.
 """
 
 from __future__ import annotations
@@ -99,9 +104,10 @@ class ProtoTreeModel:
             blob[f"backbone/stage{i}/weight"] = weight.values
             blob[f"backbone/stage{i}/bias"] = bias.values
         blob["backbone/head/weight"] = self.backbone.head_weight.values
-        blob["tree/root"] = np.int64(topo.root)
-        blob["tree/height"] = np.int64(topo.height)
-        blob["tree/children"] = np.stack([topo.left, topo.right], axis=1)
+        m = topo.num_internal
+        blob["tree/root"] = np.int64(_swap_leaf_numbering(topo.root, m))
+        blob["tree/children"] = _swap_leaf_numbering(
+            np.stack([topo.left, topo.right], axis=1), m)
         blob["tree/prototypes"] = self.prototypes.tensor.values
         blob["tree/leaf_logits"] = self.leaves.logits
         if self.projection is not None:
@@ -154,11 +160,15 @@ class ProtoTreeModel:
                                          config.latent_depth, fan_c, 1, 1),
                                  requires_grad=True)
         m = blob["tree/children"].shape[0]
-        children = _record(blob, "tree/children", "i8", m, 2)
-        topo = tr.TreeTopology(
-            left=children[:, 0].copy(), right=children[:, 1].copy(),
-            root=int(_record(blob, "tree/root", "i8")),
-            height=int(_record(blob, "tree/height", "i8")))
+        children = _swap_leaf_numbering(
+            _record(blob, "tree/children", "i8", m, 2), m)
+        root = int(_swap_leaf_numbering(_record(blob, "tree/root", "i8"), m))
+        try:
+            topo = tr.TreeTopology(left=children[:, 0].copy(),
+                                   right=children[:, 1].copy(), root=root)
+        except ValueError as err:
+            raise ValueError("records 'tree/children' and 'tree/root', read "
+                             f"with leaf l as column {m} + l: {err}") from None
         # older files name their leaf rule; softmax is the only one left
         if "meta/leaf_norm" in blob:
             norm = _text(blob, "meta/leaf_norm")
@@ -192,6 +202,12 @@ class ProtoTreeModel:
                 blob, "proj/images", "f4", m, config.in_channels,
                 config.input_side, config.input_side)
         return model
+
+
+def _swap_leaf_numbering(refs, m: int) -> np.ndarray:
+    """Leaf column M + l to the stored ``-(l + 1)`` and back: x -> M - 1 - x
+    swaps the two ranges, and maps a value outside both outside both."""
+    return np.where((refs < 0) | (refs >= m), m - 1 - refs, refs)
 
 
 def _text(blob: ckpt.Records, name: str) -> str:

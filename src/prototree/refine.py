@@ -47,43 +47,20 @@ def default_tau(num_classes: int) -> float:
     return max(0.01, 1.2 / num_classes)
 
 
-def _rebuild(model, keep_leaf: np.ndarray,
-             drop_right: frozenset[int] = frozenset()) -> list[int]:
-    """Renumber the tree without the dropped leaves and right branches.
-
-    Leaves with a false ``keep_leaf`` entry and the right subtree of each
-    node in ``drop_right`` disappear along with their prototypes; a node
-    left with one child is replaced by that child, so every surviving
-    internal node keeps two children. Clears any projection. Returns the
-    old index of each surviving internal node, in its new order.
+def _rebuild(model, keep_leaf: np.ndarray) -> np.ndarray:
+    """Cut the tree down to the kept leaves with ``TreeTopology.keeping``;
+    prototypes and leaf logits follow their nodes and leaves. Clears any
+    projection. Returns the old index of each surviving internal node, in
+    its new order.
     """
-    topo = model.topology
-
-    def collapse(ref: int):
-        """Surviving shape of the subtree at ref, or None if fully pruned."""
-        if tr.is_leaf_ref(ref):
-            old = tr.leaf_index(ref)
-            return ("leaf", old) if keep_leaf[old] else None
-        left = collapse(int(topo.left[ref]))
-        right = None if ref in drop_right else collapse(int(topo.right[ref]))
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return ("node", ref, left, right)
-
-    model.topology, nodes, leaves = tr.TreeTopology.from_shape(
-        collapse(topo.root),
-        lambda piece: None if piece[0] == "leaf" else piece[2:], topo.height)
-    kept_nodes = [piece[1] for piece in nodes]
+    model.topology, nodes, leaves = model.topology.keeping(keep_leaf)
     model.prototypes = tr.PrototypeBank(
-        tr.Tensor(model.prototypes.tensor.values[kept_nodes].copy(),
+        tr.Tensor(model.prototypes.tensor.values[nodes].copy(),
                   requires_grad=True))
-    model.leaves = tr.LeafParams(
-        model.leaves.logits[[piece[1] for piece in leaves]].copy())
+    model.leaves = tr.LeafParams(model.leaves.logits[leaves].copy())
     model.projection = None
     model.projection_images = None
-    return kept_nodes
+    return nodes
 
 
 def prune(model, tau: float) -> PruneReport:
@@ -179,11 +156,14 @@ def project(model, dataset: Dataset, constrained: bool = True,
         if not outside.size or nearest(node, outside)[0] >= limit:
             dead.append(node)
     # column of sq and cell per surviving node: its index before any rebuild
-    rows = list(range(model.topology.num_internal))
+    rows = np.arange(model.topology.num_internal)
     if dead:
         before = model.topology.num_internal
         keep_leaf = np.ones(model.topology.num_leaves, dtype=bool)
-        rows = _rebuild(model, keep_leaf, frozenset(dead))
+        for node in dead:   # the right subtree goes, the left takes its place
+            keep_leaf[model.topology.leaves_under(
+                int(model.topology.right[node]))] = False
+        rows = _rebuild(model, keep_leaf)
         leaf_majority = model.leaves.distributions().argmax(axis=1)
         warnings.warn(
             f"nodes {dead} have p_right <= {DEAD_NODE_EPS} on every training "

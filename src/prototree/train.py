@@ -53,6 +53,12 @@ class TrainConfig:
         for rate in (self.lr_body, self.lr_head, self.lr_prototypes):
             if rate <= 0:
                 raise ValueError(f"learning rates must be > 0, got {rate}")
+        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {value}")
+        for name, value in (("eps", self.eps), ("gamma", self.gamma)):
+            if not value > 0:   # rejects nan too
+                raise ValueError(f"{name} must be > 0, got {value}")
         if any(b >= a for a, b in zip(self.milestones[1:], self.milestones)):
             raise ValueError(f"milestones must increase strictly: "
                              f"{self.milestones}")

@@ -8,8 +8,9 @@ products of edge probabilities along root-to-leaf paths, and the
 prediction is the path-probability-weighted mix of the leaves' softmaxed
 class logits.
 
-Child references in the topology are plain ints: values >= 0 index
-internal nodes, values < 0 encode leaf ``-(index + 1)``.
+The topology numbers nodes and leaves in one column index: internal node
+k is column k and leaf l is column M + l, M being the number of internal
+nodes. Child tables, the root and every per-column array use it.
 """
 
 from __future__ import annotations
@@ -33,68 +34,28 @@ RESCORE_BLOCK = 4096
 SPLIT_MIN_MACS = 1 << 23
 
 
-def leaf_ref(leaf_index: int) -> int:
-    return -(leaf_index + 1)
-
-
-def is_leaf_ref(ref: int) -> bool:
-    return ref < 0
-
-
-def leaf_index(ref: int) -> int:
-    return -ref - 1
-
-
 @dataclass
 class TreeTopology:
-    """Binary tree structure: child tables for internal nodes, plus an index.
+    """Binary tree structure as child tables over columns.
 
-    Internal node k owns prototype row k; every rebuild renumbers the
-    prototype bank with the nodes. ``root`` may itself be a leaf
-    reference when pruning collapsed the whole upper tree.
+    Internal node k is column k and leaf l is column M + l, with M the
+    number of internal nodes; ``left[k]``, ``right[k]`` and ``root`` hold
+    columns, so ``root`` is column 0, the only leaf, once pruning has
+    collapsed the whole upper tree. Internal node k owns prototype row k;
+    ``keeping`` renumbers the prototype bank with the nodes.
 
-    ``validate`` runs on construction and indexes the tree by column
-    (node k is column k, leaf l is column M + l): ``parent`` (-1 at the
-    root), ``went_right`` and ``depth`` per column, ``preorder`` (left
-    first, so a subtree is one block of it), and ``levels[d]``, the
-    columns at depth d.
+    ``validate`` runs on construction and indexes the tree by column:
+    ``parent`` (-1 at the root), ``went_right`` and ``depth`` per column,
+    ``preorder`` (left first, so a subtree is one block of it), and
+    ``levels[d]``, the columns at depth d.
     """
 
     left: np.ndarray
     right: np.ndarray
     root: int
-    height: int
 
     def __post_init__(self) -> None:
         self.validate()
-
-    @classmethod
-    def from_shape(cls, root, split, height: int,
-                   ) -> tuple["TreeTopology", list, list]:
-        """Number a tree shape in left-first preorder; ``split(piece)``
-        gives a piece's (left, right) pieces, or None for a leaf. Returns
-        the topology with its nodes' and its leaves' pieces in that order.
-        """
-        left, right, nodes, leaves, top = [], [], [], [], [0]
-        stack = [(root, 0, top)]   # top[0] receives the root's ref
-        while stack:
-            piece, up, side = stack.pop()
-            halves = split(piece)
-            if halves is None:
-                ref = leaf_ref(len(leaves))
-                leaves.append(piece)
-            else:
-                ref = len(nodes)
-                nodes.append(piece)
-                left.append(0)
-                right.append(0)
-                stack.append((halves[1], ref, right))
-                stack.append((halves[0], ref, left))
-            side[up] = ref
-        topology = cls(left=np.asarray(left, dtype=np.int64),
-                       right=np.asarray(right, dtype=np.int64),
-                       root=top[0], height=height)
-        return topology, nodes, leaves
 
     @property
     def num_internal(self) -> int:
@@ -112,7 +73,7 @@ class TreeTopology:
     def validate(self) -> None:
         """Walk the tree once from the root and rebuild the index.
 
-        Raises ValueError for a child reference that is out of range or
+        Raises ValueError for a child column that is out of range or
         reached twice, and for a node or leaf the root does not reach.
         """
         m = len(self.left)
@@ -122,17 +83,16 @@ class TreeTopology:
         preorder: list[int] = []
         stack = [(int(self.root), -1, False, 0)]
         while stack:
-            ref, up, is_right, level = stack.pop()
-            if not -m - 1 <= ref < m:
-                raise ValueError(f"child reference {ref} is out of range")
-            col = ref if ref >= 0 else m - 1 - ref
+            col, up, is_right, level = stack.pop()
+            if not 0 <= col <= 2 * m:
+                raise ValueError(f"child column {col} is out of range")
             if depth[col] >= 0:
-                raise ValueError(f"child reference {ref} is reached twice")
+                raise ValueError(f"child column {col} is reached twice")
             parent[col], went_right[col], depth[col] = up, is_right, level
             preorder.append(col)
-            if ref >= 0:
-                stack.append((right[ref], col, True, level + 1))
-                stack.append((left[ref], col, False, level + 1))
+            if col < m:
+                stack.append((right[col], col, True, level + 1))
+                stack.append((left[col], col, False, level + 1))
         if len(preorder) != 2 * m + 1:
             unreached = [col for col, d in enumerate(depth) if d < 0]
             raise ValueError(f"columns {unreached} are not reached from the root")
@@ -142,6 +102,37 @@ class TreeTopology:
         self.preorder = np.asarray(preorder, dtype=np.int64)
         self.levels = [np.flatnonzero(self.depth == d)
                        for d in range(max(depth) + 1)]
+
+    def keeping(self, keep_leaf: np.ndarray,
+                ) -> tuple["TreeTopology", np.ndarray, np.ndarray]:
+        """The tree without the leaves whose ``keep_leaf`` flag is false.
+
+        A node left without leaves disappears, and a node left with one
+        child is replaced by that child, so every surviving node keeps
+        two. The survivors are renumbered in left-first preorder. Returns
+        the new topology and the old index of each of its nodes and of
+        each of its leaves, in their new order.
+        """
+        if not np.any(keep_leaf):
+            raise ValueError("keeping needs at least one leaf")
+        m = self.num_internal
+        # the column that stands for each subtree after the cut, -1 if none
+        stand = np.arange(2 * m + 1)
+        stand[m:][~np.asarray(keep_leaf, dtype=bool)] = -1
+        for cols in reversed(self.levels[:-1]):
+            k = cols[cols < m]
+            lcol, rcol = stand[self.left[k]], stand[self.right[k]]
+            stand[k] = np.where((lcol >= 0) & (rcol >= 0), k,
+                                np.maximum(lcol, rcol))
+        # a cut keeps the survivors' preorder
+        order = self.preorder[stand[self.preorder] == self.preorder]
+        nodes, leaves = order[order < m], order[order >= m] - m
+        new = np.empty(2 * m + 1, dtype=np.int64)
+        new[np.append(nodes, leaves + m)] = np.arange(len(order))
+        topology = TreeTopology(left=new[stand[self.left[nodes]]],
+                                right=new[stand[self.right[nodes]]],
+                                root=int(new[stand[self.root]]))
+        return topology, nodes, leaves
 
     def path_to_leaf(self, leaf: int) -> list[tuple[int, bool]]:
         """Root-to-leaf decision sequence as (node, went_right) pairs."""
@@ -157,25 +148,26 @@ class TreeTopology:
     def leaf_depths(self) -> np.ndarray:
         return self.depth[self.num_internal:].copy()
 
-    def leaves_under(self, node: int) -> list[int]:
-        """Leaves below internal node ``node``, left to right."""
-        start = int(np.flatnonzero(self.preorder == node)[0]) + 1
-        # the block ends at the next column no deeper than node, if any
-        ends = np.append(self.depth[self.preorder[start:]] <= self.depth[node],
-                         True)
-        block = self.preorder[start:start + int(ends.argmax())]
+    def leaves_under(self, col: int) -> list[int]:
+        """Leaves in the subtree at column ``col``, left to right."""
+        start = int(np.flatnonzero(self.preorder == col)[0])
+        # the block ends at the next column no deeper than col, if any
+        ends = np.append(
+            self.depth[self.preorder[start + 1:]] <= self.depth[col], True)
+        block = self.preorder[start:start + 1 + int(ends.argmax())]
         return (block[block >= self.num_internal] - self.num_internal).tolist()
 
     def greedy_leaves(self, p_right: np.ndarray) -> np.ndarray:
         """Leaf reached by each row of the N x M ``p_right``, going right
         exactly when p_right > 0.5; all rows descend one level at a time."""
-        ref = np.full(p_right.shape[0], self.root, dtype=np.int64)
+        m = self.num_internal
+        col = np.full(p_right.shape[0], self.root, dtype=np.int64)
         for _ in self.levels[1:]:
-            rows = np.flatnonzero(ref >= 0)
-            node = ref[rows]
-            ref[rows] = np.where(p_right[rows, node] > 0.5,
+            rows = np.flatnonzero(col < m)
+            node = col[rows]
+            col[rows] = np.where(p_right[rows, node] > 0.5,
                                  self.right[node], self.left[node])
-        return -ref - 1
+        return col - m
 
 
 @dataclass
@@ -241,8 +233,12 @@ def init_tree(h: int, num_classes: int, depth: int, seed: int,
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     if depth < 1:
         raise ValueError(f"prototype depth must be >= 1, got {depth}")
-    topology, _, _ = TreeTopology.from_shape(
-        0, lambda level: None if level == h else (level + 1, level + 1), h)
+    # heap-wise, node k has children 2k + 1 and 2k + 2; keeping every leaf
+    # renumbers the tree in preorder
+    m = 2 ** h - 1
+    topology, _, _ = TreeTopology(left=2 * np.arange(m) + 1,
+                                  right=2 * np.arange(m) + 2,
+                                  root=0).keeping(np.ones(m + 1, dtype=bool))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7EE)))
     protos = rng.normal(0.5, 0.1, (topology.num_internal, depth)).astype(dtype)
     bank = PrototypeBank(Tensor(protos, requires_grad=True))
@@ -506,13 +502,11 @@ def _path_probabilities(topology: TreeTopology, edge_right: Tensor) -> Tensor:
                                                  p[:, up], q[:, up])
 
     def bwd(g):  # recorded only when edge_right requires grad
-        lcol, rcol = (np.where(refs >= 0, refs, m - 1 - refs)
-                      for refs in (topology.left, topology.right))
         grad = np.empty_like(reach)
         grad[:, m:] = g
         for cols in reversed(topology.levels[:-1]):
             k = cols[cols < m]
-            gl, gr = grad[:, lcol[k]], grad[:, rcol[k]]
+            gl, gr = grad[:, topology.left[k]], grad[:, topology.right[k]]
             grad[:, k] = gr * p[:, k] + gl * q[:, k]
             edge_right.grad[:, k] += gr * reach[:, k] - gl * reach[:, k]
 

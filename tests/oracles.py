@@ -144,16 +144,58 @@ def bicubic_reference(grid, out_h, out_w):
 def enumerate_paths(topology):
     """All root-to-leaf paths as (leaf, [(node, went_right), ...])."""
     paths = []
+    m = topology.num_internal
 
-    def walk(ref, acc):
-        if ref < 0:
-            paths.append((-ref - 1, list(acc)))
+    def walk(col, acc):
+        if col >= m:
+            paths.append((col - m, list(acc)))
             return
-        walk(int(topology.left[ref]), acc + [(ref, False)])
-        walk(int(topology.right[ref]), acc + [(ref, True)])
+        walk(int(topology.left[col]), acc + [(col, False)])
+        walk(int(topology.right[col]), acc + [(col, True)])
 
-    walk(topology.root, [])
+    walk(int(topology.root), [])
     return paths
+
+
+def recursive_keeping(topology, keep_leaf):
+    """The tree cut down to the kept leaves, by recursion: a subtree
+    without kept leaves vanishes, a node left with one child becomes that
+    child, and a left-first walk numbers what is left. Returns the child
+    tables and root in columns, and the old index of each new node and
+    of each new leaf."""
+    m = topology.num_internal
+
+    def cut(col):
+        if col >= m:
+            return ("leaf", col - m) if keep_leaf[col - m] else None
+        left = cut(int(topology.left[col]))
+        right = cut(int(topology.right[col]))
+        if left is None or right is None:
+            return right if left is None else left
+        return ("node", col, left, right)
+
+    nodes, leaves = [], []
+
+    def visit(piece):
+        if piece[0] == "leaf":
+            leaves.append(piece)
+        else:
+            nodes.append(piece)
+            visit(piece[2])
+            visit(piece[3])
+
+    visit(cut(int(topology.root)))
+    old_nodes = [piece[1] for piece in nodes]
+    old_leaves = [piece[1] for piece in leaves]
+
+    def column(piece):
+        if piece[0] == "leaf":
+            return len(nodes) + old_leaves.index(piece[1])
+        return old_nodes.index(piece[1])
+
+    return ([column(piece[2]) for piece in nodes],
+            [column(piece[3]) for piece in nodes],
+            column(nodes[0] if nodes else leaves[0]), old_nodes, old_leaves)
 
 
 def scan_min_patch_distances(latent, protos):

@@ -7,11 +7,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from prototree.backbone import BackboneConfig
-from prototree.checkpoint import DTYPES, CheckpointError, \
-    CheckpointVersionError, MAGIC, VERSION, read_blob, write_blob
+from prototree.checkpoint import DTYPES, CheckpointError, MAGIC, \
+    VERSION, read_blob, write_blob
 from prototree.data import gen_synthetic
 from prototree.model import ProtoTreeModel, build_model
-from prototree.refine import project
+from prototree.refine import _rebuild, project
 
 TINY = BackboneConfig(input_side=32, latent_depth=8,
                       stages=((6, 3, 2), (8, 3, 2)))
@@ -88,20 +88,20 @@ class TestBlobFormat:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.npt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(CheckpointVersionError, match="magic"):
+        with pytest.raises(CheckpointError, match="magic"):
             read_blob(str(path))
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "future.npt"
         path.write_bytes(MAGIC + struct.pack("<I", VERSION + 1))
-        with pytest.raises(CheckpointVersionError, match="version"):
+        with pytest.raises(CheckpointError, match="version"):
             read_blob(str(path))
 
     def test_version_one_file_names_both_versions(self, tmp_path):
         path = tmp_path / "v1.npt"
         path.write_bytes(MAGIC + struct.pack("<II", 1, 1) + b"x"
                          + struct.pack("<IQ", 1, 1) + bytes(4))
-        with pytest.raises(CheckpointVersionError,
+        with pytest.raises(CheckpointError,
                            match="version 1, this build reads 2"):
             ProtoTreeModel.load(str(path))
 
@@ -220,6 +220,46 @@ class TestModelRoundTrip:
             .astype(np.float32)
         assert ProtoTreeModel.load(path).soft_predict(images).tobytes() == \
             model.soft_predict(images).tobytes()
+
+    def test_height_record_of_older_files_ignored(self, tmp_path):
+        """Older files carry tree/height after tree/root; they load as
+        the model they were."""
+        model = projected_model()
+        path = str(tmp_path / "model.npt")
+        model.save(path)
+        blob = read_blob(path)
+        assert "tree/height" not in blob
+        older = {}
+        for name, arr in blob.items():
+            older[name] = arr
+            if name == "tree/root":
+                older["tree/height"] = np.int64(2)
+        write_blob(path, older)
+        images = np.random.default_rng(11).uniform(0, 1, (5, 3, 32, 32)) \
+            .astype(np.float32)
+        assert ProtoTreeModel.load(path).soft_predict(images).tobytes() == \
+            model.soft_predict(images).tobytes()
+
+    @pytest.mark.parametrize("keep_leaf, children, root", [
+        # leaf 1 goes, so node 1 (old 2) is the root's right child
+        ([True, False, True, True], [[-1, 1], [-2, -3]], 0),
+        ([False, False, True, False], [], -1),   # one leaf left: the root
+    ])
+    def test_children_store_leaf_l_as_minus_l_minus_one(self, tmp_path,
+                                                        keep_leaf, children,
+                                                        root):
+        model = build_model(TINY, height=2, num_classes=2, seed=3)
+        _rebuild(model, np.array(keep_leaf))
+        path = str(tmp_path / "model.npt")
+        model.save(path)
+        blob = read_blob(path)
+        assert blob["tree/children"].tolist() == children
+        assert blob["tree/children"].shape == (len(children), 2)
+        assert int(blob["tree/root"]) == root
+        loaded = ProtoTreeModel.load(path).topology
+        assert loaded.left.tolist() == model.topology.left.tolist()
+        assert loaded.right.tolist() == model.topology.right.tolist()
+        assert loaded.root == model.topology.root
 
     def test_float64_network_keeps_its_dtype(self, tmp_path):
         model = build_model(TINY, height=1, num_classes=2, seed=5,

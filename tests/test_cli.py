@@ -118,6 +118,27 @@ class TestTrain:
             f"error: seed must lie in [0, 2**63), got {seed}\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("settings, message", [
+        (["milestones=2", "gamma=-1"], "gamma must be > 0, got -1.0"),
+        (["eps=-1e-8"], "eps must be > 0, got -1e-08"),
+        (["beta1=1"], "beta1 must lie in [0, 1), got 1.0"),
+        (["beta2=1"], "beta2 must lie in [0, 1), got 1.0"),
+    ])
+    def test_optimizer_value_out_of_range_fails_before_loading(
+            self, workspace, tmp_path, capsys, monkeypatch, settings,
+            message):
+        def no_data(*args):
+            raise AssertionError("train loaded data")
+
+        monkeypatch.setattr(cli, "_load_split", no_data)
+        overrides = [arg for item in settings for arg in ("--set", item)]
+        capsys.readouterr()
+        assert main(["train", "--config", workspace["config"], "--data",
+                     workspace["data"], "--out", str(tmp_path / "m.npt"),
+                     "--quiet", *overrides]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
     def test_image_of_another_size_exit_one(self, workspace, tmp_path,
                                             capsys):
         data = relabelled_copy(workspace, tmp_path, lambda cls: cls)
@@ -396,6 +417,7 @@ class TestExitCodes:
                      "--data", workspace["data"]]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'tree/root'" in err
 
     def test_aborted_training_is_one(self, workspace, tmp_path, capsys):
         capsys.readouterr()

@@ -51,9 +51,9 @@ class TestSimilarityMap:
         record = model.projection[0]
         sim = xp.similarity_map(model, 0, model.projection_images[0])
         i, j = record.location
-        assert sim.scores[i, j] == 1.0
-        assert sim.scores.max() == 1.0
-        assert np.unravel_index(sim.scores.argmax(), sim.scores.shape) == (i, j)
+        assert sim[i, j] == 1.0
+        assert sim.max() == 1.0
+        assert np.unravel_index(sim.argmax(), sim.shape) == (i, j)
 
     def test_matches_per_patch_oracle(self, projected_model):
         model, train = projected_model
@@ -61,10 +61,10 @@ class TestSimilarityMap:
         sim = xp.similarity_map(model, 1, image)
         latent = model.latent(image[None]).values[0]
         proto = model.prototypes.row(1)
-        for i in range(sim.scores.shape[0]):
-            for j in range(sim.scores.shape[1]):
+        for i in range(sim.shape[0]):
+            for j in range(sim.shape[1]):
                 dist = np.sqrt(((latent[:, i, j] - proto) ** 2).sum())
-                assert abs(sim.scores[i, j] - np.exp(-dist)) < 1e-6
+                assert abs(sim[i, j] - np.exp(-dist)) < 1e-6
 
     def test_constant_latent_constant_map(self):
         model = build_model(TINY, height=1, num_classes=2, seed=23)
@@ -72,7 +72,7 @@ class TestSimilarityMap:
             bias.values[:] = 0.0
         image = np.zeros((3, 32, 32), dtype=np.float32)
         sim = xp.similarity_map(model, 0, image)
-        assert np.ptp(sim.scores) < 1e-7
+        assert np.ptp(sim) < 1e-7
 
     def test_index_out_of_range_rejected(self, projected_model):
         model, train = projected_model
@@ -102,9 +102,8 @@ class TestBicubic:
 
 class TestExtractPatch:
     def test_degenerate_single_cell_crops_whole_image(self):
-        sim = xp.SimilarityMap(scores=np.ones((1, 1)), prototype_index=0)
         image = np.random.default_rng(47).uniform(0, 1, (3, 16, 16))
-        patch, bbox = xp.extract_patch(sim, image)
+        patch, bbox = xp.extract_patch(np.ones((1, 1)), image)
         assert bbox == (0, 0, 16, 16)
         np.testing.assert_array_equal(patch, image)
 
@@ -113,8 +112,7 @@ class TestExtractPatch:
         for _ in range(10):
             scores = rng.uniform(0, 1, (4, 4))
             image = rng.uniform(0, 1, (3, 32, 32))
-            _, (top, left, ph, pw) = xp.extract_patch(
-                xp.SimilarityMap(scores=scores, prototype_index=0), image)
+            _, (top, left, ph, pw) = xp.extract_patch(scores, image)
             up = xp.bicubic_upsample(scores, 32, 32)
             r, c = np.unravel_index(up.argmax(), up.shape)
             assert top <= r < top + ph
@@ -124,8 +122,7 @@ class TestExtractPatch:
         scores = np.zeros((4, 4))
         scores[0, 0] = 1.0  # argmax at the border
         image = np.zeros((3, 32, 32))
-        _, (top, left, ph, pw) = xp.extract_patch(
-            xp.SimilarityMap(scores=scores, prototype_index=0), image)
+        _, (top, left, ph, pw) = xp.extract_patch(scores, image)
         assert top >= 0 and left >= 0
         assert top + ph <= 32 and left + pw <= 32
 

@@ -233,12 +233,12 @@ class TestHardPredict:
         model.leaves.logits = rng.uniform(0, 5, model.leaves.logits.shape)
         image = rng.uniform(0, 1, (3, 32, 32)).astype(np.float32)
         _, leaf, path = decide_one(model, image, "greedy")
-        ref = model.topology.root
+        col = model.topology.root
         for node, went_right, _ in path:
-            assert node == ref
-            ref = int(model.topology.right[node]) if went_right \
+            assert node == col
+            col = int(model.topology.right[node]) if went_right \
                 else int(model.topology.left[node])
-        assert tr.is_leaf_ref(ref) and tr.leaf_index(ref) == leaf
+        assert col == model.topology.num_internal + leaf
 
     def test_exact_half_goes_left(self):
         model = StubModel(1, 2, [0.7])
@@ -268,11 +268,11 @@ class TestHardPredict:
                   for image in images]
         walked = []
         for row in edge:
-            ref = model.topology.root
-            while not tr.is_leaf_ref(ref):
-                ref = model.topology.right[ref] if row[ref] > 0.5 \
-                    else model.topology.left[ref]
-            walked.append(tr.leaf_index(ref))
+            col, m = model.topology.root, model.topology.num_internal
+            while col < m:
+                col = model.topology.right[col] if row[col] > 0.5 \
+                    else model.topology.left[col]
+            walked.append(col - m)
         assert batch.tolist() == single == walked
         assert len(set(single)) >= 3
 
@@ -498,7 +498,7 @@ class TestDeadNodeCollapse:
         topo = model.topology
         topo.validate()
         assert (topo.num_internal, topo.num_leaves) == (2, 3)
-        assert topo.left[topo.root] == tr.leaf_ref(0)
+        assert topo.left[topo.root] == topo.num_internal   # leaf 0
         np.testing.assert_array_equal(model.leaves.logits, logits[[0, 2, 3]])
         assert [r.node_index for r in records] == [0, 1]
         assert model.projection_images.shape[0] == 2

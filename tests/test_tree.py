@@ -10,8 +10,8 @@ from prototree.train import cross_entropy
 
 from oracles import assert_same_bits, enumerate_paths, \
     finite_difference_grad, leaf_probabilities_from_edges, \
-    max_relative_error, scan_min_patch_distances, scan_nearest_patch, \
-    scatter_min_patch_grad, weighted_sum
+    max_relative_error, recursive_keeping, scan_min_patch_distances, \
+    scan_nearest_patch, scatter_min_patch_grad, weighted_sum
 
 
 def tree_with_edge_probs(p_right_per_node, num_classes=2, height=None):
@@ -33,15 +33,15 @@ def tree_with_edge_probs(p_right_per_node, num_classes=2, height=None):
 def unbalanced_topology():
     """A pruned shape with leaves at depths 1, 3, 3 and 2: node 0 splits
     into leaf 0 and node 1, node 1 into node 2 and leaf 3, node 2 into
-    leaves 1 and 2."""
-    return tr.TreeTopology(left=np.array([-1, 2, -2]),
-                           right=np.array([1, -4, -3]), root=0, height=3)
+    leaves 1 and 2. Leaf l is column 3 + l."""
+    return tr.TreeTopology(left=np.array([3, 2, 4]),
+                           right=np.array([1, 6, 5]), root=0)
 
 
 def mirrored(topo):
     """Every node's children swapped: no longer numbered in preorder."""
     return tr.TreeTopology(left=topo.right.copy(), right=topo.left.copy(),
-                           root=topo.root, height=topo.height)
+                           root=topo.root)
 
 
 class TestInitTree:
@@ -66,6 +66,28 @@ class TestInitTree:
         _, a, _ = tr.init_tree(4, 3, 8, seed=7)
         _, b, _ = tr.init_tree(4, 3, 8, seed=7)
         np.testing.assert_array_equal(a.tensor.values, b.tensor.values)
+
+    @pytest.mark.parametrize("height", range(1, 10))
+    def test_numbers_nodes_and_leaves_in_preorder(self, height):
+        topo, _, _ = tr.init_tree(height, 2, 1, seed=0)
+        m = topo.num_internal
+        assert m == 2 ** height - 1
+        # a left-first walk meets nodes 0, 1, ... and leaves 0, 1, ...
+        order = []
+
+        def walk(col):
+            order.append(col)
+            if col < m:
+                walk(int(topo.left[col]))
+                walk(int(topo.right[col]))
+
+        walk(topo.root)
+        order = np.asarray(order)
+        np.testing.assert_array_equal(order[order < m], np.arange(m))
+        np.testing.assert_array_equal(order[order >= m],
+                                      np.arange(m, 2 * m + 1))
+        np.testing.assert_array_equal(topo.preorder, order)
+        assert topo.leaf_depths().tolist() == [height] * (m + 1)
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
@@ -611,8 +633,7 @@ class TestRouteAsArrays:
 
     def test_root_leaf_gets_probability_one(self):
         empty = np.zeros(0, dtype=np.int64)
-        topo = tr.TreeTopology(left=empty, right=empty, root=tr.leaf_ref(0),
-                               height=1)
+        topo = tr.TreeTopology(left=empty, right=empty, root=0)
         bank = tr.PrototypeBank(Tensor(np.zeros((0, 3), dtype=np.float32),
                                        requires_grad=True))
         latent = Tensor(np.random.default_rng(52).uniform(0, 1, (2, 3, 2, 2))
@@ -627,8 +648,8 @@ class TestTopologyIndex:
     @staticmethod
     def height_two(**tables):
         """Tables of the full height-2 tree, with the given ones replaced."""
-        fields = dict(left=np.array([1, -1, -3]), right=np.array([2, -2, -4]),
-                      root=0, height=2)
+        fields = dict(left=np.array([1, 3, 5]), right=np.array([2, 4, 6]),
+                      root=0)
         fields.update(tables)
         return tr.TreeTopology(**fields)
 
@@ -639,10 +660,10 @@ class TestTopologyIndex:
                                                            [3, 4, 5, 6]]
 
     @pytest.mark.parametrize("tables, message", [
-        (dict(left=np.array([7, -1, -3])), "out of range"),
-        (dict(right=np.array([2, -2, -9])), "out of range"),
-        (dict(left=np.array([1, 0, -3])), "reached twice"),
-        (dict(right=np.array([2, -2, -3])), "reached twice"),
+        (dict(left=np.array([7, 3, 5])), "out of range"),
+        (dict(right=np.array([2, 4, -1])), "out of range"),
+        (dict(left=np.array([1, 0, 5])), "reached twice"),
+        (dict(right=np.array([2, 4, 5])), "reached twice"),
         (dict(root=1), "not reached"),
     ])
     def test_rejects_broken_tables(self, tables, message):
@@ -660,3 +681,73 @@ class TestTopologyIndex:
         for node in range(topo.num_internal):
             assert topo.leaves_under(node) == [
                 leaf for leaf, path in paths if node in dict(path)]
+
+
+def _assert_keeping_matches_recursion(topo, keep_leaf):
+    left, right, root, nodes, leaves = recursive_keeping(topo, keep_leaf)
+    kept, got_nodes, got_leaves = topo.keeping(keep_leaf)
+    assert kept.left.tolist() == left and kept.right.tolist() == right
+    assert kept.root == root
+    assert got_nodes.tolist() == nodes and got_leaves.tolist() == leaves
+    return kept
+
+
+def _mask(draw, count):
+    """A keep flag per leaf, at least one of them set."""
+    flags = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    flags[draw(st.integers(0, count - 1))] = True
+    return np.asarray(flags)
+
+
+class TestKeeping:
+    """``TreeTopology.keeping`` against the recursive cut of the oracles."""
+
+    @given(data=st.data(), height=st.integers(1, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_masks_applied_twice(self, data, height):
+        topo = tr.init_tree(height, 2, 1, seed=0)[0]
+        for _ in range(2):   # the second mask cuts an irregular shape
+            topo = _assert_keeping_matches_recursion(
+                topo, _mask(data.draw, topo.num_leaves))
+
+    @given(data=st.data(), height=st.integers(1, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_dead_node_masks(self, data, height):
+        topo = tr.init_tree(height, 2, 1, seed=0)[0]
+        topo = topo.keeping(_mask(data.draw, topo.num_leaves))[0]
+        if topo.num_internal == 0:
+            return
+        dead = data.draw(st.sets(st.integers(0, topo.num_internal - 1),
+                                 min_size=1))
+        # a dead node loses every leaf under its right child
+        keep_leaf = np.array([not any(went_right for node, went_right in path
+                                      if node in dead)
+                              for _, path in enumerate_paths(topo)])
+        assert keep_leaf.any()
+        kept = _assert_keeping_matches_recursion(topo, keep_leaf)
+        assert kept.num_internal <= topo.num_internal - len(dead)
+
+    @pytest.mark.parametrize("topo", [unbalanced_topology(),
+                                      mirrored(unbalanced_topology())])
+    def test_irregular_and_mirrored_shapes(self, topo):
+        for flags in np.ndindex(*(2,) * topo.num_leaves):
+            if any(flags):
+                _assert_keeping_matches_recursion(topo, np.array(flags, bool))
+
+    def test_hand_traced_cut(self):
+        # dropping leaf 1 of the unbalanced tree replaces node 2 by leaf 2
+        kept, nodes, leaves = unbalanced_topology().keeping(
+            np.array([True, False, True, True]))
+        assert (kept.left.tolist(), kept.right.tolist(), kept.root) == \
+            ([2, 3], [1, 4], 0)
+        assert nodes.tolist() == [0, 1] and leaves.tolist() == [0, 2, 3]
+
+    def test_single_kept_leaf_becomes_root(self):
+        kept, nodes, leaves = unbalanced_topology().keeping(
+            np.array([False, False, True, False]))
+        assert (kept.num_internal, kept.root) == (0, 0)
+        assert nodes.tolist() == [] and leaves.tolist() == [2]
+
+    def test_no_kept_leaf_rejected(self):
+        with pytest.raises(ValueError, match="at least one leaf"):
+            unbalanced_topology().keeping(np.zeros(4, dtype=bool))
