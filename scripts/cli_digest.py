@@ -3,10 +3,13 @@
 
 Runs gen-data (8 classes, 40 train images each), a 3-epoch train, prune,
 project, eval with each strategy, visualize, explain, ensemble-eval and
-selftest in a fresh temporary directory. It prints one line per command,
-the sha1 of its stdout and its exit code, one sha1 per checkpoint record
-of each ``.npt`` file (its name, dtype, shape and payload), one per other
-output file and one for the generated dataset, each with the work
+selftest in a fresh temporary directory, then projects a copy of the
+trained model whose nodes 1 and 2 and node 1's right child hold a
+prototype far from every latent patch, so that projection collapses
+them. It prints one line per command, the sha1 of its stdout and its
+exit code, one sha1 per checkpoint record of each ``.npt`` file (its
+name, dtype, shape and payload), one per other output file and one for
+the generated dataset, each with the work
 directory's path replaced by a fixed token; stderr is not compared. A
 change to one checkpoint record shows as that record's line alone. Two
 checkouts print the same lines exactly when the outputs are
@@ -34,8 +37,12 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from prototree.checkpoint import read_blob  # noqa: E402
+from prototree.checkpoint import read_blob, write_blob  # noqa: E402
 from prototree.cli import main as cli_main  # noqa: E402
+
+# latents are sigmoid outputs in [0, 1]: a prototype of all tens lies
+# more than -ln(0.1) from every patch, so projection finds its node dead
+FAR_PROTOTYPE = 10.0
 
 
 def commands(work: str, height: int, tau: str | None,
@@ -65,8 +72,20 @@ def commands(work: str, height: int, tau: str | None,
         ("ensemble-eval", ["ensemble-eval", "--ckpt", model, "--ckpt",
                            projected, "--data", data]),
         ("selftest", ["selftest"]),
+        ("project-dead", ["project", "--ckpt", os.path.join(work, "dead.npt"),
+                          "--data", data, "--out",
+                          os.path.join(work, "dead-projected.npt")]),
     ]
     return steps
+
+
+def plant_dead(model: str, out: str) -> None:
+    """Copy the checkpoint at model to out with nodes 1 and 2 and node 1's
+    right child moved far from every latent patch."""
+    blob = read_blob(model)
+    right_of_1 = int(blob["tree/children"][1, 1])
+    blob["tree/prototypes"][[1, 2, right_of_1]] = FAR_PROTOTYPE
+    write_blob(out, blob)
 
 
 def digest(height: int, tau: str | None) -> list[str]:
@@ -78,6 +97,9 @@ def digest(height: int, tau: str | None) -> list[str]:
             return hashlib.sha1(data.replace(token, b"<work>")).hexdigest()
 
         for label, argv in commands(work, height, tau):
+            if label == "project-dead":
+                plant_dead(os.path.join(work, "model.npt"),
+                           os.path.join(work, "dead.npt"))
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = cli_main(argv)

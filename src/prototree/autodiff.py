@@ -295,16 +295,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
-            oh: int, ow: int, out: np.ndarray | None = None) -> np.ndarray:
+            oh: int, ow: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the N x (C kh kw) x (oh ow) columns of xp."""
     n, c = xp.shape[:2]
     sn, sc, sh, sw = xp.strides
-    # N x C x kh x kw x oh x ow window view; without ``out``, copied once by
-    # the reshape unless it tiles xp exactly (a 1x1 kernel at stride 1)
     windows = np.lib.stride_tricks.as_strided(
         xp, (n, c, kh, kw, oh, ow),
         (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
-    if out is None:
-        return windows.reshape(n, c * kh * kw, oh * ow)
     out.reshape(windows.shape)[...] = windows
     return out
 
@@ -350,7 +347,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     xp = xv
     if padding:
         xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
-    cols = _im2col(xp, kh, kw, stride, oh, ow) if direct else \
+    cols = xv.reshape(n, c, h * w) if direct else \
         np.empty((n, c * kh * kw, oh * ow), dtype=dtype)
     kflat = kernel.values.reshape(f, -1)
     out = np.empty((n, f, oh * ow), dtype=dtype)

@@ -43,7 +43,10 @@ class Records(dict):
 def write_blob(path: str, tensors: dict[str, np.ndarray]) -> None:
     """Write the arrays as one blob; each must be f32, f64, i64 or u8."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "wb")
+    try:
+        fh = open(tmp, "wb")
+    except OSError as err:   # name the path the caller gave, not tmp
+        raise type(err)(err.errno, err.strerror, path) from None
     try:
         with fh:
             fh.write(MAGIC + struct.pack("<I", VERSION))

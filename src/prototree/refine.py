@@ -3,8 +3,9 @@
 Pruning removes leaves whose class distribution is close to uniform and
 collapses the parents left with a single child. Projection overwrites
 each prototype with its nearest latent patch from the training set so
-that visualizations show real image content; a node whose prototype
-resembles no training patch routes almost every image left, so
+that visualizations show real image content; a node whose column of
+nearest-patch distances has its minimum at -ln(DEAD_NODE_EPS) or more
+resembles no training patch and routes almost every image left, so
 projection collapses it into its left child instead (see ``project``).
 Hard inference converts the soft tree into a single root-to-leaf
 decision path; ``evaluate`` scores any strategy from one routed pass.
@@ -72,9 +73,9 @@ def prune(model, tau: float) -> PruneReport:
     Rejected without touching the model if nothing would survive.
     """
     dists = model.leaves.distributions()
-    if tau <= 1.0 / model.leaves.num_classes:
+    if tau < 1.0 / model.leaves.num_classes:
         warnings.warn(
-            f"tau={tau} is not above uniform 1/K={1.0 / model.leaves.num_classes}; "
+            f"tau={tau} is below uniform 1/K={1.0 / model.leaves.num_classes}; "
             "nothing will be pruned", stacklevel=2)
     keep_leaf = dists.max(axis=1) > tau
     if not keep_leaf.any():
@@ -96,95 +97,81 @@ def project(model, dataset: Dataset, constrained: bool = True,
 
     With ``constrained`` set, candidates for node n are restricted to
     images labelled with the majority class of some leaf below n; empty
-    pools fall back to the whole set, flagged in the record. Scanning is
-    image-major, so ties resolve to the smallest image id and then the
-    smallest row-major patch location.
+    pools fall back to the whole set, flagged in the record. A label at
+    or above the class count is in no pool. Scanning is image-major, so
+    ties resolve to the smallest image id and then the smallest
+    row-major patch location.
 
     Projection assumes that every prototype resembles some training
-    patch. A node whose nearest patch lies at least -ln(eps) away in
-    every training image, with eps = ``DEAD_NODE_EPS`` (distance ln 10,
-    about 2.303), routes right with p_right <= eps on every training
-    image; snapping its prototype onto a real patch would send mass into
-    leaves trained on almost no data. Such a node is collapsed into its
-    left child before the surviving prototypes are projected, and a
-    ``UserWarning`` names it. The collapse moves every training image's
-    soft prediction by at most 2 eps in L1: the mass that went right,
-    at most eps, is moved into the left subtree. When collapsed nodes lie
-    one below another, the bound is 2 eps per collapsed node on the
-    image's root-to-leaf path. Records exist for the surviving nodes only.
-
-    The pool minimum is tested first; images outside a constrained pool
-    are scanned only when it is already -ln(eps) or more away.
+    patch. A node is dead when the column minimum of its nearest-patch
+    distances over all training images is at least -ln(eps), with eps =
+    ``DEAD_NODE_EPS`` (distance ln 10, about 2.303): it routes right
+    with p_right <= eps on every training image, and snapping its
+    prototype onto a real patch would send mass into leaves trained on
+    almost no data. A nan minimum is never dead. Each dead node is
+    collapsed into its left child before the surviving prototypes are
+    projected, and a ``UserWarning`` names it. The collapse moves every
+    training image's soft prediction by at most 2 eps in L1: the mass
+    that went right, at most eps, is moved into the left subtree. When
+    collapsed nodes lie one below another, the bound is 2 eps per
+    collapsed node on the image's root-to-leaf path. Records exist for
+    the surviving nodes only.
     """
     latents = model.latents_per_image(dataset.images)        # N x D x H x W
     n_img, depth, h, w = latents.shape
     flat = latents.reshape(n_img, depth, h * w)
     every_image = np.arange(n_img)
-    # majority class per leaf, taken again when a collapse renumbers leaves
-    leaf_majority = model.leaves.distributions().argmax(axis=1)
     # squared distance and cell of each image's patch nearest each row: N x M
     sq, cell = map(np.concatenate, zip(*(
         tr._nearest_squared(flat[start:start + 256],
                             model.prototypes.tensor.values)
         for start in range(0, n_img, 256))))
 
-    def candidates(node: int) -> tuple[np.ndarray, bool, bool]:
-        """Image ids node may project onto, and the constrained and
-        fallback flags of its record."""
-        if not constrained:
-            return every_image, False, False
-        classes = {int(leaf_majority[l])
-                   for l in model.topology.leaves_under(node)}
-        mask = np.isin(dataset.labels, sorted(classes))
-        if mask.any():
-            return np.flatnonzero(mask), True, False
-        return every_image, False, True
-
-    def nearest(row: int, pool: np.ndarray) -> tuple:
-        """Squared distance, image id and cell of the pool patch nearest
-        to prototype row; the first minimum keeps the smallest image id."""
-        image_id = int(pool[sq[pool, row].argmin()])
-        return sq[image_id, row], image_id, int(cell[image_id, row])
-
-    limit = np.log(DEAD_NODE_EPS) ** 2       # squared -ln(eps)
-    dead = []
-    for node in range(model.topology.num_internal):
-        pool, _, _ = candidates(node)
-        if nearest(node, pool)[0] < limit:
-            continue
-        outside = np.setdiff1d(every_image, pool, assume_unique=True)
-        if not outside.size or nearest(node, outside)[0] >= limit:
-            dead.append(node)
+    topo = model.topology
+    dead = np.flatnonzero(sq.min(axis=0) >= np.log(DEAD_NODE_EPS) ** 2)
     # column of sq and cell per surviving node: its index before any rebuild
-    rows = np.arange(model.topology.num_internal)
-    if dead:
-        before = model.topology.num_internal
-        keep_leaf = np.ones(model.topology.num_leaves, dtype=bool)
-        for node in dead:   # the right subtree goes, the left takes its place
-            keep_leaf[model.topology.leaves_under(
-                int(model.topology.right[node]))] = False
-        rows = _rebuild(model, keep_leaf)
-        leaf_majority = model.leaves.distributions().argmax(axis=1)
+    rows = np.arange(topo.num_internal)
+    if dead.size:
+        # the right subtree goes, the left takes its place
+        cut = np.zeros(2 * topo.num_internal + 1, dtype=bool)
+        cut[topo.right[dead]] = True
+        for cols in topo.levels[1:]:
+            cut[cols] |= cut[topo.parent[cols]]
+        rows = _rebuild(model, ~cut[topo.num_internal:])
         warnings.warn(
-            f"nodes {dead} have p_right <= {DEAD_NODE_EPS} on every training "
-            "image; collapsed into their left children, removing "
-            f"{before - model.topology.num_internal} prototypes",
+            f"nodes {dead.tolist()} have p_right <= {DEAD_NODE_EPS} on every "
+            "training image; collapsed into their left children, removing "
+            f"{topo.num_internal - model.topology.num_internal} prototypes",
             stacklevel=2)
 
+    topo, k = model.topology, model.leaves.num_classes
+    m = topo.num_internal
+    # classes of the leaf majorities below each column; the extra last
+    # class stands for every label >= K and is below none
+    majority = model.leaves.distributions().argmax(axis=1)
+    below = np.zeros((2 * m + 1, k + 1), dtype=bool)
+    below[m + np.arange(m + 1), majority] = True
+    for cols in reversed(topo.levels[:-1]):
+        nodes = cols[cols < m]
+        below[nodes] = below[topo.left[nodes]] | below[topo.right[nodes]]
+    in_pool = below[:m][:, np.minimum(dataset.labels, k)]      # M x N
+
     records: list[ProjectionRecord] = []
-    images = np.empty((model.topology.num_internal, *dataset.images.shape[1:]),
-                      dtype=np.float32)
-    for node in range(model.topology.num_internal):
-        pool, applied, fallback = candidates(node)
-        sq_min, image_id, at = nearest(rows[node], pool)
-        i, j = divmod(at, w)
+    images = np.empty((m, *dataset.images.shape[1:]), dtype=np.float32)
+    for node, row in enumerate(rows):
+        pool = np.flatnonzero(in_pool[node]) if constrained else every_image
+        applied = constrained and pool.size > 0
+        if not pool.size:
+            pool = every_image
+        # the first minimum keeps the smallest image id
+        image_id = int(pool[sq[pool, row].argmin()])
+        i, j = divmod(int(cell[image_id, row]), w)
         model.prototypes.tensor.values[node] = latents[image_id, :, i, j]
         images[node] = dataset.images[image_id]
-        records.append(ProjectionRecord(node_index=node, image_id=image_id,
-                                        location=(int(i), int(j)),
-                                        distance=float(np.sqrt(sq_min)),
-                                        constrained=applied,
-                                        fallback=fallback))
+        records.append(ProjectionRecord(
+            node_index=node, image_id=image_id, location=(i, j),
+            distance=float(np.sqrt(sq[image_id, row])), constrained=applied,
+            fallback=constrained and not applied))
     model.projection = records
     model.projection_images = images
     return records

@@ -148,15 +148,6 @@ class TreeTopology:
     def leaf_depths(self) -> np.ndarray:
         return self.depth[self.num_internal:].copy()
 
-    def leaves_under(self, col: int) -> list[int]:
-        """Leaves in the subtree at column ``col``, left to right."""
-        start = int(np.flatnonzero(self.preorder == col)[0])
-        # the block ends at the next column no deeper than col, if any
-        ends = np.append(
-            self.depth[self.preorder[start + 1:]] <= self.depth[col], True)
-        block = self.preorder[start:start + 1 + int(ends.argmax())]
-        return (block[block >= self.num_internal] - self.num_internal).tolist()
-
     def greedy_leaves(self, p_right: np.ndarray) -> np.ndarray:
         """Leaf reached by each row of the N x M ``p_right``, going right
         exactly when p_right > 0.5; all rows descend one level at a time."""

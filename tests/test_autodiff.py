@@ -85,7 +85,8 @@ class TestLoopReferences:
         oh = (9 + 2 * padding - kernel) // stride + 1
         ow = (8 + 2 * padding - kernel) // stride + 1
         cols = loop_im2col(xp, kernel, kernel, stride, oh, ow)
-        assert_same_bits(ad._im2col(xp, kernel, kernel, stride, oh, ow), cols)
+        assert_same_bits(ad._im2col(xp, kernel, kernel, stride, oh, ow,
+                                    out=np.empty_like(cols)), cols)
         want = np.matmul(k.reshape(5, -1)[None], cols).reshape(3, 5, oh, ow)
         assert_same_bits(
             ad.conv2d(Tensor(x), Tensor(k), stride, padding).values, want)

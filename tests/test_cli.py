@@ -390,6 +390,18 @@ class TestExitCodes:
         assert main(["eval", "--ckpt", str(tmp_path / "missing.npt"),
                      "--data", workspace["data"]]) == 3
 
+    @pytest.mark.parametrize("command", ["prune", "project"])
+    def test_unwritable_out_names_the_path_given(self, workspace, tmp_path,
+                                                 capsys, command):
+        out = str(tmp_path / "missing" / "p.npt")
+        extra = {"prune": ["--tau", "0.4"],
+                 "project": ["--data", workspace["data"]]}[command]
+        capsys.readouterr()
+        assert main([command, "--ckpt", workspace["ckpt"], *extra,
+                     "--out", out]) == 3
+        assert capsys.readouterr().err == \
+            f"error: [Errno 2] No such file or directory: {out!r}\n"
+
     def test_version_mismatch_is_four(self, workspace, tmp_path):
         bogus = tmp_path / "bogus.npt"
         bogus.write_bytes(b"NPTT\x63\x00\x00\x00")

@@ -84,7 +84,8 @@ def assert_per_node_scan(model, train, records, protos, rows,
     majority = model.leaves.distributions().argmax(axis=1)
     want = []
     for node, row in enumerate(rows):
-        classes = [majority[l] for l in model.topology.leaves_under(node)]
+        classes = [majority[l] for l in range(model.topology.num_leaves)
+                   if node in dict(model.topology.path_to_leaf(l))]
         pool = np.flatnonzero(np.isin(train.labels, classes))
         applied = constrained and pool.size > 0
         if not applied:
@@ -181,6 +182,22 @@ class TestPrune:
         one_leaf_per_class(model, [0, 1])
         with pytest.warns(UserWarning, match="uniform"):
             rf.prune(model, tau=0.25)
+
+    @pytest.mark.parametrize("k, confident, tau, removed", [
+        (4, [0], 0.25, 3),      # the uniform leaves sit exactly at tau
+        (2, [], 0.5, None),     # every leaf uniform: nothing survives
+    ])
+    def test_tau_at_uniform_prunes_without_warning(self, k, confident, tau,
+                                                   removed):
+        model = make_model(height=2, num_classes=k)
+        one_leaf_per_class(model, confident)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if removed is None:
+                with pytest.raises(ValueError, match="every leaf"):
+                    rf.prune(model, tau=tau)
+            else:
+                assert rf.prune(model, tau=tau).leaves_removed == removed
 
     def test_default_tau(self):
         assert rf.default_tau(200) == 0.01
@@ -551,3 +568,51 @@ class TestDeadNodeCollapse:
         if not collapsed:
             assert records[2].constrained
             assert train.labels[records[2].image_id] in (2, 3)
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    def test_nested_dead_nodes_cut_where_paths_go_right(self, constrained):
+        train = planted_set([0.0, 0.5, 0.1, 0.2, 0.3, 0.6, 0.9, 1.0])
+        model = PlantedModel(3, 4, [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+        one_leaf_per_class(model, [0, 1, 2, 3, 3, 2, 1, 0])
+        topo = model.topology
+        # node 1, its left child (node 2 in preorder) and its right child
+        dead = [1, 2, int(topo.right[1])]
+        assert sorted(dead) == [1, 2, 3]
+        model.prototypes.tensor.values[dead, 0] = \
+            1.0 + 1.001 * self.DEAD_DISTANCE
+        protos = model.prototypes.tensor.values.copy()
+        keep = np.array([not any(went_right and node in dead
+                                 for node, went_right in path)
+                         for _, path in enumerate_paths(topo)])
+        want, nodes, _ = topo.keeping(keep)
+        with pytest.warns(UserWarning, match=r"nodes \[1, 2, 3\]"):
+            records = rf.project(model, train, constrained=constrained)
+        got = model.topology
+        assert (got.left.tolist(), got.right.tolist(), got.root) == \
+            (want.left.tolist(), want.right.tolist(), want.root)
+        assert len(records) == got.num_internal == 4
+        assert_per_node_scan(model, train, records, protos, nodes,
+                             constrained=constrained)
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    def test_nan_prototype_is_never_dead(self, constrained):
+        train = planted_set([0.0, 0.5, 0.1, 0.2, 0.3, 0.6, 0.9, 1.0])
+        model = PlantedModel(2, 4, [0.3, np.nan, 0.5])
+        one_leaf_per_class(model, [0, 1, 2, 3])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = rf.project(model, train, constrained=constrained)
+        assert not [w for w in caught if w.category is UserWarning]
+        assert model.topology.num_internal == len(records) == 3
+        assert np.isnan(records[1].distance)
+
+    def test_labels_at_or_above_class_count_in_no_pool(self):
+        # four labels for a two-class model: labels 2 and 3 are in no pool
+        train = planted_set([0.0, 0.5, 0.1, 0.2, 0.3, 0.6, 0.9, 1.0])
+        model = PlantedModel(2, 2, [0.3, 0.45, 0.95])
+        one_leaf_per_class(model, [0, 1, 1, 0])
+        protos = model.prototypes.tensor.values.copy()
+        records = rf.project(model, train)
+        assert all(r.constrained for r in records)
+        assert all(train.labels[r.image_id] < 2 for r in records)
+        assert_per_node_scan(model, train, records, protos, np.arange(3))

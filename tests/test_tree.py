@@ -678,9 +678,6 @@ class TestTopologyIndex:
         for leaf, path in paths:
             assert topo.path_to_leaf(leaf) == path
             assert topo.leaf_depths()[leaf] == len(path)
-        for node in range(topo.num_internal):
-            assert topo.leaves_under(node) == [
-                leaf for leaf, path in paths if node in dict(path)]
 
 
 def _assert_keeping_matches_recursion(topo, keep_leaf):
