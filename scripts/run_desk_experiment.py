@@ -18,12 +18,15 @@ import time
 
 import numpy as np
 
-from prototree.backbone import BackboneConfig
-from prototree.data import gen_synthetic, write_dataset
-from prototree.explain import export_tree
-from prototree.model import build_model
-from prototree.refine import default_tau, evaluate, project, prune
-from prototree.train import TrainConfig, fit
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+from prototree.backbone import BackboneConfig  # noqa: E402
+from prototree.data import gen_synthetic, write_dataset  # noqa: E402
+from prototree.explain import export_tree  # noqa: E402
+from prototree.model import build_model  # noqa: E402
+from prototree.refine import default_tau, evaluate, project, prune  # noqa: E402
+from prototree.train import TrainConfig, fit  # noqa: E402
 
 
 def parse_args():

@@ -4,7 +4,8 @@ A small numpy-backed engine. Values live in a numpy array; every
 differentiable operation computes its result eagerly and, when a tape is
 active and some input participates in gradients, records a backward
 closure. The engine keeps only the ops the model records; anything else
-is built from ``record_op`` with its own backward rule.
+is built from ``record_op`` with its own backward rule. ``conv2d``
+applies a stage's bias and activation inside its own batch slices.
 
 Precision is carried by the arrays themselves: float32 for training,
 float64 for derivative checks. Mixing the two in one operation is an
@@ -253,27 +254,11 @@ def exp(a: Tensor) -> Tensor:
     return record_op(out, [a], bwd)
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.values, 0.0)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g * (a.values > 0)
-
-    return record_op(out, [a], bwd)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # e = exp(-|x|) cannot overflow; min(x, -x) keeps a nan's sign bit
-    v = a.values
+def _sigmoid(v: np.ndarray) -> None:
+    """The logistic function, in place, split by sign: e = exp(-|v|)
+    cannot overflow, and min(v, -v) keeps a nan's sign bit."""
     e = np.exp(np.minimum(v, -v))
-    out = np.where(v >= 0, 1.0, e) / (1.0 + e)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g * out * (1.0 - out)
-
-    return record_op(out, [a], bwd)
+    np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=v)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -317,11 +302,15 @@ def _col2im(cols_grad: np.ndarray, out: np.ndarray, kh: int, kw: int,
                 j:j + stride * ow:stride] += cg[:, :, i, j]
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of an NCHW batch with an FCkk kernel stack.
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
+           bias: Tensor | None = None, activation: str | None = None) -> Tensor:
+    """Cross-correlation of an NCHW batch with an FCkk kernel stack, then
+    an optional per-channel ``bias`` and ``activation`` (relu, sigmoid).
 
-    Forward and backward run image by image over ``_split_batch``; the
-    kernel gradient is summed over the batch afterwards, in image order.
+    Forward and backward run image by image over ``_split_batch``; each
+    slice applies the bias and activation in place to its rows right
+    after its GEMM. The kernel and bias gradients are summed over the
+    batch afterwards, in image order.
     """
     if x.values.ndim != 4 or kernel.values.ndim != 4:
         raise ValueError("conv2d expects 4-D input and kernel")
@@ -335,6 +324,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ValueError(f"padding must be >= 0, got {padding}")
     if x.dtype != kernel.dtype:
         raise ValueError(f"dtype mismatch: {x.dtype} vs {kernel.dtype}")
+    if bias is not None and (bias.shape != (f,) or bias.dtype != x.dtype):
+        raise ValueError(f"bias must be {x.dtype} of shape ({f},), got "
+                         f"{bias.dtype} of shape {bias.shape}")
+    if activation not in (None, "relu", "sigmoid"):
+        raise ValueError(f"unknown activation {activation!r}")
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1 or h + 2 * padding < kh or w + 2 * padding < kw:
@@ -351,18 +345,28 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         np.empty((n, c * kh * kw, oh * ow), dtype=dtype)
     kflat = kernel.values.reshape(f, -1)
     out = np.empty((n, f, oh * ow), dtype=dtype)
+    shift = None if bias is None else bias.values[:, None]
 
     def forward(part):
         if padding:
             xp[part, :, padding:padding + h, padding:padding + w] = xv[part]
         if not direct:
             _im2col(xp[part], kh, kw, stride, oh, ow, out=cols[part])
-        np.matmul(kflat, cols[part], out=out[part])
+        o = out[part]
+        np.matmul(kflat, cols[part], out=o)
+        if shift is not None:
+            o += shift
+        if activation == "relu":
+            np.maximum(o, 0.0, out=o)
+        elif activation == "sigmoid":
+            _sigmoid(o)
 
     _split_batch(n, forward)
 
     def bwd(g):
-        gf = g.reshape(n, f, oh * ow)
+        gout = g.reshape(n, f, oh * ow)
+        # before the activation; as max(nan, 0) is nan, out > 0 means a > 0
+        gf = gout if activation is None else np.empty_like(gout)
         per_image = cols_grad = None
         if kernel.requires_grad:
             per_image = np.empty((n, f, c * kh * kw), dtype=dtype)
@@ -374,6 +378,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
                 np.zeros(xp.shape, dtype=dtype)
 
         def backward(part):
+            if activation == "relu":
+                np.multiply(gout[part], out[part] > 0, out=gf[part])
+            elif activation == "sigmoid":
+                np.multiply(gout[part] * out[part], 1.0 - out[part],
+                            out=gf[part])
             if per_image is not None:
                 np.matmul(gf[part], cols[part].transpose(0, 2, 1),
                           out=per_image[part])
@@ -387,22 +396,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         _split_batch(n, backward)
         if per_image is not None:
             kernel.grad += per_image.sum(axis=0).reshape(kernel.shape)
+        if bias is not None and bias.requires_grad:
+            bias.grad += gf.reshape(g.shape).sum(axis=(0, 2, 3))
 
-    return record_op(out.reshape(n, f, oh, ow), [x, kernel], bwd)
-
-
-def channel_bias_add(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a per-channel bias to an NCHW tensor."""
-    if x.values.ndim != 4 or bias.values.ndim != 1:
-        raise ValueError("channel_bias_add expects NCHW input and 1-D bias")
-    if x.shape[1] != bias.shape[0]:
-        raise ValueError(f"bias length {bias.shape[0]} != channels {x.shape[1]}")
-    out = x.values + bias.values.reshape(1, -1, 1, 1)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.grad += g
-        if bias.requires_grad:
-            bias.grad += g.sum(axis=(0, 2, 3))
-
-    return record_op(out, [x, bias], bwd)
+    return record_op(out.reshape(n, f, oh, ow),
+                     [t for t in (x, kernel, bias) if t is not None], bwd)

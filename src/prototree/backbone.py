@@ -3,6 +3,7 @@
 A small stack of strided convolutions with ReLU, closed by a bias-free
 1x1 convolution and an elementwise sigmoid, so every latent value lies
 strictly inside (0, 1). Body convolutions use padding kernel // 2.
+Each stage, with its bias and activation, is one ``conv2d`` call.
 """
 
 from __future__ import annotations
@@ -65,11 +66,9 @@ class Backbone:
                 f"images, got {c}x{h}x{w}")
         for weight, bias, (_, kernel, stride) in zip(self.weights, self.biases,
                                                      cfg.stages):
-            x = ad.conv2d(x, weight, stride=stride, padding=kernel // 2)
-            x = ad.channel_bias_add(x, bias)
-            x = ad.relu(x)
-        x = ad.conv2d(x, self.head_weight, stride=1, padding=0)
-        return ad.sigmoid(x)
+            x = ad.conv2d(x, weight, stride=stride, padding=kernel // 2,
+                          bias=bias, activation="relu")
+        return ad.conv2d(x, self.head_weight, activation="sigmoid")
 
 
 def build(config: BackboneConfig, seed: int, dtype=np.float32) -> Backbone:

@@ -37,9 +37,11 @@ def similarity_map(model, prototype_index: int,
         raise ValueError(f"prototype index {prototype_index} out of range "
                          f"0..{model.prototypes.count - 1}")
     latent = model.backbone.forward(image[None]).values[0]
-    proto = model.prototypes.row(prototype_index)
-    grid = tr._patch_squared_distances(latent, proto)
-    return np.exp(-np.sqrt(grid))
+    return _similarity_grid(latent, model.prototypes.row(prototype_index))
+
+
+def _similarity_grid(latent: np.ndarray, proto: np.ndarray) -> np.ndarray:
+    return np.exp(-np.sqrt(tr._patch_squared_distances(latent, proto)))
 
 
 def catmull_rom_weight(t: np.ndarray) -> np.ndarray:
@@ -65,15 +67,17 @@ def _resample_matrix(src: int, dst: int) -> np.ndarray:
     return out
 
 
-def bicubic_upsample(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+def bicubic_upsample(grid: np.ndarray, out_h: int, out_w: int,
+                     matrices=None) -> np.ndarray:
+    """``matrices``, if given, are the (rows, cols) resample matrices."""
     h, w = grid.shape
-    rows = _resample_matrix(h, out_h)
-    cols = _resample_matrix(w, out_w)
+    rows, cols = matrices or (_resample_matrix(h, out_h),
+                              _resample_matrix(w, out_w))
     return rows @ grid @ cols.T
 
 
 def extract_patch(scores: np.ndarray, source_image: np.ndarray,
-                  ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+                  matrices=None) -> tuple[np.ndarray, tuple[int, int, int, int]]:
     """Crop around the upsampled similarity maximum.
 
     The crop covers one latent cell's share of the image
@@ -81,7 +85,7 @@ def extract_patch(scores: np.ndarray, source_image: np.ndarray,
     (top, left, height, width) is clamped to stay inside the image.
     """
     _, side_h, side_w = source_image.shape
-    upsampled = bicubic_upsample(scores, side_h, side_w)
+    upsampled = bicubic_upsample(scores, side_h, side_w, matrices)
     flat = int(upsampled.argmax())
     r, c = divmod(flat, side_w)
     ph = max(1, round(side_h / scores.shape[0]))
@@ -110,6 +114,12 @@ def write_png(path: str, image: np.ndarray) -> None:
         fh.write(chunk(b"IHDR", header))
         fh.write(chunk(b"IDAT", zlib.compress(raw, 6)))
         fh.write(chunk(b"IEND", b""))
+
+
+def _write_text(graph: ExplanationGraph, path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+    graph.files.append(path)
 
 
 def _save_image(path: str, image: np.ndarray, png: bool) -> None:
@@ -185,25 +195,24 @@ def export_tree(model, out_dir: str, sample: np.ndarray | None = None,
     ext = "png" if png else "ppm"
     graph = ExplanationGraph()
     patch_rel: dict[int, str] = {}
+    if model.projection:    # latent bits do not depend on the batch
+        latents = model.latents_per_image(model.projection_images)
+    matrices = [_resample_matrix(model.backbone.config.latent_side(),
+                                 model.input_side)] * 2    # square grids
     for record in model.projection:
         node = record.node_index
         source = model.projection_images[node]
-        patch, _ = extract_patch(similarity_map(model, node, source), source)
-        rel = os.path.join("prototypes", f"node_{node}.{ext}")
-        _save_image(os.path.join(out_dir, rel), patch, png)
-        patch_rel[node] = rel
-        graph.patch_paths[node] = os.path.join(out_dir, rel)
+        scores = _similarity_grid(latents[node], model.prototypes.row(node))
+        patch, _ = extract_patch(scores, source, matrices)
+        patch_rel[node] = os.path.join("prototypes", f"node_{node}.{ext}")
+        graph.patch_paths[node] = os.path.join(out_dir, patch_rel[node])
+        _save_image(graph.patch_paths[node], patch, png)
         graph.files.append(graph.patch_paths[node])
 
-    dot_path = os.path.join(out_dir, "tree.dot")
-    with open(dot_path, "w") as fh:
-        fh.write("\n".join(_dot_lines(model, patch_rel)) + "\n")
-    graph.files.append(dot_path)
-
-    html_path = os.path.join(out_dir, "tree.html")
-    with open(html_path, "w") as fh:
-        fh.write(_html_tree(model, patch_rel))
-    graph.files.append(html_path)
+    _write_text(graph, os.path.join(out_dir, "tree.dot"),
+                "\n".join(_dot_lines(model, patch_rel)) + "\n")
+    _write_text(graph, os.path.join(out_dir, "tree.html"),
+                _html_tree(model, patch_rel))
 
     if sample is not None:
         graph.sample_path = _export_sample(model, sample, sample_name,
@@ -250,8 +259,5 @@ def _export_sample(model, sample: np.ndarray, name: str, out_dir: str,
             f"<th>p_right</th><th>decision</th></tr>{body}</table>"
             f"<p>leaf {leaf}: <b>{_class_label(model, k)}</b> "
             f"(p={dist[k]:.3f})</p></body></html>")
-    page = os.path.join(out_dir, f"explain_{name}.html")
-    with open(page, "w") as fh:
-        fh.write(html)
-    graph.files.append(page)
+    _write_text(graph, os.path.join(out_dir, f"explain_{name}.html"), html)
     return [(node, right, p) for node, right, p, _ in rows]

@@ -67,6 +67,58 @@ def loop_im2col(xp, kh, kw, stride, oh, ow):
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 
+def channel_bias_add(x, bias):
+    """Per-channel bias added to an NCHW tensor, as its own taped op."""
+    out = x.values + bias.values.reshape(1, -1, 1, 1)
+
+    def bwd(g):
+        if x.requires_grad:
+            x.grad += g
+        if bias.requires_grad:
+            bias.grad += g.sum(axis=(0, 2, 3))
+
+    return ad.record_op(out, [x, bias], bwd)
+
+
+def relu(a):
+    """max(a, 0) as its own taped op, masked by the input a > 0."""
+    out = np.maximum(a.values, 0.0)
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad += g * (a.values > 0)
+
+    return ad.record_op(out, [a], bwd)
+
+
+def sigmoid(a):
+    """The one-pass sign-split logistic function as its own taped op."""
+    v = a.values
+    e = np.exp(np.minimum(v, -v))
+    out = np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad += g * out * (1.0 - out)
+
+    return ad.record_op(out, [a], bwd)
+
+
+def unfused_conv2d(x, kernel, stride=1, padding=0, bias=None,
+                   activation=None):
+    """The reference composition of a fused ``conv2d``: the plain
+    convolution, then the bias and the activation, each its own taped op
+    with its own zero-filled gradient."""
+    out = ad.conv2d(x, kernel, stride, padding)
+    if bias is not None:
+        out = channel_bias_add(out, bias)
+    if activation == "relu":
+        out = relu(out)
+    elif activation == "sigmoid":
+        out = sigmoid(out)
+    return out
+
+
 def sign_split_sigmoid(v):
     """Logistic function split by sign: 1 / (1 + exp(-x)) where x >= 0,
     exp(x) / (1 + exp(x)) elsewhere, each half computed on its own."""

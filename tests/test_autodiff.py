@@ -19,7 +19,7 @@ from prototree.tree import LeafParams
 
 from oracles import assert_same_bits, finite_difference_grad, \
     loop_im2col, max_relative_error, naive_conv2d, sign_split_sigmoid, \
-    softmax_extended, square_sum, weighted_sum
+    softmax_extended, square_sum, unfused_conv2d, weighted_sum
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -68,10 +68,18 @@ class TestConv2d:
             ad.conv2d(Tensor(np.ones((1, 1, 2, 2))),
                       Tensor(np.ones((1, 1, 5, 5))))
 
+    def test_bad_epilogue_rejected(self):
+        x, k = Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 2, 1, 1)))
+        with pytest.raises(ValueError, match="activation"):
+            ad.conv2d(x, k, activation="tanh")
+        for bias in (np.ones(2), np.ones(3, dtype=np.float32)):
+            with pytest.raises(ValueError, match="bias must be float64"):
+                ad.conv2d(x, k, bias=Tensor(bias))
+
 
 class TestLoopReferences:
-    """The strided im2col, the zero-buffer padding and the one-pass
-    sigmoid give the loop versions' results bit for bit."""
+    """The strided im2col, the zero-buffer padding and the in-place
+    one-pass sigmoid give the loop versions' results bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kernel", [1, 3])
@@ -99,20 +107,92 @@ class TestLoopReferences:
         wide = rng.standard_normal(10 ** 6) \
             * rng.choice([1e-3, 1.0, 10.0, 100.0], 10 ** 6)
         values = np.concatenate([special, wide]).astype(dtype)
+        got = values.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = ad.sigmoid(Tensor(values)).values
+            ad._sigmoid(got)
         assert_same_bits(got, sign_split_sigmoid(values))
 
 
-def conv_run(x, k, stride, padding):
-    """Output, input gradient and kernel gradient of a weighted conv2d."""
+# planted into a 3 x 4 x 9 x 8 input: all-zero windows give zero
+# pre-activations, and nan and +-inf reach every output they touch; a
+# GEMM's sum of zero products is +0.0, so -0.0 reaches the activation
+# only in TestLoopReferences.test_sigmoid
+def special_input(dtype, seed):
+    x = rand((3, 4, 9, 8), seed=seed).astype(dtype)
+    x[0, :, :5, :5] = 0.0
+    x[1, 0, 2, 3] = np.nan
+    x[1, 1, 6, 1] = np.inf
+    x[2, 2, 4, 6] = -np.inf
+    return x
+
+
+# the bias of 5 output channels: both zeros, and a channel that ReLU
+# zeroes everywhere
+BIAS = [0.0, -0.0, 0.5, -0.5, -1e4]
+
+
+def conv_run(x, k, stride, padding, bias=None, activation=None,
+             conv=ad.conv2d, weights=None):
+    """Output and the input, kernel and (given a bias) bias gradients of
+    a weighted conv2d."""
     xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    params = [xt, kt] if bias is None else \
+        [xt, kt, Tensor(bias, requires_grad=True)]
     with Tape() as tape:
-        out = ad.conv2d(xt, kt, stride, padding)
-        weights = rand(out.shape, seed=8).astype(x.dtype)
+        out = conv(*params[:2], stride, padding,
+                   bias=None if bias is None else params[2],
+                   activation=activation)
+        if weights is None:
+            weights = rand(out.shape, seed=8).astype(x.dtype)
         tape.backward(weighted_sum(out, weights))
-    return out.values, xt.grad, kt.grad
+    return (out.values, *(p.grad for p in params))
+
+
+class TestFusedEpilogue:
+    """conv2d's bias and activation give what the unfused composition
+    gives, bit for bit: the output and every gradient. The unfused chain
+    turns each -0.0 gradient into +0.0 as it adds it into a zero-filled
+    .grad; the fused backward does not, but every accumulator starts at
+    +0.0, so the final gradients agree."""
+
+    @pytest.mark.parametrize("activation", [None, "relu", "sigmoid"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_matches_the_unfused_composition(self, dtype, kernel, stride,
+                                             padding, activation):
+        x = special_input(dtype, seed=30)
+        k = rand((5, 4, kernel, kernel), seed=31).astype(dtype)
+        bias = np.array(BIAS, dtype=dtype)
+        oh = (9 + 2 * padding - kernel) // stride + 1
+        ow = (8 + 2 * padding - kernel) // stride + 1
+        weights = rand((3, 5, oh, ow), seed=32).astype(dtype)
+        weights[:, 3] = 0.0
+        weights[:, 4] = -np.abs(weights[:, 4])   # -0.0 through the ReLU
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # inf - inf
+            for b in (None, bias):
+                got = conv_run(x, k, stride, padding, b, activation,
+                               weights=weights)
+                want = conv_run(x, k, stride, padding, b, activation,
+                                conv=unfused_conv2d, weights=weights)
+                assert len(got) == len(want) == (3 if b is None else 4)
+                for g, w in zip(got, want):
+                    assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dead_relu_gradients_land_as_positive_zeros(self, dtype):
+        # every masked gradient is -0.0 (a negative weight times a false
+        # mask), so the fused bias sum is -0.0 until it lands in a .grad
+        x = rand((2, 3, 6, 6), seed=33).astype(dtype)
+        k = rand((4, 3, 3, 3), seed=34).astype(dtype)
+        weights = -np.abs(rand((2, 4, 6, 6), seed=35)).astype(dtype)
+        for conv in (ad.conv2d, unfused_conv2d):
+            for grad in conv_run(x, k, 1, 1, np.full(4, -1e4, dtype=dtype),
+                                 "relu", conv, weights)[1:]:
+                assert_same_bits(grad, np.zeros_like(grad))
 
 
 def conv_in_child(x, k, conn):
@@ -130,16 +210,20 @@ class TestSplitBatch:
     @pytest.mark.parametrize("padding", [0, 1])
     def test_conv2d_bits_do_not_depend_on_workers(self, monkeypatch, dtype,
                                                   kernel, stride, padding):
+        bias = np.array(BIAS, dtype=dtype)
         for n in (1, 3, 17):
             x = rand((n, 4, 9, 8), seed=n).astype(dtype)
             k = rand((5, 4, kernel, kernel), seed=n + 1).astype(dtype)
-            runs = []
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(ad, "_WORKERS", workers)
-                runs.append(conv_run(x, k, stride, padding))
-            for run in runs[1:]:
-                for got, want in zip(run, runs[0]):
-                    assert_same_bits(got, want)
+            for b, activation in ((None, None), (bias, None),
+                                  (bias, "relu"), (None, "sigmoid")):
+                runs = []
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(ad, "_WORKERS", workers)
+                    runs.append(conv_run(x, k, stride, padding, b,
+                                         activation))
+                for run in runs[1:]:
+                    for got, want in zip(run, runs[0]):
+                        assert_same_bits(got, want)
 
     def test_one_by_one_input_gradient_is_the_column_gradient(self):
         # bit for bit what adding the columns into a zero buffer gave;
@@ -371,11 +455,14 @@ def gradcheck(build, params, tol=1e-4):
 
 class TestGradientsPerOp:
     def test_exp_neg_sigmoid_relu(self):
-        x = Tensor(rand(8, seed=10), requires_grad=True)
-        gradcheck(lambda: weighted_sum(ad.exp(ad.neg(ad.sigmoid(x)))), [x])
-        shifted = Tensor(x.values + 0.1, requires_grad=True)
-        gradcheck(lambda: weighted_sum(ad.relu(shifted), np.full(8, 1 / 8)),
-                  [shifted])
+        x = Tensor(rand((2, 3, 4, 4), seed=10), requires_grad=True)
+        k = Tensor(rand((2, 3, 1, 1), seed=11), requires_grad=True)
+        gradcheck(lambda: weighted_sum(ad.exp(ad.neg(
+            ad.conv2d(x, k, activation="sigmoid")))), [x, k])
+        bias = Tensor(np.full(2, 0.1), requires_grad=True)
+        gradcheck(lambda: weighted_sum(ad.conv2d(
+            x, k, bias=bias, activation="relu"), np.full((2, 2, 4, 4), 1 / 8)),
+            [x, k, bias])
 
     def test_matmul_gradient(self):
         a = Tensor(rand((3, 4), seed=13), requires_grad=True)
@@ -386,8 +473,10 @@ class TestGradientsPerOp:
         x = Tensor(rand((2, 3, 5, 5), seed=15), requires_grad=True)
         k = Tensor(rand((2, 3, 3, 3), seed=16), requires_grad=True)
         bias = Tensor(rand(2, seed=17), requires_grad=True)
-        gradcheck(lambda: square_sum(ad.channel_bias_add(
-            ad.conv2d(x, k, stride=2, padding=1), bias)), [x, k, bias])
+        for activation in (None, "relu", "sigmoid"):
+            gradcheck(lambda: square_sum(ad.conv2d(
+                x, k, stride=2, padding=1, bias=bias, activation=activation)),
+                [x, k, bias])
 
 
 class TestTensorBasics:

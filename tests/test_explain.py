@@ -195,6 +195,37 @@ class TestExportTree:
                        sample_name="probe")
         assert sum(passes) == 1
 
+    def test_one_backbone_pass_for_all_prototype_patches(
+            self, projected_model, tmp_path, monkeypatch):
+        """The source images go through the backbone as one batch and the
+        resample matrix is built once; each patch is still the crop that
+        similarity_map and extract_patch give, bit for bit."""
+        model, _ = projected_model
+        batches, matrices, saved = [], [], {}
+        forward, resample = Backbone.forward, xp._resample_matrix
+
+        def counting(self, batch):
+            batches.append(len(batch))
+            return forward(self, batch)
+
+        def building(*shape):
+            matrices.append(shape)
+            return resample(*shape)
+
+        monkeypatch.setattr(Backbone, "forward", counting)
+        monkeypatch.setattr(xp, "_resample_matrix", building)
+        monkeypatch.setattr(xp, "_save_image",
+                            lambda path, image, png: saved.update(
+                                {path: image.copy()}))
+        graph = xp.export_tree(model, str(tmp_path))
+        assert batches == [model.topology.num_internal]
+        assert len(matrices) == 1        # square: rows and columns alike
+        for node, path in graph.patch_paths.items():
+            source = model.projection_images[node]
+            want, _ = xp.extract_patch(xp.similarity_map(model, node, source),
+                                       source)
+            np.testing.assert_array_equal(saved[path], want)
+
     def test_path_crops_come_from_trace_locations(self, projected_model,
                                                   tmp_path, monkeypatch):
         """Each found-patch crop is the cell routing measured: plant other

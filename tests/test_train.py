@@ -3,7 +3,7 @@ import pytest
 
 import prototree.train as trn
 import prototree.tree as tr
-from prototree.autodiff import Tensor
+from prototree.autodiff import Tape, Tensor
 from prototree.backbone import BackboneConfig
 from prototree.data import AugmentConfig, gen_synthetic
 from prototree.model import build_model
@@ -137,6 +137,29 @@ class TestOptimizerLeafSeparation:
         adam = Adam(model.parameters(), config)
         train_epoch(model, train_set, config, 1, adam)
         assert isinstance(model.leaves.logits, np.ndarray)
+
+
+class TestTapedOps:
+    def test_training_step_tapes_one_op_per_backbone_stage(self,
+                                                            monkeypatch):
+        """Three body stages and the head are four of a step's ten taped
+        ops: each stage's bias and activation run inside its conv2d.
+        Taped as ops of their own, they made seventeen."""
+        model = build_model(BackboneConfig(input_side=32, latent_depth=8),
+                            height=2, num_classes=2, seed=9)
+        assert len(model.backbone.config.stages) == 3
+        train_set, _ = gen_synthetic(2, 4, 32, seed=53)
+        config = TrainConfig(batch_size=8, seed=9)
+        taped, backward = [], Tape.backward
+
+        def counting(tape, loss):
+            taped.append(len(tape._nodes))
+            backward(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", counting)
+        train_epoch(model, train_set, config, 1,
+                    Adam(model.parameters(), config))
+        assert taped == [10]
 
 
 class TestDeterminism:
