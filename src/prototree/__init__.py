@@ -8,13 +8,13 @@ from .refine import Evaluation, PruneReport, ProjectionRecord, \
     ensemble_mean, evaluate, project, prune
 from .train import TrainConfig, fit
 from .tree import LeafParams, PrototypeBank, RoutingTrace, TreeTopology, \
-    init_tree, predict, route
+    init_tree, route
 
 __all__ = [
     "AugmentConfig", "Backbone", "BackboneConfig", "Dataset", "Evaluation",
     "LeafParams", "ProjectionRecord", "ProtoTreeModel", "PruneReport",
     "PrototypeBank", "RoutingTrace", "Tape", "Tensor", "TrainConfig",
     "TreeTopology", "build_model", "ensemble_mean", "evaluate", "fit",
-    "gen_synthetic", "init_tree", "load_ppm", "predict",
-    "project", "prune", "route", "save_ppm",
+    "gen_synthetic", "init_tree", "load_ppm", "project", "prune", "route",
+    "save_ppm",
 ]

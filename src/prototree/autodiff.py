@@ -1,11 +1,13 @@
 """Dense tensors with reverse-mode differentiation.
 
-A small numpy-backed engine. Values live in a numpy array; every
-differentiable operation computes its result eagerly and, when a tape is
-active and some input participates in gradients, records a backward
-closure. The engine keeps only the ops the model records; anything else
-is built from ``record_op`` with its own backward rule. ``conv2d``
-applies a stage's bias and activation inside its own batch slices.
+A small numpy-backed engine: ``Tensor``, ``Tape``, ``record_op`` and
+``conv2d``, with the pool that splits a batch over idle cores. Values
+live in a numpy array; every differentiable operation computes its
+result eagerly and, when a tape is active and some input participates in
+gradients, records a backward closure. ``conv2d`` is the only op kept
+here, and it applies a stage's bias and activation inside its own batch
+slices; routing, the leaf mix and the loss record their own ops, each
+through ``record_op`` with its own backward rule.
 
 Precision is carried by the arrays themselves: float32 for training,
 float64 for derivative checks. Mixing the two in one operation is an
@@ -52,10 +54,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.values.dtype
-
-    @property
-    def size(self) -> int:
-        return self.values.size
 
     def item(self) -> float:
         if self.values.size != 1:
@@ -234,49 +232,11 @@ def _split_batch(n: int, fn: Callable[[slice], None]) -> None:
         raise first
 
 
-def neg(a: Tensor) -> Tensor:
-    out = -a.values
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad -= g
-
-    return record_op(out, [a], bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.values)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g * out
-
-    return record_op(out, [a], bwd)
-
-
 def _sigmoid(v: np.ndarray) -> None:
     """The logistic function, in place, split by sign: e = exp(-|v|)
     cannot overflow, and min(v, -v) keeps a nan's sign bit."""
     e = np.exp(np.minimum(v, -v))
     np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=v)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ValueError("matmul handles 2-D operands only")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    if a.dtype != b.dtype:
-        raise ValueError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
-    out = a.values @ b.values
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g @ b.values.T
-        if b.requires_grad:
-            b.grad += a.values.T @ g
-
-    return record_op(out, [a, b], bwd)
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,

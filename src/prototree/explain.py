@@ -29,18 +29,9 @@ class ExplanationGraph:
     sample_path: list[tuple[int, bool, float]] | None = None
 
 
-def similarity_map(model, prototype_index: int,
-                   image: np.ndarray) -> np.ndarray:
-    """Per-patch similarity of one image against one prototype: an H x W
-    grid, each cell exp(-patch distance)."""
-    if not 0 <= prototype_index < model.prototypes.count:
-        raise ValueError(f"prototype index {prototype_index} out of range "
-                         f"0..{model.prototypes.count - 1}")
-    latent = model.backbone.forward(image[None]).values[0]
-    return _similarity_grid(latent, model.prototypes.row(prototype_index))
-
-
 def _similarity_grid(latent: np.ndarray, proto: np.ndarray) -> np.ndarray:
+    """Per-patch similarity of a D x H x W latent to one prototype: an
+    H x W grid, each cell exp(-patch distance)."""
     return np.exp(-np.sqrt(tr._patch_squared_distances(latent, proto)))
 
 
@@ -224,7 +215,7 @@ def _export_sample(model, sample: np.ndarray, name: str, out_dir: str,
                    patch_rel: dict[int, str], png: bool,
                    graph: ExplanationGraph) -> list[tuple[int, bool, float]]:
     lat = model.latent(sample[None])
-    _, trace = tr.predict(model.topology, model.prototypes, model.leaves, lat)
+    trace = tr.route(model.topology, model.prototypes, lat)
     dist, leaf, path = refine.hard_decision(model, trace, "greedy")
     side = sample.shape[1]
     h, w = lat.shape[2:]

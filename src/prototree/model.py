@@ -63,17 +63,17 @@ class ProtoTreeModel:
         for start in range(0, images.shape[0], batch_size):
             yield self.latent(images[start:start + batch_size])
 
-    def predict_latent(self, latent: Tensor) -> tuple[Tensor, tr.RoutingTrace]:
-        return tr.predict(self.topology, self.prototypes, self.leaves, latent)
-
-    def predict_batch(self, images) -> tuple[Tensor, tr.RoutingTrace]:
-        return self.predict_latent(self.latent(images))
+    def predict(self, latent: Tensor) -> tuple[Tensor, tr.RoutingTrace]:
+        """Class distributions of a latent batch, and its routing trace."""
+        trace = tr.route(self.topology, self.prototypes, latent)
+        return tr.mix_leaf_distributions(trace.leaf_probabilities,
+                                         self.leaves.distributions()), trace
 
     def soft_predict(self, images: np.ndarray, batch_size: int = 256,
                      ) -> np.ndarray:
         """Soft class distributions for an N x C x S x S stack of images,
         without a tape."""
-        return np.concatenate([self.predict_latent(z)[0].values for z
+        return np.concatenate([self.predict(z)[0].values for z
                                in self.latent_chunks(images, batch_size)])
 
     def latents_per_image(self, images: np.ndarray) -> np.ndarray:

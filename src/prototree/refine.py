@@ -118,13 +118,12 @@ def project(model, dataset: Dataset, constrained: bool = True,
     the surviving nodes only.
     """
     latents = model.latents_per_image(dataset.images)        # N x D x H x W
-    n_img, depth, h, w = latents.shape
-    flat = latents.reshape(n_img, depth, h * w)
+    n_img, _, _, w = latents.shape
     every_image = np.arange(n_img)
     # squared distance and cell of each image's patch nearest each row: N x M
     sq, cell = map(np.concatenate, zip(*(
-        tr._nearest_squared(flat[start:start + 256],
-                            model.prototypes.tensor.values)
+        tr.min_patch_distances(latents[start:start + 256],
+                               model.prototypes.tensor.values)
         for start in range(0, n_img, 256))))
 
     topo = model.topology
@@ -182,7 +181,7 @@ def _choose_leaves(model, trace: tr.RoutingTrace, strategy: str) -> np.ndarray:
     if strategy == "max_path":
         return trace.leaf_probabilities.values.argmax(axis=1)
     if strategy == "greedy":
-        return model.topology.greedy_leaves(trace.edge_right.values)
+        return model.topology.greedy_leaves(trace.edge_right)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -197,7 +196,7 @@ def hard_decision(model, trace: tr.RoutingTrace, strategy: str,
     (node, went_right, p_right) triples.
     """
     leaf = int(_choose_leaves(model, trace, strategy)[0])
-    path = [(node, went_right, float(trace.edge_right.values[0, node]))
+    path = [(node, went_right, float(trace.edge_right[0, node]))
             for node, went_right in model.topology.path_to_leaf(leaf)]
     return model.leaves.distributions()[leaf], leaf, path
 
@@ -223,7 +222,7 @@ def evaluate(model, dataset: Dataset, strategy: str,
         raise ValueError("evaluate needs a non-empty dataset")
     soft, leaves = [], []
     for latent in model.latent_chunks(dataset.images, batch_size):
-        y_hat, trace = model.predict_latent(latent)
+        y_hat, trace = model.predict(latent)
         soft.append(y_hat.values.argmax(axis=1))
         if strategy != "soft":
             leaves.append(_choose_leaves(model, trace, strategy))

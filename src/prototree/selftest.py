@@ -54,7 +54,7 @@ def two_pass_leaf_update(model, dataset, floor=1e-9):
     num_leaves, k = sigma.shape
     total = np.zeros((num_leaves, k), dtype=np.float64)
     for idx in range(len(dataset)):
-        y_hat, trace = model.predict_batch(dataset.images[idx:idx + 1])
+        y_hat, trace = model.predict(model.latent(dataset.images[idx:idx + 1]))
         pi = trace.leaf_probabilities.values[0].astype(np.float64)
         prediction = np.maximum(y_hat.values[0].astype(np.float64), floor)
         onehot = np.zeros(k)
@@ -120,11 +120,11 @@ def check_full_gradients() -> tuple[bool, str]:
     labels = trn.one_hot(np.array([0, 2]), 3, dtype=np.float64)
 
     def loss_value() -> float:
-        y_hat, _ = model.predict_batch(images)
+        y_hat, _ = model.predict(model.latent(images))
         return trn.cross_entropy(y_hat, labels).item()
 
     with ad.Tape() as tape:
-        y_hat, _ = model.predict_batch(images)
+        y_hat, _ = model.predict(model.latent(images))
         tape.backward(trn.cross_entropy(y_hat, labels))
     worst = 0.0
     for group in model.parameters().values():

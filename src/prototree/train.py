@@ -51,7 +51,7 @@ class TrainConfig:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         for rate in (self.lr_body, self.lr_head, self.lr_prototypes):
-            if rate <= 0:
+            if not rate > 0:   # rejects nan too
                 raise ValueError(f"learning rates must be > 0, got {rate}")
         for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0 <= value < 1:
@@ -220,11 +220,11 @@ def train_epoch(model: ProtoTreeModel, dataset: Dataset, config: TrainConfig,
         images = _assemble(dataset.images, indices, config, epoch)
         y = labels[indices]
         if adam is None:
-            y_hat, trace = model.predict_batch(images)
+            y_hat, trace = model.predict(model.latent(images))
             loss_value = cross_entropy(y_hat, y).item()
         else:
             with ad.Tape() as tape:
-                y_hat, trace = model.predict_batch(images)
+                y_hat, trace = model.predict(model.latent(images))
                 loss = cross_entropy(y_hat, y)
                 loss_value = loss.item()
                 if not np.isfinite(loss_value):

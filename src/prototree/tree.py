@@ -8,6 +8,11 @@ products of edge probabilities along root-to-leaf paths, and the
 prediction is the path-probability-weighted mix of the leaves' softmaxed
 class logits.
 
+``route`` tapes the whole map from latent and prototypes to path
+probabilities as one op with a closed-form backward; the nearest-patch
+search it calls, ``min_patch_distances``, works on plain arrays.
+``mix_leaf_distributions`` tapes the leaf mix.
+
 The topology numbers nodes and leaves in one column index: internal node
 k is column k and leaf l is column M + l, M being the number of internal
 nodes. Child tables, the root and every per-column array use it.
@@ -204,12 +209,12 @@ class LeafParams:
 class RoutingTrace:
     """Per-node routing evidence and per-leaf path probabilities.
 
-    All fields are batched over the leading sample axis. ``edge_right``
-    and ``leaf_probabilities`` stay on the tape so gradients reach the
-    prototypes and the backbone.
+    All fields are batched over the leading sample axis. Only
+    ``leaf_probabilities`` is on the tape; its backward reaches the
+    prototypes and the backbone through the distances.
     """
 
-    edge_right: Tensor            # N x M
+    edge_right: np.ndarray        # N x M
     distances: np.ndarray         # N x M
     locations: np.ndarray         # N x M x 2 (row, col) of the nearest patch
     leaf_probabilities: Tensor    # N x L
@@ -246,50 +251,6 @@ def _patch_squared_distances(latent: np.ndarray, proto: np.ndarray) -> np.ndarra
     return (diff * diff).sum(axis=0)
 
 
-def min_patch_distances(latent: Tensor, prototypes: Tensor,
-                        ) -> tuple[Tensor, np.ndarray]:
-    """Per-sample, per-prototype distance to the nearest latent patch.
-
-    Returns an N x M tensor of min-pooled Euclidean distances plus the
-    argmin locations (N x M x 2). The gradient flows only through each
-    selected patch; ties resolve to the smallest row-major index before
-    the backward pass, so backward is deterministic.
-
-    Backward adds prototype m's contribution coeff * (z - p) to its
-    selected patch. A patch nearest to several prototypes sums theirs in
-    prototype order, starting from zero: ``np.add.at`` applies repeated
-    indices in index order, and its index runs over (n, m, d) in C order.
-    The index is 1-D, into the flat N·L·D buffer, because only a 1-D
-    integer index takes numpy's ``ufunc.at`` fast path; an (n, patch)
-    tuple index makes the same additions in the same order, several times
-    slower when hundreds of prototypes share a patch, as at height 9.
-    """
-    lat = latent.values
-    if lat.ndim != 4:
-        raise ValueError("min_patch_distances expects a batched N x D x H x W latent")
-    n, d, h, w = lat.shape
-    protos = prototypes.values
-    m = protos.shape[0]
-    if protos.shape[1] != d:
-        raise ValueError(f"prototype depth {protos.shape[1]} != latent depth {d}")
-    flat = lat.reshape(n, d, h * w)
-    sq_min, argmin = _nearest_squared(flat, protos)
-    dist = np.sqrt(sq_min)
-    locations = np.stack([argmin // w, argmin % w], axis=2)
-
-    def bwd(g):
-        coeff = g / np.sqrt(sq_min + DISTANCE_GRAD_EPS)
-        grad_p, grad_l = _min_patch_grads(flat, protos, argmin, coeff,
-                                          prototypes.requires_grad,
-                                          latent.requires_grad)
-        if grad_p is not None:
-            prototypes.grad += grad_p
-        if grad_l is not None:
-            latent.grad += grad_l.reshape(n, h, w, d).transpose(0, 3, 1, 2)
-
-    return ad.record_op(dist, [latent, prototypes], bwd), locations
-
-
 def _split_if_large(n: int, macs: int, fn) -> None:
     """``fn`` over slices of ``range(n)`` from ``SPLIT_MIN_MACS`` on, else
     over the whole batch at once."""
@@ -304,8 +265,17 @@ def _min_patch_grads(flat: np.ndarray, protos: np.ndarray, argmin: np.ndarray,
                      ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Prototype (M x D) and latent (N x L x D) gradients of the min-patch
     distances of the N x D x L latents ``flat``, given the upstream
-    gradient over the distance, ``coeff``; None where not wanted. The
-    scatter's order is described in ``min_patch_distances``.
+    gradient over each distance divided by that distance, ``coeff``
+    (N x M); None where not wanted.
+
+    Prototype m adds its contribution coeff * (z - p) to its nearest
+    patch ``argmin``. A patch nearest to several prototypes sums theirs in
+    prototype order, starting from zero: ``np.add.at`` applies repeated
+    indices in index order, and its index runs over (n, m, d) in C order.
+    The index is 1-D, into the flat N·L·D buffer, because only a 1-D
+    integer index takes numpy's ``ufunc.at`` fast path; an (n, patch)
+    tuple index makes the same additions in the same order, several times
+    slower when hundreds of prototypes share a patch, as at height 9.
     """
     n, d, length = flat.shape
     m = protos.shape[0]
@@ -332,11 +302,12 @@ def _min_patch_grads(flat: np.ndarray, protos: np.ndarray, argmin: np.ndarray,
     return grad_p, grad_l
 
 
-def _nearest_squared(flat: np.ndarray, protos: np.ndarray,
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def min_patch_distances(latent: np.ndarray, protos: np.ndarray,
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Smallest squared distance from each prototype to each image's
-    patches, and its patch index: N x M each, for the N x D x L ``flat``
-    and the M x D ``protos``.
+    patches, and its patch's row-major index: N x M each, for the
+    N x D x H x W ``latent`` and the M x D ``protos``. Ties go to the
+    first patch.
 
     The result is, bit for bit, that of the full scan, which measures
     every patch z_l against every prototype p with
@@ -373,8 +344,14 @@ def _nearest_squared(flat: np.ndarray, protos: np.ndarray,
     since u is that dtype's. Each slice of images that
     ``_split_if_large`` hands out runs all three steps.
     """
-    n, d, hw = flat.shape
+    if latent.ndim != 4:
+        raise ValueError("min_patch_distances expects a batched N x D x H x W latent")
+    n, d, h, w = latent.shape
     m = protos.shape[0]
+    if protos.shape[1] != d:
+        raise ValueError(f"prototype depth {protos.shape[1]} != latent depth {d}")
+    hw = h * w
+    flat = latent.reshape(n, d, hw)
     u = np.finfo(flat.dtype).eps / 2
     gamma = (d + 2) * u / (1 - (d + 2) * u)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -464,56 +441,64 @@ def _scan_einsum(flat_t, protos_t, column, row, single_patch: bool,
 def route(topology: TreeTopology, prototypes: PrototypeBank,
           latent: Tensor) -> RoutingTrace:
     """Soft-route an N x D x H x W latent batch: all edge and leaf path
-    probabilities."""
-    distances, locations = min_patch_distances(latent, prototypes.tensor)
-    edge_right = ad.exp(ad.neg(distances))
-    pi = _path_probabilities(topology, edge_right)
-    return RoutingTrace(edge_right=edge_right,
-                        distances=distances.values.copy(),
-                        locations=locations,
-                        leaf_probabilities=pi)
-
-
-def _path_probabilities(topology: TreeTopology, edge_right: Tensor) -> Tensor:
-    """N x L leaf path probabilities as one taped op, one level at a time.
+    probabilities, the leaves' as one taped op of the latent and the
+    prototypes.
 
     A column's reach is its parent's reach times the edge taken (p or
-    1 - p), multiplied in root-to-leaf order. With g_left and g_right the
-    gradients of its children's reach, node k's reach gets
-    g_right * p + g_left * (1 - p) and its edge g_right * reach - g_left * reach.
+    1 - p), multiplied in root-to-leaf order; a leaf's reach is its path
+    probability. The backward runs leaf to root. With g_left and g_right
+    the gradients of its children's reach, node k's reach gets
+    g_right * p + g_left * (1 - p), its edge g_right * reach - g_left * reach,
+    and its distance d, as p = exp(-d), minus p times the edge's;
+    ``_min_patch_grads`` takes that on to the patches and prototypes.
     """
-    p = edge_right.values
+    bank = prototypes.tensor
+    squared, nearest = min_patch_distances(latent.values, bank.values)
+    n, d, h, w = latent.shape
+    distances = np.sqrt(squared)
+    p = np.exp(-distances)
     q = 1.0 - p
     m = topology.num_internal
-    reach = np.empty((p.shape[0], 2 * m + 1), dtype=p.dtype)
-    reach[:, topology.preorder[0]] = 1.0
+    reach = np.empty((n, 2 * m + 1), dtype=p.dtype)
+    reach[:, topology.root] = 1.0
     for cols in topology.levels[1:]:
         up = topology.parent[cols]
         reach[:, cols] = reach[:, up] * np.where(topology.went_right[cols],
                                                  p[:, up], q[:, up])
 
-    def bwd(g):  # recorded only when edge_right requires grad
+    def bwd(g):
         grad = np.empty_like(reach)
         grad[:, m:] = g
+        coeff = np.empty_like(p)
         for cols in reversed(topology.levels[:-1]):
             k = cols[cols < m]
             gl, gr = grad[:, topology.left[k]], grad[:, topology.right[k]]
             grad[:, k] = gr * p[:, k] + gl * q[:, k]
-            edge_right.grad[:, k] += gr * reach[:, k] - gl * reach[:, k]
+            # rounded as the separate edge, exp and neg backwards rounded,
+            # so training keeps its float bits
+            coeff[:, k] = -((gr * reach[:, k] - gl * reach[:, k]) * p[:, k])
+        coeff /= np.sqrt(squared + DISTANCE_GRAD_EPS)
+        grad_p, grad_l = _min_patch_grads(
+            latent.values.reshape(n, d, h * w), bank.values, nearest, coeff,
+            bank.requires_grad, latent.requires_grad)
+        if grad_p is not None:
+            bank.grad += grad_p
+        if grad_l is not None:
+            latent.grad += grad_l.reshape(n, h, w, d).transpose(0, 3, 1, 2)
 
-    return ad.record_op(reach[:, m:].copy(), [edge_right], bwd)
+    return RoutingTrace(
+        edge_right=p, distances=distances,
+        locations=np.stack([nearest // w, nearest % w], axis=2),
+        leaf_probabilities=ad.record_op(reach[:, m:].copy(), [latent, bank],
+                                        bwd))
 
 
 def mix_leaf_distributions(pi: Tensor, distributions: np.ndarray) -> Tensor:
-    """Convex combination of leaf class distributions weighted by paths."""
-    return ad.matmul(pi, Tensor(np.asarray(distributions, dtype=pi.dtype)))
+    """Convex combination of leaf class distributions weighted by paths:
+    pi @ D as one taped op, its backward g @ D.T."""
+    mix = np.asarray(distributions, dtype=pi.dtype)
 
+    def bwd(g):  # recorded only when pi requires grad
+        pi.grad += g @ mix.T
 
-def predict(topology: TreeTopology, prototypes: PrototypeBank,
-            leaves: LeafParams, latent: Tensor,
-            ) -> tuple[Tensor, RoutingTrace]:
-    """Class probability distribution over the batch, plus the trace."""
-    trace = route(topology, prototypes, latent)
-    y_hat = mix_leaf_distributions(trace.leaf_probabilities,
-                                   leaves.distributions())
-    return y_hat, trace
+    return ad.record_op(pi.values @ mix, [pi], bwd)

@@ -9,6 +9,8 @@ re-exported here.
 import numpy as np
 
 import prototree.autodiff as ad
+import prototree.tree as tr
+from prototree.autodiff import Tensor
 from prototree.selftest import finite_difference_grad, \
     max_relative_error, naive_conv2d, softmax_extended, \
     two_pass_leaf_update  # noqa: F401  (re-exported oracles)
@@ -282,3 +284,90 @@ def scatter_min_patch_grad(flat, protos, argmin, coeff, want_protos,
         grad_l = np.zeros((n, length, d), dtype=flat.dtype)
         np.add.at(grad_l, (rows, argmin), coeff[:, :, None] * diff_sel)
     return grad_p, grad_l
+
+
+def neg(a):
+    """-a as its own taped op."""
+    def bwd(g):
+        if a.requires_grad:
+            a.grad -= g
+
+    return ad.record_op(-a.values, [a], bwd)
+
+
+def exp(a):
+    """exp(a) as its own taped op."""
+    out = np.exp(a.values)
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad += g * out
+
+    return ad.record_op(out, [a], bwd)
+
+
+def matmul(a, b):
+    """a @ b of 2-D tensors as its own taped op."""
+    def bwd(g):
+        if a.requires_grad:
+            a.grad += g @ b.values.T
+        if b.requires_grad:
+            b.grad += a.values.T @ g
+
+    return ad.record_op(a.values @ b.values, [a, b], bwd)
+
+
+def taped_min_patch_distances(latent, prototypes):
+    """N x M nearest-patch distances as their own taped op, whose
+    backward is the 2-D scatter."""
+    squared, nearest = tr.min_patch_distances(latent.values, prototypes.values)
+    n, d, h, w = latent.shape
+
+    def bwd(g):
+        grad_p, grad_l = scatter_min_patch_grad(
+            latent.values.reshape(n, d, h * w), prototypes.values, nearest,
+            g / np.sqrt(squared + tr.DISTANCE_GRAD_EPS),
+            prototypes.requires_grad, latent.requires_grad)
+        if grad_p is not None:
+            prototypes.grad += grad_p
+        if grad_l is not None:
+            latent.grad += grad_l.reshape(n, h, w, d).transpose(0, 3, 1, 2)
+
+    return ad.record_op(np.sqrt(squared), [latent, prototypes], bwd)
+
+
+def taped_path_probabilities(topology, edge_right):
+    """N x L leaf path probabilities from the N x M right edges as their
+    own taped op, multiplied one level at a time and differentiated leaf
+    to root."""
+    p = edge_right.values
+    q = 1.0 - p
+    m = topology.num_internal
+    reach = np.empty((p.shape[0], 2 * m + 1), dtype=p.dtype)
+    reach[:, topology.root] = 1.0
+    for cols in topology.levels[1:]:
+        up = topology.parent[cols]
+        reach[:, cols] = reach[:, up] * np.where(topology.went_right[cols],
+                                                 p[:, up], q[:, up])
+
+    def bwd(g):
+        grad = np.empty_like(reach)
+        grad[:, m:] = g
+        for cols in reversed(topology.levels[:-1]):
+            k = cols[cols < m]
+            gl, gr = grad[:, topology.left[k]], grad[:, topology.right[k]]
+            grad[:, k] = gr * p[:, k] + gl * q[:, k]
+            edge_right.grad[:, k] += gr * reach[:, k] - gl * reach[:, k]
+
+    return ad.record_op(reach[:, m:].copy(), [edge_right], bwd)
+
+
+def unfused_predict(model, latent):
+    """``ProtoTreeModel.predict``'s class distributions by the chain of
+    taped ops that ``tree.route`` and ``tree.mix_leaf_distributions``
+    fuse: distances, neg, exp, path probabilities and matmul, each
+    accumulating into its own zero-filled gradient."""
+    edge_right = exp(neg(taped_min_patch_distances(latent,
+                                                   model.prototypes.tensor)))
+    pi = taped_path_probabilities(model.topology, edge_right)
+    return matmul(pi, Tensor(model.leaves.distributions().astype(pi.dtype)))

@@ -47,11 +47,11 @@ def test_criterion_01_gradient_correctness():
     labels = one_hot(np.array([1, 2]), 3, dtype=np.float64)
 
     def loss_value():
-        y_hat, _ = model.predict_batch(images)
+        y_hat, _ = model.predict(model.latent(images))
         return cross_entropy(y_hat, labels).item()
 
     with Tape() as tape:
-        y_hat, _ = model.predict_batch(images)
+        y_hat, _ = model.predict(model.latent(images))
         tape.backward(cross_entropy(y_hat, labels))
     worst = 0.0
     count = 0
@@ -59,7 +59,7 @@ def test_criterion_01_gradient_correctness():
         for param in group:
             numeric = finite_difference_grad(loss_value, param, step=1e-5)
             worst = max(worst, max_relative_error(param.grad, numeric))
-            count += param.size
+            count += param.values.size
     elapsed = time.monotonic() - start
     report("criterion 1: gradient correctness",
            worst < 1e-4 and elapsed < 10.0,
@@ -78,8 +78,10 @@ def test_criterion_02_routing_normalization():
         for _ in range(4):
             latent = Tensor(rng.uniform(0, 1, (42, 8, 3, 3))
                             .astype(np.float32))
-            y_hat, trace = tree.predict(topo, bank, leaves, latent)
+            trace = tree.route(topo, bank, latent)
             pi = trace.leaf_probabilities.values
+            y_hat = tree.mix_leaf_distributions(trace.leaf_probabilities,
+                                                leaves.distributions())
             worst_pi = max(worst_pi, np.abs(pi.sum(axis=1) - 1.0).max())
             worst_y = max(worst_y, np.abs(y_hat.values.sum(axis=1) - 1.0).max())
             total += latent.shape[0]

@@ -116,7 +116,7 @@ class TestGradientFlow:
         images = rng.uniform(0, 1, (6, 3, 16, 16)).astype(np.float32)
         labels = one_hot(rng.integers(0, 3, 6), 3)
         with Tape() as tape:
-            y_hat, _ = model.predict_batch(images)
+            y_hat, _ = model.predict(model.latent(images))
             tape.backward(cross_entropy(y_hat, labels))
         for name, group in model.parameters().items():
             for tensor in group:

@@ -123,6 +123,7 @@ class TestTrain:
         (["eps=-1e-8"], "eps must be > 0, got -1e-08"),
         (["beta1=1"], "beta1 must lie in [0, 1), got 1.0"),
         (["beta2=1"], "beta2 must lie in [0, 1), got 1.0"),
+        (["lr_body=nan"], "learning rates must be > 0, got nan"),
     ])
     def test_optimizer_value_out_of_range_fails_before_loading(
             self, workspace, tmp_path, capsys, monkeypatch, settings,

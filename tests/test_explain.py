@@ -45,11 +45,17 @@ def parse_dot(text):
     return nodes, edges
 
 
+def similarity(model, node, image):
+    """The similarity grid of one image against node's prototype."""
+    return xp._similarity_grid(model.latent(image[None]).values[0],
+                               model.prototypes.row(node))
+
+
 class TestSimilarityMap:
     def test_projected_prototype_scores_one_at_source(self, projected_model):
         model, _ = projected_model
         record = model.projection[0]
-        sim = xp.similarity_map(model, 0, model.projection_images[0])
+        sim = similarity(model, 0, model.projection_images[0])
         i, j = record.location
         assert sim[i, j] == 1.0
         assert sim.max() == 1.0
@@ -58,7 +64,7 @@ class TestSimilarityMap:
     def test_matches_per_patch_oracle(self, projected_model):
         model, train = projected_model
         image = train.images[2]
-        sim = xp.similarity_map(model, 1, image)
+        sim = similarity(model, 1, image)
         latent = model.latent(image[None]).values[0]
         proto = model.prototypes.row(1)
         for i in range(sim.shape[0]):
@@ -71,13 +77,8 @@ class TestSimilarityMap:
         for bias in model.backbone.biases:
             bias.values[:] = 0.0
         image = np.zeros((3, 32, 32), dtype=np.float32)
-        sim = xp.similarity_map(model, 0, image)
+        sim = similarity(model, 0, image)
         assert np.ptp(sim) < 1e-7
-
-    def test_index_out_of_range_rejected(self, projected_model):
-        model, train = projected_model
-        with pytest.raises(ValueError, match="out of range"):
-            xp.similarity_map(model, 99, train.images[0])
 
 
 class TestBicubic:
@@ -173,7 +174,7 @@ class TestExportTree:
         graph = xp.export_tree(model, str(tmp_path), sample=sample,
                                sample_name="probe")
         _, _, path = rf.hard_decision(
-            model, model.predict_batch(sample[None])[1], "greedy")
+            model, model.predict(model.latent(sample[None]))[1], "greedy")
         assert graph.sample_path == path
         assert os.path.exists(tmp_path / "explain_probe.html")
 
@@ -199,7 +200,7 @@ class TestExportTree:
             self, projected_model, tmp_path, monkeypatch):
         """The source images go through the backbone as one batch and the
         resample matrix is built once; each patch is still the crop that
-        similarity_map and extract_patch give, bit for bit."""
+        the similarity grid and extract_patch give, bit for bit."""
         model, _ = projected_model
         batches, matrices, saved = [], [], {}
         forward, resample = Backbone.forward, xp._resample_matrix
@@ -222,8 +223,7 @@ class TestExportTree:
         assert len(matrices) == 1        # square: rows and columns alike
         for node, path in graph.patch_paths.items():
             source = model.projection_images[node]
-            want, _ = xp.extract_patch(xp.similarity_map(model, node, source),
-                                       source)
+            want, _ = xp.extract_patch(similarity(model, node, source), source)
             np.testing.assert_array_equal(saved[path], want)
 
     def test_path_crops_come_from_trace_locations(self, projected_model,
@@ -234,15 +234,15 @@ class TestExportTree:
         sample = train.images[1]
         planted = np.random.default_rng(61).integers(
             0, 8, (1, model.topology.num_internal, 2))
-        predict, saved = xp.tr.predict, {}
+        route, saved = xp.tr.route, {}
 
         def planting(*args):
-            y_hat, trace = predict(*args)
+            trace = route(*args)
             assert trace.locations.shape == planted.shape
             trace.locations = planted.copy()
-            return y_hat, trace
+            return trace
 
-        monkeypatch.setattr(xp.tr, "predict", planting)
+        monkeypatch.setattr(xp.tr, "route", planting)
         monkeypatch.setattr(xp, "_save_image",
                             lambda path, image, png: saved.update(
                                 {path: image.copy()}))

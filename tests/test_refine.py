@@ -41,8 +41,7 @@ class StubModel:
         return Tensor(np.zeros((images.shape[0], 1, 1, 1)))
 
     latent_chunks = ProtoTreeModel.latent_chunks
-    predict_latent = ProtoTreeModel.predict_latent
-    predict_batch = ProtoTreeModel.predict_batch
+    predict = ProtoTreeModel.predict
     soft_predict = ProtoTreeModel.soft_predict
 
 
@@ -107,7 +106,7 @@ def _fixed_image(model):
 
 def decide_one(model, image, strategy):
     """``hard_decision`` for one image, routed as a batch of one."""
-    return rf.hard_decision(model, model.predict_batch(image[None])[1],
+    return rf.hard_decision(model, model.predict(model.latent(image[None]))[1],
                             strategy)
 
 
@@ -234,7 +233,7 @@ class TestHardPredict:
         _, max_leaf, _ = decide_one(model, image, "max_path")
         assert greedy_leaf != max_leaf
         # verify the max-path choice by exhaustive enumeration
-        edge = model.predict_batch(image[None])[1].edge_right.values
+        edge = model.predict(model.latent(image[None]))[1].edge_right
         best_leaf, best_prob = None, -1.0
         for leaf, path in enumerate_paths(model.topology):
             prob = 1.0
@@ -279,7 +278,7 @@ class TestHardPredict:
         rng = np.random.default_rng(31)
         model = PlantedModel(3, 4, rng.uniform(0, 1, 7))
         images = rng.uniform(0, 1, (40, 1, 1, 1)).astype(np.float32)
-        edge = model.predict_batch(images)[1].edge_right.values
+        edge = model.predict(model.latent(images))[1].edge_right
         batch = model.topology.greedy_leaves(edge)
         single = [decide_one(model, image, "greedy")[1]
                   for image in images]

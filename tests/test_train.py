@@ -142,9 +142,11 @@ class TestOptimizerLeafSeparation:
 class TestTapedOps:
     def test_training_step_tapes_one_op_per_backbone_stage(self,
                                                             monkeypatch):
-        """Three body stages and the head are four of a step's ten taped
-        ops: each stage's bias and activation run inside its conv2d.
-        Taped as ops of their own, they made seventeen."""
+        """Three body stages and the head are four of a step's seven
+        taped ops: each stage's bias and activation run inside its conv2d.
+        Routing, the leaf mix and the loss are one op each. Taped as ops
+        of their own, the epilogues made seventeen, and the routing chain
+        (distances, neg, exp, path probabilities) three more."""
         model = build_model(BackboneConfig(input_side=32, latent_depth=8),
                             height=2, num_classes=2, seed=9)
         assert len(model.backbone.config.stages) == 3
@@ -159,7 +161,7 @@ class TestTapedOps:
         monkeypatch.setattr(Tape, "backward", counting)
         train_epoch(model, train_set, config, 1,
                     Adam(model.parameters(), config))
-        assert taped == [10]
+        assert taped == [7]
 
 
 class TestDeterminism:
@@ -219,6 +221,8 @@ class TestSchedule:
             TrainConfig(epochs=0).validate()
         with pytest.raises(ValueError):
             TrainConfig(lr_body=0.0).validate()
+        with pytest.raises(ValueError):
+            TrainConfig(lr_head=float("nan")).validate()
         with pytest.raises(ValueError):
             TrainConfig(milestones=(10, 10)).validate()
         TrainConfig(milestones=(5, 10)).validate()

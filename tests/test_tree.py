@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 import prototree.autodiff as ad
 import prototree.tree as tr
 from prototree.autodiff import Tape, Tensor
-from prototree.train import cross_entropy
+from prototree.backbone import BackboneConfig
+from prototree.data import gen_synthetic
+from prototree.model import ProtoTreeModel, build_model
+from prototree.train import cross_entropy, one_hot
 
 from oracles import assert_same_bits, enumerate_paths, \
     finite_difference_grad, leaf_probabilities_from_edges, \
     max_relative_error, recursive_keeping, scan_min_patch_distances, \
-    scan_nearest_patch, scatter_min_patch_grad, weighted_sum
+    scan_nearest_patch, scatter_min_patch_grad, unfused_predict, weighted_sum
 
 
 def tree_with_edge_probs(p_right_per_node, num_classes=2, height=None):
@@ -28,6 +31,11 @@ def tree_with_edge_probs(p_right_per_node, num_classes=2, height=None):
     bank.tensor.values[:, 0] = -np.log(np.asarray(p_right_per_node))
     latent = Tensor(np.zeros((1, 1, 1, 1)))
     return topo, bank, leaves, latent
+
+
+def predict(topo, bank, leaves, latent):
+    """``ProtoTreeModel.predict`` of a tree without a backbone."""
+    return ProtoTreeModel(None, topo, bank, leaves, seed=0).predict(latent)
 
 
 def unbalanced_topology():
@@ -144,7 +152,7 @@ def routed_edge_probability(distance):
     topo, bank, _ = tr.init_tree(1, 2, 1, seed=0, dtype=np.float64)
     bank.tensor.values[0, 0] = distance
     trace = tr.route(topo, bank, Tensor(np.zeros((1, 1, 1, 1))))
-    return float(trace.edge_right.values[0, 0])
+    return float(trace.edge_right[0, 0])
 
 
 class TestEdgeProbability:
@@ -186,7 +194,7 @@ class TestRoute:
         topo, bank, _ = tr.init_tree(3, 2, 4, seed=9)
         latent = Tensor(rng.uniform(0, 1, (5, 4, 2, 2)))
         trace = tr.route(topo, bank, latent)
-        oracle = leaf_probabilities_from_edges(topo, trace.edge_right.values)
+        oracle = leaf_probabilities_from_edges(topo, trace.edge_right)
         np.testing.assert_allclose(trace.leaf_probabilities.values, oracle,
                                    atol=1e-7)
 
@@ -212,14 +220,14 @@ class TestPredict:
         topo, bank, leaves, latent = tree_with_edge_probs([0.6, 0.5, 0.25],
                                                           num_classes=3)
         leaves.logits[:] = np.log(np.array([0.5, 0.3, 0.2]))
-        y_hat, _ = tr.predict(topo, bank, leaves, latent)
+        y_hat, _ = predict(topo, bank, leaves, latent)
         np.testing.assert_allclose(y_hat.values[0], [0.5, 0.3, 0.2], atol=1e-7)
 
     def test_concentrated_path_selects_leaf(self):
         topo, bank, leaves, latent = tree_with_edge_probs([0.999, 0.001, 0.999])
         leaves.logits[:] = np.array([[9.0, 0.0], [0.0, 9.0],
                                      [9.0, 0.0], [0.0, 9.0]])
-        y_hat, _ = tr.predict(topo, bank, leaves, latent)
+        y_hat, _ = predict(topo, bank, leaves, latent)
         assert y_hat.values[0, 1] > 0.99  # mass on leaf 3 = class 1
 
     def test_hand_mixture(self):
@@ -234,7 +242,7 @@ class TestPredict:
         topo, bank, leaves = tr.init_tree(3, 4, 5, seed=11)
         leaves.logits = rng.normal(0, 2, leaves.logits.shape)
         latent = Tensor(rng.uniform(0, 1, (6, 5, 3, 3)))
-        y_hat, _ = tr.predict(topo, bank, leaves, latent)
+        y_hat, _ = predict(topo, bank, leaves, latent)
         dists = leaves.distributions()
         assert (y_hat.values >= dists.min(axis=0) - 1e-7).all()
         assert (y_hat.values <= dists.max(axis=0) + 1e-7).all()
@@ -248,7 +256,7 @@ class TestPredict:
         leaves.logits = rng.normal(0, 1, leaves.logits.shape)
         latent = Tensor(rng.uniform(0, 1, (3, 4, 2, 2)))
         trace = tr.route(topo, bank, latent)
-        edges = trace.edge_right.values
+        edges = trace.edge_right
         y_ref = leaf_probabilities_from_edges(topo, edges) \
             @ leaves.distributions()
 
@@ -272,7 +280,7 @@ class TestGradients:
         labels[0, 1] = labels[1, 2] = 1.0
 
         def loss_value():
-            y_hat, _ = tr.predict(topo, bank, leaves, Tensor(images))
+            y_hat, _ = predict(topo, bank, leaves, Tensor(images))
             return cross_entropy(y_hat, labels)   # -sum(y log y_hat) / 2
 
         with Tape() as tape:
@@ -290,7 +298,7 @@ class TestGradients:
         labels = np.array([[1.0, 0.0]])
 
         def loss_value():
-            y_hat, _ = tr.predict(topo, bank, leaves, latent)
+            y_hat, _ = predict(topo, bank, leaves, latent)
             return cross_entropy(y_hat, labels)
 
         with Tape() as tape:
@@ -305,17 +313,24 @@ class TestMinPatchDistances:
         rng = np.random.default_rng(12)
         latent = rng.uniform(0, 1, (3, 5, 4, 4))
         protos = rng.uniform(0, 1, (6, 5))
-        dist, locs = tr.min_patch_distances(Tensor(latent), Tensor(protos))
+        dist, locs = distances_and_locations(latent, protos)
         for n in range(3):
             for m in range(6):
                 (i, j), d = scan_nearest_patch(latent[n], protos[m])
                 assert (locs[n, m] == (i, j)).all()
-                assert abs(dist.values[n, m] - d) < 1e-12
+                assert abs(dist[n, m] - d) < 1e-12
 
     def test_depth_mismatch_rejected(self):
         with pytest.raises(ValueError, match="depth"):
-            tr.min_patch_distances(Tensor(np.ones((1, 3, 2, 2))),
-                                   Tensor(np.ones((2, 4))))
+            tr.min_patch_distances(np.ones((1, 3, 2, 2)), np.ones((2, 4)))
+
+
+def distances_and_locations(latent, protos):
+    """Nearest-patch distances and (row, col) locations, as ``route``
+    forms them from ``min_patch_distances``."""
+    squared, nearest = tr.min_patch_distances(latent, protos)
+    w = latent.shape[3]
+    return np.sqrt(squared), np.stack([nearest // w, nearest % w], axis=2)
 
 
 def bits(x):
@@ -323,10 +338,10 @@ def bits(x):
 
 
 def assert_same_as_scan(latent, protos):
-    dist, locs = tr.min_patch_distances(Tensor(latent), Tensor(protos))
+    dist, locs = distances_and_locations(latent, protos)
     want_dist, want_locs = scan_min_patch_distances(latent, protos)
-    assert dist.values.dtype == want_dist.dtype
-    assert np.array_equal(bits(dist.values), bits(want_dist))
+    assert dist.dtype == want_dist.dtype
+    assert np.array_equal(bits(dist), bits(want_dist))
     assert np.array_equal(locs, want_locs)
     return locs
 
@@ -346,7 +361,7 @@ def rescored(monkeypatch):
 
 
 def margin(latent, proto):
-    """The selection margin derived in tree._nearest_squared."""
+    """The selection margin derived in tree.min_patch_distances."""
     d = latent.shape[1]
     u = np.finfo(latent.dtype).eps / 2
     gamma = (d + 2) * u / (1 - (d + 2) * u)
@@ -457,7 +472,7 @@ class TestNearestPatchSearch:
         protos = rng.uniform(0, 1, (5, 6)).astype(np.float32)
         protos[4, 3] = np.inf
         try:
-            _, locs = tr.min_patch_distances(Tensor(lat), Tensor(protos))
+            _, locs = distances_and_locations(lat, protos)
         except ValueError:
             return
         _, want = scan_min_patch_distances(lat, protos)
@@ -466,16 +481,16 @@ class TestNearestPatchSearch:
 
 
 def distance_grads(latent, protos, want_latent=True, want_protos=True):
-    """Latent and prototype gradients of a random weighting of the
-    min-patch distances, through the tape; None where not tracked."""
-    lat = Tensor(latent, requires_grad=want_latent)
-    bank = Tensor(protos, requires_grad=want_protos)
+    """Prototype and latent gradients of a random weighting of the
+    min-patch distances; None where not wanted."""
+    squared, nearest = tr.min_patch_distances(latent, protos)
     weights = np.random.default_rng(36).normal(
-        size=(latent.shape[0], protos.shape[0])).astype(latent.dtype)
-    with Tape() as tape:
-        dist, _ = tr.min_patch_distances(lat, bank)
-        tape.backward(weighted_sum(dist, weights))
-    return lat.grad, bank.grad
+        size=squared.shape).astype(latent.dtype)
+    n, d = latent.shape[:2]
+    return tr._min_patch_grads(
+        latent.reshape(n, d, -1), protos, nearest,
+        weights / np.sqrt(squared + tr.DISTANCE_GRAD_EPS), want_protos,
+        want_latent)
 
 
 def assert_grads_same_as_scatter(monkeypatch, latent, protos, **wanted):
@@ -492,14 +507,12 @@ def assert_grads_same_as_scatter(monkeypatch, latent, protos, **wanted):
 
 
 class TestMinPatchGradients:
-    """The backward of min_patch_distances against the 2-D scatter,
-    bit for bit."""
+    """The distance backward against the 2-D scatter, bit for bit."""
 
     def test_real_latents_at_initialisation(self, monkeypatch, real_latents):
         _, bank, _ = tr.init_tree(9, 4, real_latents.shape[1], seed=9)
         protos = bank.tensor.values
-        _, locs = tr.min_patch_distances(Tensor(real_latents), Tensor(protos))
-        cells = locs[..., 0] * real_latents.shape[3] + locs[..., 1]
+        _, cells = tr.min_patch_distances(real_latents, protos)
         # most prototypes share one patch: long runs of repeated indices
         assert max(np.bincount(row).max() for row in cells) > len(protos) // 2
         assert_grads_same_as_scatter(monkeypatch, real_latents, protos)
@@ -511,8 +524,8 @@ class TestMinPatchGradients:
         cells = rng.permutation(h * w)[:63]
         protos = lat[0].reshape(d, h * w)[:, cells].T \
             + rng.uniform(-1e-3, 1e-3, (63, d)).astype(lat.dtype)
-        _, locs = tr.min_patch_distances(Tensor(lat), Tensor(protos))
-        assert np.array_equal(locs[0, :, 0] * w + locs[0, :, 1], cells)
+        _, nearest = tr.min_patch_distances(lat, protos)
+        assert np.array_equal(nearest[0], cells)
         assert_grads_same_as_scatter(monkeypatch, lat, protos)
 
     @pytest.mark.parametrize("shape", [(3, 5, 4, 4), (2, 6, 1, 1),
@@ -551,8 +564,8 @@ class TestSplitBatch:
         runs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(ad, "_WORKERS", workers)
-            dist, locs = tr.min_patch_distances(Tensor(lat), Tensor(protos))
-            runs.append((dist.values, locs, *distance_grads(lat, protos)))
+            runs.append((*tr.min_patch_distances(lat, protos),
+                         *distance_grads(lat, protos)))
         for run in runs[1:]:
             for got, want in zip(run, runs[0]):
                 assert_same_bits(got, want)
@@ -566,7 +579,7 @@ class TestSplitBatch:
         protos = np.zeros((3, 4))
         for limit, want in ((121, []), (120, [2, 2])):
             monkeypatch.setattr(tr, "SPLIT_MIN_MACS", limit)
-            _, argmin = tr._nearest_squared(flat, protos)
+            _, argmin = tr.min_patch_distances(flat[..., None], protos)
             tr._min_patch_grads(flat, protos, argmin, np.ones((2, 3)),
                                 True, True)
             assert calls == want
@@ -597,7 +610,7 @@ class TestRouteAsArrays:
             trace = tr.route(shape, bank, latent)
             pi = trace.leaf_probabilities.values
             oracle = leaf_probabilities_from_edges(shape,
-                                                   trace.edge_right.values)
+                                                   trace.edge_right)
             assert pi.dtype == oracle.dtype == np.float32
             assert pi.tobytes() == oracle.tobytes()
 
@@ -609,7 +622,7 @@ class TestRouteAsArrays:
         for shape in (unbalanced_topology(), mirrored(unbalanced_topology())):
             trace = tr.route(shape, bank, latent)
             oracle = leaf_probabilities_from_edges(shape,
-                                                   trace.edge_right.values)
+                                                   trace.edge_right)
             assert trace.leaf_probabilities.values.tobytes() == oracle.tobytes()
 
     def test_gradients_match_finite_differences_on_pruned_tree(self):
@@ -630,6 +643,37 @@ class TestRouteAsArrays:
         for tensor in (bank.tensor, latent):
             numeric = finite_difference_grad(lambda: loss().item(), tensor)
             assert max_relative_error(tensor.grad, numeric) < 1e-6
+
+    @pytest.mark.parametrize("pruned", [False, True],
+                             ids=["full_height_3", "pruned"])
+    def test_step_gradients_same_bits_as_unfused_chain(self, pruned):
+        """A float32 training step through the fused routing op leaves
+        every parameter's gradient where the chain of separate taped ops
+        puts it, bit for bit."""
+        config = BackboneConfig(input_side=32, latent_depth=8,
+                                stages=((8, 3, 2), (8, 3, 2)))
+        model = build_model(config, height=2 if pruned else 3, num_classes=3,
+                            seed=5)
+        if pruned:
+            model.topology = unbalanced_topology()
+        model.leaves.logits = np.random.default_rng(53).normal(
+            0, 2, model.leaves.logits.shape)
+        images, _ = gen_synthetic(3, 4, 32, seed=54)
+        labels = one_hot(images.labels, 3)
+        params = [t for group in model.parameters().values() for t in group]
+        grads = []
+        for predict in (lambda z: model.predict(z)[0],
+                        lambda z: unfused_predict(model, z)):
+            with Tape() as tape:
+                y_hat = predict(model.latent(images.images))
+                tape.backward(cross_entropy(y_hat, labels))
+            grads.append([t.grad.copy() for t in params])
+            for t in params:
+                t.zero_grad()
+        assert grads[0][0].dtype == np.float32
+        for got, want in zip(*grads):
+            assert_same_bits(got, want)
+            assert np.abs(want).max() > 0
 
     def test_root_leaf_gets_probability_one(self):
         empty = np.zeros(0, dtype=np.int64)
