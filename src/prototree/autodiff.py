@@ -1,13 +1,14 @@
 """Dense tensors with reverse-mode differentiation.
 
 A small numpy-backed engine: ``Tensor``, ``Tape``, ``record_op`` and
-``conv2d``, with the pool that splits a batch over idle cores. Values
-live in a numpy array; every differentiable operation computes its
-result eagerly and, when a tape is active and some input participates in
-gradients, records a backward closure. ``conv2d`` is the only op kept
-here, and it applies a stage's bias and activation inside its own batch
-slices; routing, the leaf mix and the loss record their own ops, each
-through ``record_op`` with its own backward rule.
+``conv2d``, whose batch slices run on a ``ThreadPoolExecutor`` over the
+cores BLAS leaves idle. Values live in a numpy array; every
+differentiable operation computes its result eagerly and, when a tape is
+active and some input participates in gradients, records a backward
+closure. ``conv2d`` is the only op kept here, and it applies a stage's
+bias and activation inside its own batch slices; routing, the leaf mix
+and the loss record their own ops, each through ``record_op`` with its
+own backward rule.
 
 Precision is carried by the arrays themselves: float32 for training,
 float64 for derivative checks. Mixing the two in one operation is an
@@ -17,9 +18,9 @@ error.
 from __future__ import annotations
 
 import os
-import queue
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,95 +140,55 @@ def _worker_count() -> int:
 
 # slices a batch is split into: the CPUs that BLAS's own threads leave idle
 _WORKERS = _worker_count()
-_POOL: "_Pool | None" = None
-_POOL_LOCK = threading.Lock()
 _IN_SLICE = threading.local()
+_EXECUTOR: ThreadPoolExecutor
 
 
-class _Pool:
-    """Daemon threads running ``(fn, part, errors, done)`` tasks under the
-    numpy error state ``errors``; each puts None, or what ``fn(part)``
-    raised, on its ``done`` queue."""
-
-    def __init__(self):
-        self.tasks: queue.SimpleQueue = queue.SimpleQueue()
-        self.size = 0
-
-    def grow(self, size: int) -> None:
-        for _ in range(size - self.size):
-            threading.Thread(target=self._serve, name="prototree-split",
-                             daemon=True).start()
-        self.size = max(self.size, size)
-
-    def _serve(self) -> None:
-        _IN_SLICE.active = True
-        while True:
-            # a task's buffers must not outlive it, so it is no local here
-            self._run(*self.tasks.get())
-
-    @staticmethod
-    def _run(fn, part: slice, errors: dict, done: queue.SimpleQueue) -> None:
-        try:
-            with np.errstate(**errors):
-                fn(part)
-        except BaseException as err:   # re-raised by the caller
-            done.put(err)
-        else:
-            done.put(None)
+def _start_executor() -> None:
+    # threads start on first submit; unbounded, each submit that finds no
+    # idle thread would start one more, each with a glibc arena of its own
+    global _EXECUTOR
+    _EXECUTOR = ThreadPoolExecutor(
+        max(1, _WORKERS - 1), thread_name_prefix="prototree-split",
+        initializer=setattr, initargs=(_IN_SLICE, "active", True))
 
 
-def _drop_pool() -> None:
-    # a forked child has none of the pool's threads; it starts its own
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
+_start_executor()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _pool(size: int) -> _Pool:
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = _Pool()
-        _POOL.grow(size)
-        return _POOL
+    # a forked child has none of the executor's threads; it starts its own
+    os.register_at_fork(after_in_child=_start_executor)
 
 
 def _split_batch(n: int, fn: Callable[[slice], None]) -> None:
     """Run ``fn(part)`` over contiguous slices ``part`` of ``range(n)``.
 
-    The calling thread runs the last slice and a pool, started on first
-    use, runs the others, up to ``_WORKERS`` slices in all. ``fn`` must
-    write only its own slice's rows of buffers the caller allocated, so
-    that nothing it computes depends on the number of slices; any sum
-    across slices stays with the caller. It must not touch a tape or a
-    ``Tensor``, nor call ``_split_batch`` again: a pool thread waiting on
-    its own pool could wait forever, so a nested call raises. Every slice
-    runs under the caller's numpy error state, which a new thread would
-    not inherit. The first exception a slice raises reaches the caller,
-    after every slice ended.
+    The calling thread runs the last slice and ``_EXECUTOR``, whose
+    threads (one fewer than ``_WORKERS`` at import) start on first use,
+    runs the others, up to ``_WORKERS`` slices in all. ``fn`` must write
+    only its own slice's rows of buffers the caller allocated, so that
+    nothing it computes depends on the number of slices; any sum across
+    slices stays with the caller. It must not touch a tape or a
+    ``Tensor``, nor call ``_split_batch`` again: a worker thread waiting
+    on its own executor could wait forever, so a nested call raises.
+    Every slice runs under the caller's numpy error state, which a worker
+    thread would not inherit. The first exception a slice raises reaches
+    the caller, after every slice ended.
     """
     if getattr(_IN_SLICE, "active", False):
         raise RuntimeError("_split_batch called from inside a slice")
     parts = max(1, min(_WORKERS, n))
     edges = [k * n // parts for k in range(parts + 1)]
-    if parts > 1:
-        done: queue.SimpleQueue = queue.SimpleQueue()
-        tasks, errors = _pool(parts - 1).tasks, np.geterr()
-        for lo, hi in zip(edges[:-2], edges[1:-1]):
-            tasks.put((fn, slice(lo, hi), errors, done))
-    errors = []
+    errors = np.geterr()
+    futures = [_EXECUTOR.submit(np.errstate(**errors)(fn), slice(lo, hi))
+               for lo, hi in zip(edges[:-2], edges[1:-1])]
     _IN_SLICE.active = True
     try:
         fn(slice(edges[-2], n))
-    except BaseException as err:   # raised below, once every slice ended
-        errors.append(err)
     finally:
         _IN_SLICE.active = False
-    errors += [done.get() for _ in range(parts - 1)]
-    first = next((err for err in errors if err is not None), None)
+        # waits for every slice, so none outlives the call
+        raised = [f.exception() for f in futures]
+    first = next((err for err in raised if err is not None), None)
     if first is not None:
         raise first
 

@@ -35,15 +35,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_DEFAULTS: dict[str, str] = {
-    "height": "4", "latent_depth": "32", "input_side": "64",
-    "in_channels": "3", "stages": "16:3:2,32:3:2,64:3:2",
-    "epochs": "60", "batch_size": "64", "lr_body": "0.001",
-    "lr_head": "0.001", "lr_prototypes": "0.001", "milestones": "",
-    "gamma": "0.5", "seed": "0", "beta1": "0.9", "beta2": "0.999",
-    "eps": "1e-8", "frozen_epochs": "0", "augment_enabled": "false",
-    "flip_p": "0.5", "brightness_lo": "0.6", "brightness_hi": "1.4",
-}
+_BACKBONE, _TRAIN = vars(BackboneConfig()), vars(trn.TrainConfig())
+_AUGMENT = _TRAIN.pop("augment")
+_DEFAULTS: dict[str, str] = {key: str(value) for key, value in {
+    **_BACKBONE, **_TRAIN, "height": 4,
+    "stages": ",".join(f"{o}:{k}:{s}" for o, k, s in _BACKBONE["stages"]),
+    "milestones": ",".join(map(str, _TRAIN["milestones"])),
+    "augment_enabled": _AUGMENT.enabled, "flip_p": _AUGMENT.horizontal_flip_p,
+    "brightness_lo": _AUGMENT.brightness_jitter[0],
+    "brightness_hi": _AUGMENT.brightness_jitter[1]}.items()}
 
 
 def read_config(path: str | None, overrides: list[str]) -> dict[str, str]:

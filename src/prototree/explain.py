@@ -14,6 +14,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from html import escape
 
 import numpy as np
 
@@ -126,6 +127,11 @@ def _class_label(model, k: int) -> str:
     return f"class {k}"
 
 
+def _dot_quoted(text: str) -> str:
+    """``text`` as the inside of a DOT double-quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _dot_lines(model, patch_rel: dict[int, str]) -> list[str]:
     topo = model.topology
     dists = model.leaves.distributions()
@@ -137,7 +143,8 @@ def _dot_lines(model, patch_rel: dict[int, str]) -> list[str]:
     for leaf in range(topo.num_leaves):
         k = int(dists[leaf].argmax())
         lines.append(f'  leaf{leaf} [shape=ellipse, label="'
-                     f'{_class_label(model, k)}\\np={dists[leaf, k]:.3f}"];')
+                     f'{_dot_quoted(_class_label(model, k))}'
+                     f'\\np={dists[leaf, k]:.3f}"];')
     for node in range(topo.num_internal):
         for label, child in (("absent", int(topo.left[node])),
                              ("present", int(topo.right[node]))):
@@ -157,7 +164,7 @@ def _html_tree(model, patch_rel: dict[int, str]) -> str:
             leaf = col - topo.num_internal
             k = int(dists[leaf].argmax())
             return (f"<li class='leaf'>leaf {leaf}: "
-                    f"<b>{_class_label(model, k)}</b> "
+                    f"<b>{escape(_class_label(model, k))}</b> "
                     f"(p={dists[leaf, k]:.3f})</li>")
         return (f"<li>node {col} <img src='{patch_rel[col]}' "
                 f"alt='prototype {col}'><ul>"
@@ -237,18 +244,18 @@ def _export_sample(model, sample: np.ndarray, name: str, out_dir: str,
     body = "".join(
         f"<tr><td>node {node}</td>"
         f"<td><img src='{patch_rel[node]}'></td>"
-        f"<td><img src='{rel}'></td>"
+        f"<td><img src='{escape(rel)}'></td>"
         f"<td>p_right={p:.4f}</td>"
         f"<td>{'present' if right else 'absent'}</td></tr>"
         for node, right, p, rel in rows)
     html = ("<!DOCTYPE html><html><head><meta charset='utf-8'>"
-            f"<title>decision path: {name}</title><style>"
+            f"<title>decision path: {escape(name)}</title><style>"
             "img{height:48px} td{padding:4px;border:1px solid #ccc}"
             "table{border-collapse:collapse}</style></head><body>"
-            f"<h1>greedy path for {name}</h1>"
+            f"<h1>greedy path for {escape(name)}</h1>"
             "<table><tr><th>node</th><th>prototype</th><th>found patch</th>"
             f"<th>p_right</th><th>decision</th></tr>{body}</table>"
-            f"<p>leaf {leaf}: <b>{_class_label(model, k)}</b> "
+            f"<p>leaf {leaf}: <b>{escape(_class_label(model, k))}</b> "
             f"(p={dist[k]:.3f})</p></body></html>")
     _write_text(graph, os.path.join(out_dir, f"explain_{name}.html"), html)
     return [(node, right, p) for node, right, p, _ in rows]

@@ -178,6 +178,9 @@ class ProtoTreeModel:
         classes = blob["tree/leaf_logits"].shape[-1]
         leaves = tr.LeafParams(_record(blob, "tree/leaf_logits", "f8", m + 1,
                                        classes))
+        if classes < 2:
+            raise ValueError("record 'tree/leaf_logits' has shape "
+                             f"{(m + 1, classes)}: fewer than 2 classes")
         names = _text(blob, "meta/class_names")
         class_names = names.split("\n") if names else []
         if class_names and len(class_names) != classes:

@@ -1,8 +1,11 @@
 import ast
 import inspect
 import multiprocessing
+import os
 import pathlib
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import warnings
@@ -201,6 +204,13 @@ def conv_in_child(x, k, conn):
     conn.close()
 
 
+def run_python(code):
+    """Run ``code`` in a fresh interpreter, which must exit by itself."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, timeout=30, capture_output=True, text=True)
+
+
 class TestSplitBatch:
     """Slices of a batch run on worker threads; no float bit depends on
     how many."""
@@ -298,6 +308,33 @@ class TestSplitBatch:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert (counts == 1).all()
+
+    def test_concurrent_callers_start_one_worker_thread(self):
+        # unbounded, a submit that finds no idle thread starts another
+        done = run_python("""
+            import sys, threading
+            import prototree.autodiff as ad
+            ad._WORKERS = 2
+            sys.setswitchinterval(1e-6)
+            def caller():
+                for _ in range(200):
+                    ad._split_batch(4, lambda part: sum(range(100)))
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            print(sum(thread.name.startswith("prototree-split")
+                      for thread in threading.enumerate()))
+            """)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1"]
+
+    def test_interpreter_exits_after_a_split(self):
+        # the executor's threads are not daemons: exit must join them
+        done = run_python("import prototree.autodiff as ad; ad._WORKERS = 2; "
+                          "ad._split_batch(4, lambda part: None)")
+        assert done.returncode == 0, done.stderr
 
     def test_pool_keeps_no_task_alive(self, monkeypatch):
         # a finished slice's buffers are freed with the caller's last

@@ -284,6 +284,8 @@ class TestModelRoundTrip:
         ("tree/leaf_logits", lambda a: a.astype(np.float32), "dtype float32"),
         ("meta/seed", lambda a: a.astype(np.float64), "dtype float64"),
         ("proj/flags", lambda a: a.astype(np.int64), "dtype int64"),
+        ("tree/leaf_logits", lambda a: a[:, :1], "fewer than 2 classes"),
+        ("tree/leaf_logits", lambda a: a[:, :0], "fewer than 2 classes"),
         ("meta/class_names", lambda a: a[:-2], "2 names for 3 classes"),
         # an injected record: fresh checkpoints carry no meta/leaf_norm
         ("meta/leaf_norm", lambda _: np.frombuffer(b"l2", np.uint8), "'l2'"),

@@ -449,7 +449,7 @@ class TestExitCodes:
     def test_overflow_in_split_conv_is_one(self, workspace, tmp_path, capsys,
                                            monkeypatch, workers):
         # huge but finite body weights overflow the conv GEMMs, which run
-        # on pool threads at 2 workers: those keep the caller's errstate
+        # on worker threads at 2 workers: those keep the caller's errstate
         monkeypatch.setattr(ad, "_WORKERS", workers)
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
@@ -503,6 +503,22 @@ class TestExitCodes:
                      "--data", workspace["data"]]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["prune", "eval"])
+    def test_checkpoint_without_classes_is_four(self, workspace, tmp_path,
+                                                capsys, command):
+        blob = read_blob(workspace["ckpt"])
+        blob["tree/leaf_logits"] = blob["tree/leaf_logits"][:, :0]
+        blob["meta/class_names"] = blob["meta/class_names"][:0]
+        corrupt = str(tmp_path / "corrupt.npt")
+        write_blob(corrupt, blob)
+        args = {"prune": ["--out", str(tmp_path / "p.npt")],
+                "eval": ["--data", workspace["data"]]}[command]
+        capsys.readouterr()
+        assert main([command, "--ckpt", corrupt, *args]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'tree/leaf_logits'" in err and "fewer than 2 classes" in err
 
     @pytest.mark.parametrize("name, mangle", [
         pytest.param("tree/prototypes", lambda a: a[:0, 0], id="empty_prototypes"),

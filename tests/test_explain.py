@@ -178,6 +178,23 @@ class TestExportTree:
         assert graph.sample_path == path
         assert os.path.exists(tmp_path / "explain_probe.html")
 
+    def test_names_from_outside_are_escaped(self, projected_model, tmp_path,
+                                            monkeypatch):
+        model, train = projected_model
+        monkeypatch.setattr(model, "class_names", ['a"b\\', "c<script>'"])
+        xp.export_tree(model, str(tmp_path), sample=train.images[0],
+                       sample_name="'<i>")
+        dot = (tmp_path / "tree.dot").read_text()
+        labels = re.findall(r'label="((?:[^"\\]|\\.)*)"', dot)
+        assert {label.split("\\np=")[0] for label in labels
+                if "\\np=" in label} == {'a\\"b\\\\', "c<script>'"}
+        tree = (tmp_path / "tree.html").read_text()
+        assert "<script>" not in tree and "c&lt;script&gt;&#x27;" in tree
+        page = (tmp_path / "explain_'<i>.html").read_text()
+        assert "<i>" not in page
+        assert page.count("&#x27;&lt;i&gt;") == 2 + len(
+            os.listdir(tmp_path / "explain_'<i>_patches"))
+
     def test_one_backbone_pass_on_the_explained_image(self, projected_model,
                                                       tmp_path, monkeypatch):
         model, train = projected_model
