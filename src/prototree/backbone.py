@@ -3,7 +3,8 @@
 A small stack of strided convolutions with ReLU, closed by a bias-free
 1x1 convolution and an elementwise sigmoid, so every latent value lies
 strictly inside (0, 1). Body convolutions use padding kernel // 2.
-Each stage, with its bias and activation, is one ``conv2d`` call.
+The whole stack, every stage's bias and activation included, is one
+``conv_stack`` call.
 """
 
 from __future__ import annotations
@@ -64,11 +65,10 @@ class Backbone:
             raise ValueError(
                 f"expected {cfg.in_channels}x{cfg.input_side}x{cfg.input_side} "
                 f"images, got {c}x{h}x{w}")
-        for weight, bias, (_, kernel, stride) in zip(self.weights, self.biases,
-                                                     cfg.stages):
-            x = ad.conv2d(x, weight, stride=stride, padding=kernel // 2,
-                          bias=bias, activation="relu")
-        return ad.conv2d(x, self.head_weight, activation="sigmoid")
+        stages = [(weight, bias, stride, kernel // 2)
+                  for weight, bias, (_, kernel, stride)
+                  in zip(self.weights, self.biases, cfg.stages)]
+        return ad.conv_stack(x, stages, self.head_weight)
 
 
 def build(config: BackboneConfig, seed: int, dtype=np.float32) -> Backbone:

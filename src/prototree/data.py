@@ -394,15 +394,18 @@ def load_dataset(root: str, split: str = "train",
     if unknown:
         raise UnknownClassError(f"{root}: class {min(unknown)!r} is not one "
                                 "of the model's classes")
-    images = []
-    for rel, _ in entries:
+    # filled in place: a list of images to stack would hold the split
+    # twice, and the heap it grows to is returned and faulted in again
+    images = None
+    for k, (rel, _) in enumerate(entries):
         image = load_ppm(os.path.join(root, rel))
-        if images and image.shape != images[0].shape:
+        if images is None:
+            images = np.empty((len(entries), *image.shape), image.dtype)
+        elif image.shape != images.shape[1:]:
             raise ValueError(
                 f"{os.path.join(root, rel)}: image shape {image.shape} differs "
-                f"from the first image's {images[0].shape}")
-        images.append(image)
-    images = np.stack(images)
+                f"from the first image's {images.shape[1:]}")
+        images[k] = image
     labels = np.asarray([index[cls] for _, cls in entries], dtype=np.int64)
     return Dataset(images=images, labels=labels, split=split,
                    class_names=class_names)

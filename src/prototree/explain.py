@@ -15,6 +15,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from html import escape
+from urllib.parse import quote
 
 import numpy as np
 
@@ -125,6 +126,13 @@ def _class_label(model, k: int) -> str:
     if model.class_names and k < len(model.class_names):
         return model.class_names[k]
     return f"class {k}"
+
+
+def _src(rel: str) -> str:
+    """A relative path as an HTML attribute value: percent-encoded, so
+    that a '#', '?' or '%' in a file name stays part of the path, then
+    escaped."""
+    return escape(quote(rel))
 
 
 def _dot_quoted(text: str) -> str:
@@ -243,8 +251,8 @@ def _export_sample(model, sample: np.ndarray, name: str, out_dir: str,
     k = int(np.argmax(dist))
     body = "".join(
         f"<tr><td>node {node}</td>"
-        f"<td><img src='{patch_rel[node]}'></td>"
-        f"<td><img src='{escape(rel)}'></td>"
+        f"<td><img src='{_src(patch_rel[node])}'></td>"
+        f"<td><img src='{_src(rel)}'></td>"
         f"<td>p_right={p:.4f}</td>"
         f"<td>{'present' if right else 'absent'}</td></tr>"
         for node, right, p, rel in rows)

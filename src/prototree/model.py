@@ -57,8 +57,8 @@ class ProtoTreeModel:
         """Latent maps of a stack of images, ``batch_size`` images at a time.
 
         numpy's stacked matmul runs one GEMM per image, so an image's
-        latent bits do not depend on the chunk it falls in; projection
-        relies on that.
+        latent bits do not depend on the chunk it falls in: evaluation
+        in chunks and projection in one pass see the same latents.
         """
         for start in range(0, images.shape[0], batch_size):
             yield self.latent(images[start:start + batch_size])
@@ -77,9 +77,9 @@ class ProtoTreeModel:
                                in self.latent_chunks(images, batch_size)])
 
     def latents_per_image(self, images: np.ndarray) -> np.ndarray:
-        """Latent maps of a stack of images, as one-image forwards give,
-        64 at a time: projection holds the training set in memory too."""
-        return np.concatenate([z.values for z in self.latent_chunks(images, 64)])
+        """Latent maps of a stack of images, as one-image forwards give:
+        the backbone keeps no stage buffer of the whole stack untaped."""
+        return self.latent(images).values
 
     def accuracy(self, dataset, batch_size: int = 256) -> float:
         return evaluate(self, dataset, "soft", batch_size).accuracy

@@ -42,6 +42,16 @@ def naive_conv2d(x, kernel, stride=1, padding=0):
     return out
 
 
+def naive_conv_stack(x, stages, head):
+    """``autodiff.conv_stack`` by windowed sums: each (kernel, bias,
+    stride, padding) stage's sums plus its bias through max(v, 0), then
+    the 1x1 head's through 1 / (1 + exp(-v))."""
+    for kernel, bias, stride, padding in stages:
+        x = np.maximum(naive_conv2d(x, kernel, stride, padding)
+                       + bias.reshape(1, -1, 1, 1), 0.0)
+    return 1.0 / (1.0 + np.exp(-naive_conv2d(x, head)))
+
+
 def softmax_extended(logits):
     """Plain exp/sum evaluated in extended precision."""
     ext = np.exp(np.asarray(logits, dtype=np.longdouble))
@@ -91,15 +101,18 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
 
 
 def check_conv_oracle() -> tuple[bool, str]:
+    """A padded, stride-2 ReLU stage and a 1x1 sigmoid head, as one
+    ``conv_stack``, against windowed sums with the bias and the
+    activations applied."""
     rng = np.random.default_rng(7)
-    for stride, padding in ((1, 0), (2, 1), (1, 2)):
-        x = rng.normal(size=(2, 3, 6, 7))
-        k = rng.normal(size=(4, 3, 3, 2))
-        got = ad.conv2d(Tensor(x), Tensor(k), stride, padding).values
-        want = naive_conv2d(x, k, stride, padding)
-        if np.abs(got - want).max() >= 1e-6:
-            return False, f"mismatch {np.abs(got - want).max():.2e}"
-    return True, ""
+    x = rng.normal(size=(2, 3, 6, 7))
+    k = rng.normal(size=(4, 3, 3, 2))
+    bias = rng.normal(size=4)
+    head = rng.normal(size=(5, 4, 1, 1))
+    got = ad.conv_stack(Tensor(x), [(Tensor(k), Tensor(bias), 2, 1)],
+                        Tensor(head)).values
+    err = np.abs(got - naive_conv_stack(x, [(k, bias, 2, 1)], head)).max()
+    return err < 1e-6, f"mismatch {err:.2e}"
 
 
 def check_softmax_oracle() -> tuple[bool, str]:

@@ -12,7 +12,7 @@ import prototree.autodiff as ad
 import prototree.tree as tr
 from prototree.autodiff import Tensor
 from prototree.selftest import finite_difference_grad, \
-    max_relative_error, naive_conv2d, softmax_extended, \
+    max_relative_error, naive_conv2d, naive_conv_stack, softmax_extended, \
     two_pass_leaf_update  # noqa: F401  (re-exported oracles)
 
 
@@ -106,12 +106,117 @@ def sigmoid(a):
     return ad.record_op(out, [a], bwd)
 
 
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
+           bias: Tensor | None = None, activation: str | None = None) -> Tensor:
+    """Cross-correlation of an NCHW batch with an FCkk kernel stack, then
+    an optional per-channel ``bias`` and ``activation`` (relu, sigmoid).
+
+    The single-stage taped op that ``autodiff.conv_stack`` fuses, kept
+    as its reference. Forward and backward run image by image over
+    ``_split_batch``; each slice applies the bias and activation in place
+    to its rows right after its GEMM. The kernel and bias gradients are
+    summed over the batch afterwards, in image order. It shares the
+    engine's ``_im2col``, ``_col2im`` and ``_sigmoid``, which
+    ``TestLoopReferences`` checks against loops.
+    """
+    if x.values.ndim != 4 or kernel.values.ndim != 4:
+        raise ValueError("conv2d expects 4-D input and kernel")
+    n, c, h, w = x.shape
+    f, ck, kh, kw = kernel.shape
+    if c != ck:
+        raise ValueError(f"channel mismatch: input has {c}, kernel expects {ck}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ValueError(f"padding must be >= 0, got {padding}")
+    if x.dtype != kernel.dtype:
+        raise ValueError(f"dtype mismatch: {x.dtype} vs {kernel.dtype}")
+    if bias is not None and (bias.shape != (f,) or bias.dtype != x.dtype):
+        raise ValueError(f"bias must be {x.dtype} of shape ({f},), got "
+                         f"{bias.dtype} of shape {bias.shape}")
+    if activation not in (None, "relu", "sigmoid"):
+        raise ValueError(f"unknown activation {activation!r}")
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    if oh < 1 or ow < 1 or h + 2 * padding < kh or w + 2 * padding < kw:
+        raise ValueError(
+            f"zero-sized output: input {h}x{w}, kernel {kh}x{kw}, "
+            f"stride {stride}, padding {padding}")
+    # a 1x1 kernel at stride 1 without padding reads x itself as columns
+    direct = kh == kw == stride == 1 and not padding
+    dtype, xv = x.dtype, x.values
+    xp = xv
+    if padding:
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
+    cols = xv.reshape(n, c, h * w) if direct else \
+        np.empty((n, c * kh * kw, oh * ow), dtype=dtype)
+    kflat = kernel.values.reshape(f, -1)
+    out = np.empty((n, f, oh * ow), dtype=dtype)
+    shift = None if bias is None else bias.values[:, None]
+
+    def forward(part):
+        if padding:
+            xp[part, :, padding:padding + h, padding:padding + w] = xv[part]
+        if not direct:
+            ad._im2col(xp[part], kh, kw, stride, oh, ow, out=cols[part])
+        o = out[part]
+        np.matmul(kflat, cols[part], out=o)
+        if shift is not None:
+            o += shift
+        if activation == "relu":
+            np.maximum(o, 0.0, out=o)
+        elif activation == "sigmoid":
+            ad._sigmoid(o)
+
+    ad._split_batch(n, forward)
+
+    def bwd(g):
+        gout = g.reshape(n, f, oh * ow)
+        # before the activation; as max(nan, 0) is nan, out > 0 means a > 0
+        gf = gout if activation is None else np.empty_like(gout)
+        per_image = cols_grad = None
+        if kernel.requires_grad:
+            per_image = np.empty((n, f, c * kh * kw), dtype=dtype)
+        if x.requires_grad:
+            x_grad = x.grad
+            cols_grad = np.empty((n, c * kh * kw, oh * ow), dtype=dtype)
+            # 1x1 at stride 1: each column gradient is the input gradient
+            gx = cols_grad.reshape(n, c, h, w) if direct else \
+                np.zeros(xp.shape, dtype=dtype)
+
+        def backward(part):
+            if activation == "relu":
+                np.multiply(gout[part], out[part] > 0, out=gf[part])
+            elif activation == "sigmoid":
+                np.multiply(gout[part] * out[part], 1.0 - out[part],
+                            out=gf[part])
+            if per_image is not None:
+                np.matmul(gf[part], cols[part].transpose(0, 2, 1),
+                          out=per_image[part])
+            if cols_grad is not None:
+                np.matmul(kflat.T, gf[part], out=cols_grad[part])
+                if not direct:
+                    ad._col2im(cols_grad[part], gx[part], kh, kw, stride,
+                               oh, ow)
+                x_grad[part] += gx[part, :, padding:padding + h,
+                                   padding:padding + w]
+
+        ad._split_batch(n, backward)
+        if per_image is not None:
+            kernel.grad += per_image.sum(axis=0).reshape(kernel.shape)
+        if bias is not None and bias.requires_grad:
+            bias.grad += gf.reshape(g.shape).sum(axis=(0, 2, 3))
+
+    return ad.record_op(out.reshape(n, f, oh, ow),
+                     [t for t in (x, kernel, bias) if t is not None], bwd)
+
+
 def unfused_conv2d(x, kernel, stride=1, padding=0, bias=None,
                    activation=None):
     """The reference composition of a fused ``conv2d``: the plain
     convolution, then the bias and the activation, each its own taped op
     with its own zero-filled gradient."""
-    out = ad.conv2d(x, kernel, stride, padding)
+    out = conv2d(x, kernel, stride, padding)
     if bias is not None:
         out = channel_bias_add(out, bias)
     if activation == "relu":
@@ -119,6 +224,16 @@ def unfused_conv2d(x, kernel, stride=1, padding=0, bias=None,
     elif activation == "sigmoid":
         out = sigmoid(out)
     return out
+
+
+def chained_conv_stack(x, stages, head, conv=conv2d):
+    """``autodiff.conv_stack`` as the chain of single-stage taped ops it
+    fuses: one ``conv`` per (kernel, bias, stride, padding) stage with
+    the ReLU, then the 1x1 head with the sigmoid, each accumulating into
+    its own zero-filled gradient."""
+    for kernel, bias, stride, padding in stages:
+        x = conv(x, kernel, stride, padding, bias=bias, activation="relu")
+    return conv(x, head, activation="sigmoid")
 
 
 def sign_split_sigmoid(v):

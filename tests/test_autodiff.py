@@ -20,35 +20,45 @@ import prototree.autodiff as ad
 from prototree.autodiff import Tape, Tensor
 from prototree.tree import LeafParams
 
-from oracles import assert_same_bits, exp, finite_difference_grad, \
-    loop_im2col, matmul, max_relative_error, naive_conv2d, neg, \
-    sign_split_sigmoid, softmax_extended, square_sum, unfused_conv2d, \
-    weighted_sum
+from oracles import assert_same_bits, chained_conv_stack, conv2d, exp, \
+    finite_difference_grad, loop_im2col, matmul, max_relative_error, \
+    naive_conv_stack, neg, sign_split_sigmoid, softmax_extended, square_sum, \
+    unfused_conv2d, weighted_sum
 
 
 def rand(shape, seed=0, scale=1.0):
     return np.random.default_rng(seed).normal(size=shape) * scale
 
 
+def one_stage(k, bias, stride, padding):
+    """conv_stack's stage list for one ReLU stage of numpy arrays."""
+    return [(Tensor(k), Tensor(bias), stride, padding)]
+
+
 class TestConv2d:
+    """The convolutions of conv_stack: a ReLU stage, then the 1x1 head."""
+
     def test_all_ones_sums_to_nine(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
-        k = Tensor(np.ones((1, 1, 3, 3)))
-        out = ad.conv2d(x, k).values
+        out = ad.conv_stack(x, one_stage(np.ones((1, 1, 3, 3)), np.zeros(1),
+                                         1, 0),
+                            Tensor(np.ones((1, 1, 1, 1)))).values
         assert out.shape == (1, 1, 1, 1)
-        assert out[0, 0, 0, 0] == 9.0
+        assert out[0, 0, 0, 0] == 1.0 / (1.0 + np.exp(-9.0))
 
     def test_identity_1x1_kernel(self):
         x = Tensor(rand((2, 1, 4, 5), seed=1))
-        k = Tensor(np.ones((1, 1, 1, 1)))
-        out = ad.conv2d(x, k).values
-        np.testing.assert_array_equal(out, x.values)
+        out = ad.conv_stack(x, [], Tensor(np.ones((1, 1, 1, 1)))).values
+        assert_same_bits(out, sign_split_sigmoid(x.values))
 
     def test_matches_naive_oracle(self):
         x = rand((1, 2, 4, 4), seed=2)
-        k = rand((3, 2, 2, 2), seed=3)
-        got = ad.conv2d(Tensor(x), Tensor(k)).values
-        np.testing.assert_allclose(got, naive_conv2d(x, k), atol=1e-6)
+        k, bias = rand((3, 2, 2, 2), seed=3), rand(3, seed=4)
+        head = rand((2, 3, 1, 1), seed=5)
+        got = ad.conv_stack(Tensor(x), one_stage(k, bias, 1, 0),
+                            Tensor(head)).values
+        np.testing.assert_allclose(
+            got, naive_conv_stack(x, [(k, bias, 1, 0)], head), atol=1e-6)
 
     @pytest.mark.parametrize("shape,kshape,stride,padding", [
         ((2, 4, 8, 8), (3, 4, 3, 3), 1, 0),
@@ -58,32 +68,40 @@ class TestConv2d:
     ])
     def test_shapes_against_oracle(self, shape, kshape, stride, padding):
         x, k = rand(shape, seed=4), rand(kshape, seed=5)
-        got = ad.conv2d(Tensor(x), Tensor(k), stride, padding).values
-        np.testing.assert_allclose(got, naive_conv2d(x, k, stride, padding),
-                                   atol=1e-6)
+        bias, head = rand(kshape[0], seed=6), rand((3, kshape[0], 1, 1), 7)
+        got = ad.conv_stack(Tensor(x), one_stage(k, bias, stride, padding),
+                            Tensor(head)).values
+        want = naive_conv_stack(x, [(k, bias, stride, padding)], head)
+        np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_channel_mismatch_rejected(self):
+        x, head = Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 1, 1, 1)))
         with pytest.raises(ValueError, match="channel"):
-            ad.conv2d(Tensor(np.ones((1, 2, 4, 4))),
-                      Tensor(np.ones((1, 3, 2, 2))))
+            ad.conv_stack(x, one_stage(np.ones((1, 3, 2, 2)), np.ones(1),
+                                       1, 0), head)
+        with pytest.raises(ValueError, match="channel"):
+            ad.conv_stack(x, [], head)
 
     def test_zero_sized_output_rejected(self):
         with pytest.raises(ValueError, match="zero-sized"):
-            ad.conv2d(Tensor(np.ones((1, 1, 2, 2))),
-                      Tensor(np.ones((1, 1, 5, 5))))
+            ad.conv_stack(Tensor(np.ones((1, 1, 2, 2))),
+                          one_stage(np.ones((1, 1, 5, 5)), np.ones(1), 1, 0),
+                          Tensor(np.ones((1, 1, 1, 1))))
 
     def test_bad_epilogue_rejected(self):
-        x, k = Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 2, 1, 1)))
-        with pytest.raises(ValueError, match="activation"):
-            ad.conv2d(x, k, activation="tanh")
+        x = Tensor(np.ones((1, 2, 4, 4)))
+        k, head = np.ones((3, 2, 1, 1)), Tensor(np.ones((1, 3, 1, 1)))
         for bias in (np.ones(2), np.ones(3, dtype=np.float32)):
             with pytest.raises(ValueError, match="bias must be float64"):
-                ad.conv2d(x, k, bias=Tensor(bias))
+                ad.conv_stack(x, one_stage(k, bias, 1, 0), head)
+        with pytest.raises(ValueError, match="head must be a 1x1 kernel"):
+            ad.conv_stack(x, [], Tensor(np.ones((1, 2, 3, 3))))
 
 
 class TestLoopReferences:
     """The strided im2col, the zero-buffer padding and the in-place
-    one-pass sigmoid give the loop versions' results bit for bit."""
+    one-pass sigmoid give the loop versions' results bit for bit, and the
+    reference conv2d is one GEMM per image over those columns."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kernel", [1, 3])
@@ -101,7 +119,7 @@ class TestLoopReferences:
                                     out=np.empty_like(cols)), cols)
         want = np.matmul(k.reshape(5, -1)[None], cols).reshape(3, 5, oh, ow)
         assert_same_bits(
-            ad.conv2d(Tensor(x), Tensor(k), stride, padding).values, want)
+            conv2d(Tensor(x), Tensor(k), stride, padding).values, want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid(self, dtype):
@@ -136,10 +154,38 @@ def special_input(dtype, seed):
 BIAS = [0.0, -0.0, 0.5, -0.5, -1e4]
 
 
-def conv_run(x, k, stride, padding, bias=None, activation=None,
-             conv=ad.conv2d, weights=None):
+def conv_run(x, stages, head, conv=ad.conv_stack, weights=None, tape=True,
+             x_grad=True):
+    """Output and, taped, the input, kernel, bias and head gradients of a
+    weighted conv stack; ``stages`` holds (kernel, bias, stride, padding)
+    arrays."""
+    xt = Tensor(x, requires_grad=x_grad)
+    params = [(Tensor(k, requires_grad=True), Tensor(b, requires_grad=True),
+               stride, padding) for k, b, stride, padding in stages]
+    ht = Tensor(head, requires_grad=True)
+    if not tape:
+        return (conv(xt, params, ht).values,)
+    with Tape() as taping:
+        out = conv(xt, params, ht)
+        if weights is None:
+            weights = rand(out.shape, seed=8).astype(x.dtype)
+        taping.backward(weighted_sum(out, weights))
+    grads = [xt.grad] if x_grad else []
+    return (out.values, *grads, *(t.grad for k, b, _, _ in params
+                                  for t in (k, b)), ht.grad)
+
+
+def single(dtype, kernel, stride, padding, seed=31, head_channels=5):
+    """One ReLU stage of 5 filters over 4 channels, with BIAS, and a
+    head."""
+    k = rand((5, 4, kernel, kernel), seed=seed).astype(dtype)
+    head = rand((head_channels, 5, 1, 1), seed=seed + 1).astype(dtype)
+    return [(k, np.array(BIAS, dtype=dtype), stride, padding)], head
+
+
+def conv2d_run(x, k, stride, padding, bias, activation, conv, weights):
     """Output and the input, kernel and (given a bias) bias gradients of
-    a weighted conv2d."""
+    a weighted single-stage conv."""
     xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
     params = [xt, kt] if bias is None else \
         [xt, kt, Tensor(bias, requires_grad=True)]
@@ -147,18 +193,18 @@ def conv_run(x, k, stride, padding, bias=None, activation=None,
         out = conv(*params[:2], stride, padding,
                    bias=None if bias is None else params[2],
                    activation=activation)
-        if weights is None:
-            weights = rand(out.shape, seed=8).astype(x.dtype)
         tape.backward(weighted_sum(out, weights))
     return (out.values, *(p.grad for p in params))
 
 
 class TestFusedEpilogue:
-    """conv2d's bias and activation give what the unfused composition
-    gives, bit for bit: the output and every gradient. The unfused chain
-    turns each -0.0 gradient into +0.0 as it adds it into a zero-filled
-    .grad; the fused backward does not, but every accumulator starts at
-    +0.0, so the final gradients agree."""
+    """Biases and activations fused into a conv give what the unfused
+    composition gives, bit for bit: the output and every gradient, for
+    the reference conv2d that the conv_stack tests compare against and
+    for conv_stack itself. The unfused chain turns each -0.0 gradient
+    into +0.0 as it adds it into a zero-filled .grad; the fused backward
+    does not, but every accumulator starts at +0.0, so the final
+    gradients agree."""
 
     @pytest.mark.parametrize("activation", [None, "relu", "sigmoid"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -167,6 +213,7 @@ class TestFusedEpilogue:
     @pytest.mark.parametrize("padding", [0, 1])
     def test_matches_the_unfused_composition(self, dtype, kernel, stride,
                                              padding, activation):
+        # the reference conv2d, with and without a bias
         x = special_input(dtype, seed=30)
         k = rand((5, 4, kernel, kernel), seed=31).astype(dtype)
         bias = np.array(BIAS, dtype=dtype)
@@ -178,29 +225,119 @@ class TestFusedEpilogue:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)   # inf - inf
             for b in (None, bias):
-                got = conv_run(x, k, stride, padding, b, activation,
-                               weights=weights)
-                want = conv_run(x, k, stride, padding, b, activation,
-                                conv=unfused_conv2d, weights=weights)
+                got = conv2d_run(x, k, stride, padding, b, activation,
+                                 conv2d, weights)
+                want = conv2d_run(x, k, stride, padding, b, activation,
+                                  unfused_conv2d, weights)
                 assert len(got) == len(want) == (3 if b is None else 4)
                 for g, w in zip(got, want):
                     assert_same_bits(g, w)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_stack_matches_the_unfused_composition(self, dtype, kernel,
+                                                   stride, padding):
+        x = special_input(dtype, seed=30)
+        stages, head = single(dtype, kernel, stride, padding)
+        oh = (9 + 2 * padding - kernel) // stride + 1
+        ow = (8 + 2 * padding - kernel) // stride + 1
+        weights = rand((3, 5, oh, ow), seed=32).astype(dtype)
+        weights[:, 3] = 0.0
+        weights[:, 4] = -np.abs(weights[:, 4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # inf - inf
+            got = conv_run(x, stages, head, weights=weights)
+            want = conv_run(x, stages, head, unfused_stack, weights)
+        assert len(got) == len(want) == 5
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dead_relu_gradients_land_as_positive_zeros(self, dtype):
         # every masked gradient is -0.0 (a negative weight times a false
-        # mask), so the fused bias sum is -0.0 until it lands in a .grad
+        # mask), so the fused bias sum is -0.0 until it lands in a .grad;
+        # the head then sees only zeros, so its gradient is zero too
         x = rand((2, 3, 6, 6), seed=33).astype(dtype)
-        k = rand((4, 3, 3, 3), seed=34).astype(dtype)
-        weights = -np.abs(rand((2, 4, 6, 6), seed=35)).astype(dtype)
-        for conv in (ad.conv2d, unfused_conv2d):
-            for grad in conv_run(x, k, 1, 1, np.full(4, -1e4, dtype=dtype),
-                                 "relu", conv, weights)[1:]:
+        stages = [(rand((4, 3, 3, 3), seed=34).astype(dtype),
+                   np.full(4, -1e4, dtype=dtype), 1, 1)]
+        head = rand((2, 4, 1, 1), seed=36).astype(dtype)
+        weights = -np.abs(rand((2, 2, 6, 6), seed=35)).astype(dtype)
+        for conv in (ad.conv_stack, unfused_stack):
+            for grad in conv_run(x, stages, head, conv, weights)[1:]:
                 assert_same_bits(grad, np.zeros_like(grad))
 
 
-def conv_in_child(x, k, conn):
-    conn.send(conv_run(x, k, 1, 1))
+def unfused_stack(x, stages, head):
+    return chained_conv_stack(x, stages, head, conv=unfused_conv2d)
+
+
+def special_batch(n, dtype, seed):
+    """n images of 4 x 9 x 8 holding an all-zero window, a nan and both
+    infinities (in one image when n is 1)."""
+    x = rand((n, 4, 9, 8), seed=seed).astype(dtype)
+    x[0, :, :5, :5] = 0.0
+    x[n // 2, 1, 2, 3] = np.nan
+    x[n - 1, 2, 6, 1] = np.inf
+    x[n - 1, 3, 4, 6] = -np.inf
+    return x
+
+
+class TestConvStack:
+    """conv_stack gives the chain of single-stage reference convs bit for
+    bit, whatever the batch's split into slices and blocks."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, ad.BLOCK - 1, ad.BLOCK, ad.BLOCK + 1,
+                                   2 * ad.BLOCK + 3])
+    @pytest.mark.parametrize("mode", ["taped", "taped-no-x-grad",
+                                      "untaped"])
+    def test_matches_the_reference_chain(self, monkeypatch, dtype, n, mode):
+        x = special_batch(n, dtype, seed=40 + n)
+        stages = [(rand((5, 4, 3, 3), seed=41).astype(dtype),
+                   np.array(BIAS, dtype=dtype), 2, 1),
+                  (rand((6, 5, 3, 3), seed=42).astype(dtype),
+                   rand(6, seed=43).astype(dtype), 1, 1),
+                  (rand((3, 6, 1, 1), seed=44).astype(dtype),
+                   rand(3, seed=45).astype(dtype), 1, 0)]
+        head = rand((4, 3, 1, 1), seed=46).astype(dtype)
+        weights = rand((n, 4, 5, 4), seed=47).astype(dtype)
+        weights[:, 1] = 0.0
+        weights[:, 2] = -np.abs(weights[:, 2])
+        kwargs = dict(weights=weights, tape=mode != "untaped",
+                      x_grad=mode == "taped")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # inf - inf
+            monkeypatch.setattr(ad, "_WORKERS", 1)
+            want = conv_run(x, stages, head, chained_conv_stack, **kwargs)
+            assert len(want) == (1 if mode == "untaped" else
+                                 9 if mode == "taped" else 8)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(ad, "_WORKERS", workers)
+                got = conv_run(x, stages, head, **kwargs)
+                for g, w in zip(got, want, strict=True):
+                    assert_same_bits(g, w)
+
+    def test_head_alone_trains(self):
+        # the stages below the head take no gradient and run forward only
+        x = rand((3, 4, 9, 8), seed=48)
+        k, bias = Tensor(rand((5, 4, 3, 3), seed=49)), Tensor(rand(5, 50))
+        head = Tensor(rand((2, 5, 1, 1), seed=51), requires_grad=True)
+        with Tape() as tape:
+            out = ad.conv_stack(Tensor(x), [(k, bias, 2, 1)], head)
+            tape.backward(weighted_sum(out))
+        want = Tensor(head.values.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = conv2d(conv2d(Tensor(x), k, 2, 1, bias, "relu"), want,
+                         activation="sigmoid")
+            tape.backward(weighted_sum(out))
+        assert k.grad is None and bias.grad is None
+        assert_same_bits(head.grad, want.grad)
+
+
+def conv_in_child(x, stages, head, conn):
+    conn.send(conv_run(x, stages, head))
     conn.close()
 
 
@@ -221,17 +358,14 @@ class TestSplitBatch:
     @pytest.mark.parametrize("padding", [0, 1])
     def test_conv2d_bits_do_not_depend_on_workers(self, monkeypatch, dtype,
                                                   kernel, stride, padding):
-        bias = np.array(BIAS, dtype=dtype)
         for n in (1, 3, 17):
             x = rand((n, 4, 9, 8), seed=n).astype(dtype)
-            k = rand((5, 4, kernel, kernel), seed=n + 1).astype(dtype)
-            for b, activation in ((None, None), (bias, None),
-                                  (bias, "relu"), (None, "sigmoid")):
+            stages, head = single(dtype, kernel, stride, padding, seed=n + 1)
+            for tape in (True, False):
                 runs = []
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(ad, "_WORKERS", workers)
-                    runs.append(conv_run(x, k, stride, padding, b,
-                                         activation))
+                    runs.append(conv_run(x, stages, head, tape=tape))
                 for run in runs[1:]:
                     for got, want in zip(run, runs[0]):
                         assert_same_bits(got, want)
@@ -244,9 +378,10 @@ class TestSplitBatch:
         weights = rand((2, 6, 4, 5), seed=22)
         weights[:, :, 1] = 0.0
         with Tape() as tape:
-            tape.backward(weighted_sum(ad.conv2d(x, k), weights))
-        cols_grad = np.matmul(k.values.reshape(6, 3).T,
-                              weights.reshape(2, 6, 20))
+            out = ad.conv_stack(x, [], k)
+            tape.backward(weighted_sum(out, weights))
+        gf = weights * out.values * (1.0 - out.values)
+        cols_grad = np.matmul(k.values.reshape(6, 3).T, gf.reshape(2, 6, 20))
         want = np.zeros(x.shape)
         ad._col2im(cols_grad, want, 1, 1, 1, 4, 5)
         assert_same_bits(x.grad, 0.0 + want)
@@ -352,11 +487,14 @@ class TestSplitBatch:
     def test_forked_child_gets_a_pool_of_its_own(self, monkeypatch):
         monkeypatch.setattr(ad, "_WORKERS", 2)
         x = rand((5, 3, 6, 6), seed=23).astype(np.float32)
-        k = rand((4, 3, 3, 3), seed=24).astype(np.float32)
-        want = conv_run(x, k, 1, 1)         # starts the parent's pool
+        stages = [(rand((4, 3, 3, 3), seed=24).astype(np.float32),
+                   rand(4, seed=25).astype(np.float32), 1, 1)]
+        head = rand((2, 4, 1, 1), seed=26).astype(np.float32)
+        want = conv_run(x, stages, head)    # starts the parent's pool
         context = multiprocessing.get_context("fork")
         receive, send = context.Pipe(duplex=False)
-        child = context.Process(target=conv_in_child, args=(x, k, send))
+        child = context.Process(target=conv_in_child,
+                                args=(x, stages, head, send))
         child.start()
         send.close()
         try:
@@ -495,12 +633,13 @@ class TestGradientsPerOp:
     def test_exp_neg_sigmoid_relu(self):
         x = Tensor(rand((2, 3, 4, 4), seed=10), requires_grad=True)
         k = Tensor(rand((2, 3, 1, 1), seed=11), requires_grad=True)
-        gradcheck(lambda: weighted_sum(exp(neg(
-            ad.conv2d(x, k, activation="sigmoid")))), [x, k])
+        gradcheck(lambda: weighted_sum(exp(neg(ad.conv_stack(x, [], k)))),
+                  [x, k])
         bias = Tensor(np.full(2, 0.1), requires_grad=True)
-        gradcheck(lambda: weighted_sum(ad.conv2d(
-            x, k, bias=bias, activation="relu"), np.full((2, 2, 4, 4), 1 / 8)),
-            [x, k, bias])
+        head = Tensor(rand((2, 2, 1, 1), seed=12), requires_grad=True)
+        gradcheck(lambda: weighted_sum(ad.conv_stack(
+            x, [(k, bias, 1, 0)], head), np.full((2, 2, 4, 4), 1 / 8)),
+            [x, k, bias, head])
 
     def test_matmul_gradient(self):
         a = Tensor(rand((3, 4), seed=13), requires_grad=True)
@@ -511,10 +650,12 @@ class TestGradientsPerOp:
         x = Tensor(rand((2, 3, 5, 5), seed=15), requires_grad=True)
         k = Tensor(rand((2, 3, 3, 3), seed=16), requires_grad=True)
         bias = Tensor(rand(2, seed=17), requires_grad=True)
-        for activation in (None, "relu", "sigmoid"):
-            gradcheck(lambda: square_sum(ad.conv2d(
-                x, k, stride=2, padding=1, bias=bias, activation=activation)),
-                [x, k, bias])
+        k2 = Tensor(rand((3, 2, 3, 3), seed=18), requires_grad=True)
+        bias2 = Tensor(rand(3, seed=19), requires_grad=True)
+        head = Tensor(rand((2, 3, 1, 1), seed=20), requires_grad=True)
+        gradcheck(lambda: square_sum(ad.conv_stack(
+            x, [(k, bias, 2, 1), (k2, bias2, 1, 1)], head)),
+            [x, k, bias, k2, bias2, head])
 
 
 class TestTensorBasics:
@@ -526,7 +667,7 @@ class TestTensorBasics:
         x = Tensor(np.ones((1, 3, 2, 2), dtype=np.float32))
         k = Tensor(np.ones((1, 3, 1, 1), dtype=np.float64))
         with pytest.raises(ValueError, match="dtype"):
-            ad.conv2d(x, k)
+            ad.conv_stack(x, [], k)
 
 
 def _autodiff_names_used(source):
@@ -553,5 +694,5 @@ class TestNoDeadOps:
         public = sorted(name for name, obj in vars(ad).items()
                         if inspect.isfunction(obj) and not name.startswith("_")
                         and obj.__module__ == ad.__name__)
-        assert "conv2d" in public and "record_op" in public
+        assert "conv_stack" in public and "record_op" in public
         assert [name for name in public if name not in used] == []

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import prototree.autodiff as ad
 from prototree.autodiff import Tape
 from prototree.backbone import BackboneConfig, build
 from prototree.model import build_model
@@ -90,8 +93,9 @@ class TestForward:
 
 
 class TestBatchIndependence:
-    """Projection computes latents in chunks; it relies on each image's
-    latent bits being those of a one-image forward."""
+    """Evaluation computes latents in chunks and projection in one pass;
+    both rely on each image's latent bits being those of a one-image
+    forward."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rows_equal_one_image_forwards(self, dtype):
@@ -104,6 +108,71 @@ class TestBatchIndependence:
             chunked = np.concatenate([net.forward(images[s:s + batch]).values
                                       for s in range(0, len(images), batch)])
             assert_same_bits(chunked, single)
+
+
+class TestOnePass:
+    """A backbone pass is one conv_stack op: one batch split forward and
+    one backward, whatever the batch size, and untaped it keeps no stage
+    buffer of the whole batch."""
+
+    @staticmethod
+    def counting_splits(monkeypatch):
+        calls, split = [], ad._split_batch
+
+        def counting(n, fn):
+            calls.append(n)
+            split(n, fn)
+
+        monkeypatch.setattr(ad, "_split_batch", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, ad.BLOCK + 1, 70])
+    def test_untaped_forward_splits_once(self, monkeypatch, n):
+        net = build(BackboneConfig(input_side=32, latent_depth=8), seed=3)
+        images = np.zeros((n, 3, 32, 32), dtype=np.float32)
+        calls = self.counting_splits(monkeypatch)
+        net.forward(images)
+        assert calls == [n]
+
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_taped_forward_and_backward_split_once_each(self, monkeypatch,
+                                                        n):
+        model = build_model(BackboneConfig(input_side=32, latent_depth=8),
+                            height=2, num_classes=2, seed=4)
+        images = np.random.default_rng(5).uniform(
+            0, 1, (n, 3, 32, 32)).astype(np.float32)
+        calls = self.counting_splits(monkeypatch)
+        with Tape() as tape:
+            y_hat, _ = model.predict(model.latent(images))
+            tape.backward(cross_entropy(y_hat, one_hot(np.zeros(n, int), 2)))
+        # routing splits only from tree.SPLIT_MIN_MACS on, far above this
+        assert calls == [n, n]
+
+    def test_a_thread_reuses_its_block_workspace(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 1)
+        net = build(BackboneConfig(input_side=32, latent_depth=8), seed=8)
+        rng = np.random.default_rng(9)
+        images = rng.uniform(0, 1, (40, 3, 32, 32)).astype(np.float32)
+        first = net.forward(images[:ad.BLOCK + 3]).values
+        kept = ad._WORKSPACE.kept
+        net.forward(images[ad.BLOCK + 3:])
+        assert ad._WORKSPACE.kept is kept
+        # a reused pad buffer kept its zero borders
+        assert_same_bits(net.forward(images[:ad.BLOCK + 3]).values, first)
+
+    def test_untaped_desk_forward_peak_memory(self):
+        # at one conv op per stage, 78 MB: each stage's 256-image columns
+        # and activations (stage 0's columns alone are 28 MB)
+        net = build(BackboneConfig(latent_depth=64), seed=6)
+        images = np.random.default_rng(7).uniform(
+            0, 1, (256, 3, 64, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            net.forward(images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestGradientFlow:

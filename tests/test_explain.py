@@ -1,5 +1,8 @@
+import html
 import os
+import pathlib
 import re
+import urllib.parse
 
 import numpy as np
 import pytest
@@ -192,8 +195,27 @@ class TestExportTree:
         assert "<script>" not in tree and "c&lt;script&gt;&#x27;" in tree
         page = (tmp_path / "explain_'<i>.html").read_text()
         assert "<i>" not in page
-        assert page.count("&#x27;&lt;i&gt;") == 2 + len(
+        # the title and the heading; image paths are percent-encoded
+        assert page.count("&#x27;&lt;i&gt;") == 2
+        assert page.count("explain_%27%3Ci%3E_patches/") == len(
             os.listdir(tmp_path / "explain_'<i>_patches"))
+
+    @pytest.mark.parametrize("name", ["a#b", "c?d", "e%f", "g%23h"])
+    def test_every_image_link_resolves_to_a_written_file(
+            self, projected_model, tmp_path, name):
+        model, train = projected_model
+        graph = xp.export_tree(model, str(tmp_path), sample=train.images[0],
+                               sample_name=name)
+        page_path = tmp_path / f"explain_{name}.html"
+        page_url = pathlib.Path(page_path).as_uri()
+        srcs = re.findall(r"<img src='([^']*)'>", page_path.read_text())
+        assert len(srcs) == 2 * len(graph.sample_path) > 0
+        for src in srcs:
+            link = urllib.parse.urlsplit(
+                urllib.parse.urljoin(page_url, html.unescape(src)))
+            assert not link.query and not link.fragment, src
+            target = urllib.parse.unquote(link.path)
+            assert os.path.isfile(target) and target in graph.files, src
 
     def test_one_backbone_pass_on_the_explained_image(self, projected_model,
                                                       tmp_path, monkeypatch):

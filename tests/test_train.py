@@ -140,13 +140,14 @@ class TestOptimizerLeafSeparation:
 
 
 class TestTapedOps:
-    def test_training_step_tapes_one_op_per_backbone_stage(self,
-                                                            monkeypatch):
-        """Three body stages and the head are four of a step's seven
-        taped ops: each stage's bias and activation run inside its conv2d.
-        Routing, the leaf mix and the loss are one op each. Taped as ops
-        of their own, the epilogues made seventeen, and the routing chain
-        (distances, neg, exp, path probabilities) three more."""
+    def test_training_step_tapes_one_op_for_the_backbone(self,
+                                                          monkeypatch):
+        """Three body stages and the head, with their biases and
+        activations, are one of a step's four taped ops: conv_stack.
+        Routing, the leaf mix and the loss are one op each. One conv op
+        per stage made seven, the epilogues taped as ops of their own
+        seventeen, and the routing chain (distances, neg, exp, path
+        probabilities) three more."""
         model = build_model(BackboneConfig(input_side=32, latent_depth=8),
                             height=2, num_classes=2, seed=9)
         assert len(model.backbone.config.stages) == 3
@@ -161,7 +162,7 @@ class TestTapedOps:
         monkeypatch.setattr(Tape, "backward", counting)
         train_epoch(model, train_set, config, 1,
                     Adam(model.parameters(), config))
-        assert taped == [7]
+        assert taped == [4]
 
 
 class TestDeterminism:
