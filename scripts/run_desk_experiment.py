@@ -73,7 +73,7 @@ def main():
         csv_path=os.path.join(args.out_dir, "model.npt.metrics.csv"),
         verbose=True)
     model.save(os.path.join(args.out_dir, "model.npt"))
-    soft = model.accuracy(test_set)
+    soft = evaluate(model, test_set, "soft").accuracy
     log(f"trained in {time.time() - t0:.0f}s, soft test accuracy {soft:.4f}")
 
     tau = default_tau(args.classes)
@@ -81,13 +81,15 @@ def main():
     report_prune = prune(model, tau)
     model.save(os.path.join(args.out_dir, "pruned.npt"))
     log(f"pruned {report_prune.internal_removed}/{before} internal nodes "
-        f"(tau={tau:.3f}), soft accuracy {model.accuracy(test_set):.4f}")
+        f"(tau={tau:.3f}), soft accuracy "
+        f"{evaluate(model, test_set, 'soft').accuracy:.4f}")
 
     records = project(model, train_set, constrained=True)
     model.save(os.path.join(args.out_dir, "projected.npt"))
     mean_dist = float(np.mean([r.distance for r in records]))
     log(f"projected {len(records)} prototypes, mean patch distance "
-        f"{mean_dist:.4f}, soft accuracy {model.accuracy(test_set):.4f}")
+        f"{mean_dist:.4f}, soft accuracy "
+        f"{evaluate(model, test_set, 'soft').accuracy:.4f}")
 
     for strategy in ("max_path", "greedy"):
         result = evaluate(model, test_set, strategy)

@@ -32,8 +32,9 @@ class BackboneConfig:
         return side
 
     def validate(self) -> None:
-        if self.in_channels < 1 or self.latent_depth < 1 or self.input_side < 1:
-            raise ValueError("in_channels, latent_depth and input_side must be >= 1")
+        for key in ("in_channels", "latent_depth", "input_side"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         for out, kernel, stride in self.stages:
             if out < 1 or kernel < 1 or stride < 1:
                 raise ValueError(f"bad stage ({out}, {kernel}, {stride})")

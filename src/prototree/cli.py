@@ -147,7 +147,11 @@ def _load_split(root: str, split: str, class_names=None) -> Dataset:
 def cmd_train(args) -> int:
     values = read_config(args.config, args.set or [])
     backbone_cfg, height, config = build_configs(values)
-    config.validate()   # before the seed reaches the model's generators
+    # before loading data, and before the seed reaches the generators
+    backbone_cfg.validate()
+    config.validate()
+    if height < 1:
+        raise ValueError(f"height must be >= 1, got {height}")
     train_set = _load_split(args.data, "train")
     test_set = _load_split(args.data, "test", train_set.class_names)
     model = build_model(backbone_cfg, height, train_set.num_classes,
@@ -161,7 +165,8 @@ def cmd_train(args) -> int:
     model.save(args.out)
     print(f"checkpoint {args.out}")
     print(f"metrics {csv_path}")
-    print(f"train_acc {model.accuracy(train_set):.6f}")
+    train_acc = refine.evaluate(model, train_set, "soft").accuracy
+    print(f"train_acc {train_acc:.6f}")
     print(f"test_acc {history[-1]['test_acc']:.6f}")
     return 0
 
@@ -232,12 +237,12 @@ def cmd_ensemble_eval(args) -> int:
                 f"ensemble members {named[0][0]} and {i} name their classes "
                 f"differently: {named[0][1]} and {names}")
     dataset = _load_split(args.data, "test", models[0].class_names)
-    members = [m.soft_predict(dataset.images) for m in models]
-    accs = [float((p.argmax(axis=1) == dataset.labels).mean())
-            for p in members + [refine.ensemble_mean(members)]]
-    for i, acc in enumerate(accs[:-1]):
-        print(f"member_{i}_acc {acc:.6f}")
-    print(f"ensemble_acc {accs[-1]:.6f}")
+    members = [refine.evaluate(m, dataset, "soft") for m in models]
+    mean = refine.ensemble_mean([member.soft for member in members])
+    for i, member in enumerate(members):
+        print(f"member_{i}_acc {member.accuracy:.6f}")
+    print(f"ensemble_acc "
+          f"{(mean.argmax(axis=1) == dataset.labels).mean():.6f}")
     return 0
 
 

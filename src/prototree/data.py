@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,39 +276,32 @@ def ablated_test_split(num_classes: int, per_class: int, side: int, seed: int,
 # PPM codec (binary P6, maxval 255)
 
 
+# one PPM header field: skip whitespace and '#' comments (each up to its
+# newline), then take the run of non-space bytes, empty at a bad header
+_PPM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def load_ppm(path: str) -> np.ndarray:
     """Binary P6 file to a channels-first float tensor with values v/255."""
     with open(path, "rb") as fh:
         raw = fh.read()
-
-    pos = 0
-
-    def token() -> bytes:
-        nonlocal pos
-        while pos < len(raw):
-            ch = raw[pos:pos + 1]
-            if ch == b"#":
-                while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"{path}: malformed header at byte {start}")
-        return raw[start:pos]
-
-    magic = token()
-    if magic != b"P6":
-        raise ValueError(f"{path}: unsupported magic {magic!r} at byte 0, "
+    magic = _PPM_FIELD.match(raw)
+    if not magic[1]:
+        raise ValueError(f"{path}: malformed header at byte {magic.end()}")
+    if magic[1] != b"P6":
+        raise ValueError(f"{path}: unsupported magic {magic[1]!r} at byte 0, "
                          "only binary P6 is supported")
+    pos, fields = magic.end(), []
     try:
-        width, height, maxval = int(token()), int(token()), int(token())
+        while len(fields) < 3:
+            field = _PPM_FIELD.match(raw, pos)
+            pos = field.end()
+            if not field[1]:
+                raise ValueError(f"{path}: malformed header at byte {pos}")
+            fields.append(int(field[1]))
     except ValueError as err:
         raise ValueError(f"{path}: malformed header near byte {pos}: {err}") from None
+    width, height, maxval = fields
     if width < 1 or height < 1:
         raise ValueError(f"{path}: empty extent {width}x{height} at byte {pos}")
     if maxval != 255:

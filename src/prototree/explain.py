@@ -33,8 +33,9 @@ class ExplanationGraph:
 
 def _similarity_grid(latent: np.ndarray, proto: np.ndarray) -> np.ndarray:
     """Per-patch similarity of a D x H x W latent to one prototype: an
-    H x W grid, each cell exp(-patch distance)."""
-    return np.exp(-np.sqrt(tr._patch_squared_distances(latent, proto)))
+    H x W grid, each cell exp(-patch distance), exact for exact matches."""
+    diff = latent - proto.reshape(-1, 1, 1)
+    return np.exp(-np.sqrt((diff * diff).sum(axis=0)))
 
 
 def catmull_rom_weight(t: np.ndarray) -> np.ndarray:
@@ -203,8 +204,9 @@ def export_tree(model, out_dir: str, sample: np.ndarray | None = None,
     patch_rel: dict[int, str] = {}
     if model.projection:    # latent bits do not depend on the batch
         latents = model.latents_per_image(model.projection_images)
-    matrices = [_resample_matrix(model.backbone.config.latent_side(),
-                                 model.input_side)] * 2    # square grids
+    config = model.backbone.config
+    matrices = [_resample_matrix(config.latent_side(),
+                                 config.input_side)] * 2    # square grids
     for record in model.projection:
         node = record.node_index
         source = model.projection_images[node]

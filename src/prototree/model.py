@@ -1,5 +1,8 @@
 """The full classifier: feature extractor, soft tree, leaf distributions.
 
+``latent`` runs the backbone and ``predict`` routes one latent batch;
+``refine.evaluate`` runs whole datasets through the two in chunks.
+
 Also owns the checkpoint schema. Everything needed to evaluate, prune,
 project or visualize a trained model round-trips bit for bit through a
 single blob, each fact in its own dtype: integers i64, text UTF-8 u8,
@@ -23,7 +26,7 @@ from . import backbone as bb
 from . import checkpoint as ckpt
 from . import tree as tr
 from .autodiff import Tensor
-from .refine import ProjectionRecord, evaluate
+from .refine import ProjectionRecord
 
 
 @dataclass
@@ -41,10 +44,6 @@ class ProtoTreeModel:
     def num_classes(self) -> int:
         return self.leaves.num_classes
 
-    @property
-    def input_side(self) -> int:
-        return self.backbone.config.input_side
-
     def parameters(self) -> dict[str, list[Tensor]]:
         groups = self.backbone.parameters()
         groups["prototypes"] = [self.prototypes.tensor]
@@ -53,36 +52,16 @@ class ProtoTreeModel:
     def latent(self, images) -> Tensor:
         return self.backbone.forward(images)
 
-    def latent_chunks(self, images: np.ndarray, batch_size: int = 256):
-        """Latent maps of a stack of images, ``batch_size`` images at a time.
-
-        numpy's stacked matmul runs one GEMM per image, so an image's
-        latent bits do not depend on the chunk it falls in: evaluation
-        in chunks and projection in one pass see the same latents.
-        """
-        for start in range(0, images.shape[0], batch_size):
-            yield self.latent(images[start:start + batch_size])
-
     def predict(self, latent: Tensor) -> tuple[Tensor, tr.RoutingTrace]:
         """Class distributions of a latent batch, and its routing trace."""
         trace = tr.route(self.topology, self.prototypes, latent)
         return tr.mix_leaf_distributions(trace.leaf_probabilities,
                                          self.leaves.distributions()), trace
 
-    def soft_predict(self, images: np.ndarray, batch_size: int = 256,
-                     ) -> np.ndarray:
-        """Soft class distributions for an N x C x S x S stack of images,
-        without a tape."""
-        return np.concatenate([self.predict(z)[0].values for z
-                               in self.latent_chunks(images, batch_size)])
-
     def latents_per_image(self, images: np.ndarray) -> np.ndarray:
         """Latent maps of a stack of images, as one-image forwards give:
         the backbone keeps no stage buffer of the whole stack untaped."""
         return self.latent(images).values
-
-    def accuracy(self, dataset, batch_size: int = 256) -> float:
-        return evaluate(self, dataset, "soft", batch_size).accuracy
 
     # -- checkpoint schema --------------------------------------------------
 

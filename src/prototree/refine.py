@@ -8,7 +8,9 @@ nearest-patch distances has its minimum at -ln(DEAD_NODE_EPS) or more
 resembles no training patch and routes almost every image left, so
 projection collapses it into its left child instead (see ``project``).
 Hard inference converts the soft tree into a single root-to-leaf
-decision path; ``evaluate`` scores any strategy from one routed pass.
+decision path. ``evaluate`` is the one loop that runs a dataset through
+the model: one routed pass per chunk of ``CHUNK`` images gives the soft
+distributions and the scores of any strategy.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .data import Dataset
 # A node whose p_right = exp(-distance) stays at or below this on every
 # training image is dead: projection collapses it instead of projecting.
 DEAD_NODE_EPS = 0.1
+# images per pass in evaluate and project: the distance op holds an
+# N x L x M score array, so the chunk bounds its memory
+CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -122,9 +127,9 @@ def project(model, dataset: Dataset, constrained: bool = True,
     every_image = np.arange(n_img)
     # squared distance and cell of each image's patch nearest each row: N x M
     sq, cell = map(np.concatenate, zip(*(
-        tr.min_patch_distances(latents[start:start + 256],
+        tr.min_patch_distances(latents[start:start + CHUNK],
                                model.prototypes.tensor.values)
-        for start in range(0, n_img, 256))))
+        for start in range(0, n_img, CHUNK))))
 
     topo = model.topology
     dead = np.flatnonzero(sq.min(axis=0) >= np.log(DEAD_NODE_EPS) ** 2)
@@ -206,34 +211,41 @@ class Evaluation:
     accuracy: float
     fidelity: float
     depths: np.ndarray | None   # depth of each image's chosen leaf
+    soft: np.ndarray            # N x K soft class distributions
 
 
-def evaluate(model, dataset: Dataset, strategy: str,
-             batch_size: int = 256) -> Evaluation:
+def evaluate(model, dataset: Dataset, strategy: str) -> Evaluation:
     """Score one inference strategy with a single routed pass per chunk.
 
     ``soft`` scores the mixed leaf distributions; ``max_path`` and
     ``greedy`` score the class of the leaf ``hard_decision`` would choose.
     Fidelity is the fraction of images whose scored class equals the
     soft prediction's class, so it is 1.0 for ``soft``, which chooses no
-    leaf and has no depths.
+    leaf and has no depths. An image's latent and routing bits do not
+    depend on the chunk it falls in, so ``soft`` holds the rows that
+    one-image ``predict`` calls give.
     """
     if len(dataset) == 0:
         raise ValueError("evaluate needs a non-empty dataset")
     soft, leaves = [], []
-    for latent in model.latent_chunks(dataset.images, batch_size):
-        y_hat, trace = model.predict(latent)
-        soft.append(y_hat.values.argmax(axis=1))
+    for start in range(0, len(dataset), CHUNK):
+        y_hat, trace = model.predict(
+            model.latent(dataset.images[start:start + CHUNK]))
+        soft.append(y_hat.values)
         if strategy != "soft":
             leaves.append(_choose_leaves(model, trace, strategy))
     soft = np.concatenate(soft)
+    soft_class = soft.argmax(axis=1)
     leaves = np.concatenate(leaves) if leaves else None
-    pred = soft if leaves is None else \
+    pred = soft_class if leaves is None else \
         model.leaves.distributions()[leaves].argmax(axis=1)
+    topo = model.topology
     return Evaluation(
         accuracy=int(np.count_nonzero(pred == dataset.labels)) / len(dataset),
-        fidelity=fidelity(soft, pred),
-        depths=None if leaves is None else model.topology.leaf_depths()[leaves])
+        fidelity=fidelity(soft_class, pred),
+        depths=None if leaves is None
+        else topo.depth[topo.num_internal + leaves],
+        soft=soft)
 
 
 def fidelity(soft: np.ndarray, hard: np.ndarray) -> float:

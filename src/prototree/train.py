@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import refine
 from . import tree as tr
 from .autodiff import Tensor
 from .data import AugmentConfig, Dataset, augment
@@ -262,7 +263,8 @@ def fit(model: ProtoTreeModel, train_set: Dataset, test_set: Dataset | None,
     try:
         for epoch in range(1, config.epochs + 1):
             metrics = train_epoch(model, train_set, config, epoch, adam)
-            metrics["test_acc"] = model.accuracy(test_set) if test_set else float("nan")
+            metrics["test_acc"] = refine.evaluate(
+                model, test_set, "soft").accuracy if test_set else float("nan")
             history.append(metrics)
             if writer:
                 writer.write(f"{epoch},{metrics['loss']:.8f},"

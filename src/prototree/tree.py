@@ -150,9 +150,6 @@ class TreeTopology:
             col = self.parent[col]
         return path[::-1]
 
-    def leaf_depths(self) -> np.ndarray:
-        return self.depth[self.num_internal:].copy()
-
     def greedy_leaves(self, p_right: np.ndarray) -> np.ndarray:
         """Leaf reached by each row of the N x M ``p_right``, going right
         exactly when p_right > 0.5; all rows descend one level at a time."""
@@ -243,12 +240,6 @@ def init_tree(h: int, num_classes: int, depth: int, seed: int,
     leaves = LeafParams(np.zeros((topology.num_leaves, num_classes),
                                  dtype=np.float64))
     return topology, bank, leaves
-
-
-def _patch_squared_distances(latent: np.ndarray, proto: np.ndarray) -> np.ndarray:
-    """H x W grid of squared Euclidean distances, exact for exact matches."""
-    diff = latent - proto.reshape(-1, 1, 1)
-    return (diff * diff).sum(axis=0)
 
 
 def _split_if_large(n: int, macs: int, fn) -> None:

@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from prototree.backbone import BackboneConfig
 from prototree.data import gen_synthetic
 from prototree.model import build_model
-from prototree.refine import default_tau, project, prune
+from prototree.refine import default_tau, evaluate, project, prune
 from prototree.train import TrainConfig, fit
 
 DESK = {
@@ -69,11 +69,11 @@ def desk_runs(desk_data):
         start = time.monotonic()
         history = fit(model, train_set, test_set, tc)
         train_seconds = time.monotonic() - start
-        soft_trained = model.accuracy(test_set)
+        soft_trained = evaluate(model, test_set, "soft").accuracy
         report = prune(model, default_tau(DESK["classes"]))
-        soft_pruned = model.accuracy(test_set)
+        soft_pruned = evaluate(model, test_set, "soft").accuracy
         records = project(model, train_set, constrained=True)
-        soft_projected = model.accuracy(test_set)
+        soft_projected = evaluate(model, test_set, "soft").accuracy
         runs.append(DeskRun(seed=seed, model=model,
                             train_seconds=train_seconds, history=history,
                             soft_acc_trained=soft_trained,

@@ -486,3 +486,51 @@ def unfused_predict(model, latent):
                                                    model.prototypes.tensor)))
     pi = taped_path_probabilities(model.topology, edge_right)
     return matmul(pi, Tensor(model.leaves.distributions().astype(pi.dtype)))
+
+
+def bytewise_load_ppm(path):
+    """``data.load_ppm`` with its header read one byte at a time by a
+    ``token()`` closure: the same images, or the same ValueError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+
+    pos = 0
+
+    def token() -> bytes:
+        nonlocal pos
+        while pos < len(raw):
+            ch = raw[pos:pos + 1]
+            if ch == b"#":
+                while pos < len(raw) and raw[pos:pos + 1] != b"\n":
+                    pos += 1
+            elif ch.isspace():
+                pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(raw) and not raw[pos:pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ValueError(f"{path}: malformed header at byte {start}")
+        return raw[start:pos]
+
+    magic = token()
+    if magic != b"P6":
+        raise ValueError(f"{path}: unsupported magic {magic!r} at byte 0, "
+                         "only binary P6 is supported")
+    try:
+        width, height, maxval = int(token()), int(token()), int(token())
+    except ValueError as err:
+        raise ValueError(f"{path}: malformed header near byte {pos}: {err}") from None
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: empty extent {width}x{height} at byte {pos}")
+    if maxval != 255:
+        raise ValueError(f"{path}: maxval {maxval} at byte {pos}, expected 255")
+    pos += 1  # single whitespace after maxval
+    need = width * height * 3
+    if len(raw) - pos < need:
+        raise ValueError(f"{path}: truncated payload at byte {pos}: "
+                         f"expected {need} bytes, found {len(raw) - pos}")
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=need, offset=pos)
+    img = pixels.reshape(height, width, 3).transpose(2, 0, 1)
+    return (img.astype(np.float32) / 255.0)

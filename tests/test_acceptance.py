@@ -177,7 +177,7 @@ def test_criterion_08_ensemble(desk_data, desk_runs):
     """The 3-seed mean-prediction ensemble is at least as accurate as the
     best member minus 0.5 pp and strictly above the member mean."""
     _, test_set = desk_data
-    predictions = ensemble_mean([r.model.soft_predict(test_set.images)
+    predictions = ensemble_mean([evaluate(r.model, test_set, "soft").soft
                                  for r in desk_runs])
     ensemble_acc = float((predictions.argmax(axis=1)
                           == test_set.labels).mean())

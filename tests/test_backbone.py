@@ -87,7 +87,7 @@ class TestForward:
         model = build_model(BackboneConfig(input_side=32, latent_depth=8),
                             height=1, num_classes=2, seed=0)
         image = np.zeros((3, 32, 32), dtype=np.float32)
-        for call in (model.backbone.forward, model.soft_predict):
+        for call in (model.backbone.forward, model.latent):
             with pytest.raises(ValueError, match="N x C x S x S"):
                 call(image)
 

@@ -140,6 +140,20 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("setting, message", [
+        ("height=0", "height must be >= 1, got 0"),
+        ("latent_depth=0", "latent_depth must be >= 1, got 0"),
+    ])
+    def test_model_value_out_of_range_fails_before_loading(
+            self, workspace, tmp_path, capsys, setting, message):
+        capsys.readouterr()
+        assert main(["train", "--config", workspace["config"], "--data",
+                     str(tmp_path / "no-such-data"), "--out",
+                     str(tmp_path / "m.npt"), "--quiet", "--set",
+                     setting]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
     def test_image_of_another_size_exit_one(self, workspace, tmp_path,
                                             capsys):
         data = relabelled_copy(workspace, tmp_path, lambda cls: cls)

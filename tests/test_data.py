@@ -11,6 +11,9 @@ import prototree.data as pd
 from prototree.data import AugmentConfig, Dataset, UnknownClassError, \
     augment, class_motifs, gen_synthetic, load_dataset, load_ppm, save_ppm, \
     write_dataset
+from prototree.refine import evaluate
+
+from oracles import bytewise_load_ppm
 
 
 class TestGenSynthetic:
@@ -89,12 +92,12 @@ class TestAblation:
                                         DESK["side"], DESK["data_seed"],
                                         class_index=1)
         mask = ablated.labels == 1
-        pred = model.soft_predict(ablated.images[mask]).argmax(axis=1)
+        pred = evaluate(model, ablated, "soft").soft[mask].argmax(axis=1)
         recall = float((pred == 1).mean())
         chance = 1.0 / DESK["classes"]
         assert recall < chance + 0.20, f"ablated recall {recall:.3f}"
         # sanity: the same images with the glyph present are recognized
-        intact = model.soft_predict(test_set.images[test_set.labels == 1])
+        intact = evaluate(model, test_set, "soft").soft[test_set.labels == 1]
         assert (intact.argmax(axis=1) == 1).mean() > recall
 
     def test_ablated_split_differs_only_at_glyph(self):
@@ -189,20 +192,56 @@ _HEADER_TOKEN = st.one_of(
                      b"#", b"\xff", b"99999999999999999999"]))
 
 
+def _outcome(parse, path):
+    """(shape, bits) of the image parsed from path, or the ValueError's
+    message, which must name the file."""
+    try:
+        image = parse(path)
+    except ValueError as err:
+        assert path in str(err), str(err)
+        return str(err)
+    return image.shape, image.tobytes()
+
+
+def _assert_same_as_bytewise(raw):
+    """load_ppm and the byte-at-a-time reference parser give the same image
+    bits, or the same ValueError, on these bytes."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "fuzz.ppm")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        assert _outcome(load_ppm, path) == _outcome(bytewise_load_ppm, path)
+
+
+_ARBITRARY = given(st.binary(max_size=64))
+_HEADERS = given(st.sampled_from([b"P6", b"P3", b"P5", b"p6", b""]),
+                 st.lists(_HEADER_TOKEN, min_size=0, max_size=4),
+                 st.sampled_from([b" ", b"\n", b"\t", b"\n# note\n"]),
+                 st.binary(max_size=80))
+
+
 class TestPpmFuzz:
-    @given(st.binary(max_size=64))
+    @_ARBITRARY
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_arbitrary_bytes(self, raw):
         _assert_image_or_error(raw)
 
-    @given(st.sampled_from([b"P6", b"P3", b"P5", b"p6", b""]),
-           st.lists(_HEADER_TOKEN, min_size=0, max_size=4),
-           st.sampled_from([b" ", b"\n", b"\t", b"\n# note\n"]),
-           st.binary(max_size=80))
+    @_HEADERS
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_malformed_headers(self, magic, tokens, sep, payload):
         raw = sep.join([magic, *tokens]) + b"\n" + payload
         _assert_image_or_error(raw)
+
+    @_ARBITRARY
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_arbitrary_bytes_as_bytewise_parser(self, raw):
+        _assert_same_as_bytewise(raw)
+
+    @_HEADERS
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_malformed_headers_as_bytewise_parser(self, magic, tokens, sep,
+                                                  payload):
+        _assert_same_as_bytewise(sep.join([magic, *tokens]) + b"\n" + payload)
 
 
 class TestAugment:

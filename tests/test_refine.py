@@ -40,9 +40,7 @@ class StubModel:
     def latent(self, images):
         return Tensor(np.zeros((images.shape[0], 1, 1, 1)))
 
-    latent_chunks = ProtoTreeModel.latent_chunks
     predict = ProtoTreeModel.predict
-    soft_predict = ProtoTreeModel.soft_predict
 
 
 class PlantedModel(StubModel):
@@ -99,8 +97,11 @@ def assert_per_node_scan(model, train, records, protos, rows,
                          latents[record.image_id][:, i, j])
 
 
-def _fixed_image(model):
-    side = getattr(model, "input_side", 8)
+def leaf_depths(topology):
+    return topology.depth[topology.num_internal:]
+
+
+def _fixed_image(side=8):
     return np.full((3, side, side), 0.5, dtype=np.float32)
 
 
@@ -154,7 +155,7 @@ class TestPrune:
         # every surviving internal node still has two children
         assert topo.num_internal == 2
         assert topo.num_leaves == 3
-        assert sorted(topo.leaf_depths().tolist()) == [1, 2, 2]
+        assert sorted(leaf_depths(topo).tolist()) == [1, 2, 2]
 
     def test_collapse_to_single_leaf_stays_functional(self):
         model = make_model(height=1, num_classes=2)
@@ -165,7 +166,7 @@ class TestPrune:
         assert model.topology.num_leaves == 1
         train, _ = gen_synthetic(2, 2, 32, seed=7)
         assert rf.project(model, train) == []
-        pred = model.soft_predict(train.images)
+        pred = rf.evaluate(model, train, "soft").soft
         np.testing.assert_allclose(pred.sum(axis=1), 1.0, atol=1e-6)
 
     def test_pruning_everything_rejected(self):
@@ -207,7 +208,7 @@ class TestHardPredict:
     def test_height_one_both_strategies_go_right(self):
         model = StubModel(1, 2, [0.7])
         one_leaf_per_class(model, [0, 1])
-        image = _fixed_image(model)
+        image = _fixed_image()
         for strategy in ("max_path", "greedy"):
             dist, leaf, path = decide_one(model, image, strategy)
             assert leaf == 1
@@ -218,7 +219,7 @@ class TestHardPredict:
     def test_height_two_hand_trace(self):
         model = StubModel(2, 4, [0.6, 0.5, 0.25])
         one_leaf_per_class(model, [0, 1, 2, 3])
-        image = _fixed_image(model)
+        image = _fixed_image()
         dist, leaf, path = decide_one(model, image, "greedy")
         assert leaf == 2  # right at root, left at the right child
         assert [w for _, w, _ in path] == [True, False]
@@ -228,7 +229,7 @@ class TestHardPredict:
     def test_constructed_disagreement(self):
         model = StubModel(2, 4, [0.55, 0.02, 0.5])
         one_leaf_per_class(model, [0, 1, 2, 3])
-        image = _fixed_image(model)
+        image = _fixed_image()
         _, greedy_leaf, greedy_path = decide_one(model, image, "greedy")
         _, max_leaf, _ = decide_one(model, image, "max_path")
         assert greedy_leaf != max_leaf
@@ -261,7 +262,7 @@ class TestHardPredict:
         one_leaf_per_class(model, [0, 1])
         # plant the prototype so the distance is exactly -log(0.5)
         model.prototypes.tensor.values[0, 0] = np.log(2.0)
-        image = _fixed_image(model)
+        image = _fixed_image()
         _, leaf, path = decide_one(model, image, "greedy")
         p = path[0][2]
         if p == 0.5:  # exp(-log 2) may round off exact half
@@ -272,7 +273,7 @@ class TestHardPredict:
     def test_unknown_strategy_rejected(self):
         model = make_model()
         with pytest.raises(ValueError, match="strategy"):
-            decide_one(model, _fixed_image(model), "softish")
+            decide_one(model, _fixed_image(32), "softish")
 
     def test_batch_greedy_matches_per_image(self):
         rng = np.random.default_rng(31)
@@ -299,7 +300,8 @@ class TestFidelity:
         train, _ = gen_synthetic(3, 4, 32, seed=71)
         result = rf.evaluate(model, train, "soft")
         assert result.fidelity == 1.0 and result.depths is None
-        assert result.accuracy == model.accuracy(train)
+        soft = model.predict(model.latent(train.images))[0].values
+        assert result.accuracy == (soft.argmax(1) == train.labels).mean()
 
     def test_empty_dataset_rejected(self):
         model = make_model()
@@ -315,7 +317,7 @@ class TestFidelity:
         one_leaf_per_class(model, [0, 1, 2, 3])
         train, _ = gen_synthetic(4, 5, 32, seed=73)
         fid = rf.evaluate(model, train, "max_path").fidelity
-        soft = model.soft_predict(train.images).argmax(1)
+        soft = model.predict(model.latent(train.images))[0].values.argmax(1)
         hard = np.array([np.argmax(decide_one(model, img, "max_path")[0])
                          for img in train.images])
         assert fid == (soft == hard).mean()
@@ -328,22 +330,38 @@ class TestFidelity:
 
 class TestEvaluate:
     @pytest.mark.parametrize("strategy", ["max_path", "greedy"])
-    @pytest.mark.parametrize("batch_size", [256, 7])
-    def test_matches_per_image_predictions(self, strategy, batch_size):
+    @pytest.mark.parametrize("chunk", [256, 7])
+    def test_matches_per_image_predictions(self, monkeypatch, strategy,
+                                           chunk):
+        monkeypatch.setattr(rf, "CHUNK", chunk)
         rng = np.random.default_rng(37)
         model = PlantedModel(3, 4, rng.uniform(0, 1, 7))
         model.leaves.logits = rng.uniform(0, 5, model.leaves.logits.shape)
         dataset = planted_set(rng.uniform(0, 1, 40))
-        result = rf.evaluate(model, dataset, strategy, batch_size=batch_size)
+        result = rf.evaluate(model, dataset, strategy)
         picks = [decide_one(model, image, strategy)
                  for image in dataset.images]
         hard = np.array([dist.argmax() for dist, _, _ in picks])
-        soft = model.soft_predict(dataset.images).argmax(axis=1)
+        soft = np.array([model.predict(model.latent(image[None]))[0].values[0]
+                         .argmax() for image in dataset.images])
         assert result.accuracy == (hard == dataset.labels).mean()
         assert result.fidelity == (hard == soft).mean()
         assert 0 < result.fidelity < 1
-        depths = model.topology.leaf_depths()
+        depths = leaf_depths(model.topology)
         assert result.depths.tolist() == [depths[leaf] for _, leaf, _ in picks]
+
+    @pytest.mark.parametrize("strategy", ["soft", "max_path", "greedy"])
+    def test_soft_rows_are_one_image_predictions(self, monkeypatch, strategy):
+        monkeypatch.setattr(rf, "CHUNK", 7)
+        model = make_model(height=3, num_classes=3, seed=19)
+        model.leaves.logits = np.random.default_rng(41).uniform(
+            0, 5, model.leaves.logits.shape)
+        train, _ = gen_synthetic(3, 4, 32, seed=43)     # 12 images, 2 chunks
+        result = rf.evaluate(model, train, strategy)
+        rows = [model.predict(model.latent(image[None]))[0].values
+                for image in train.images]
+        assert result.soft.shape == (12, 3)
+        assert_same_bits(result.soft, np.concatenate(rows))
 
     def test_unknown_strategy_rejected(self):
         model = PlantedModel(2, 4, [0.2, 0.4, 0.6])
@@ -355,7 +373,7 @@ class TestEvaluate:
         one_leaf_per_class(model, [0, 1, 2, 3])
         model.leaves.logits[1] = 0.0              # uniform leaf under node 1
         rf.prune(model, tau=rf.default_tau(4))
-        assert model.topology.leaf_depths().tolist() == [1, 2, 2]
+        assert leaf_depths(model.topology).tolist() == [1, 2, 2]
         # the root goes right, to the depth-2 leaves, when |x - 0.2| < ln 2
         dataset = planted_set([0.1, 1.5, 0.7, 0.3])
         depths = rf.evaluate(model, dataset, "greedy").depths
@@ -366,7 +384,7 @@ class TestEnsemble:
     def test_identical_copies_match_single(self):
         model = make_model(num_classes=3, seed=11)
         train, _ = gen_synthetic(3, 3, 32, seed=79)
-        single = model.soft_predict(train.images)
+        single = rf.evaluate(model, train, "soft").soft
         triple = rf.ensemble_mean([single, single, single])
         np.testing.assert_allclose(triple, single, atol=1e-6)
 
@@ -378,8 +396,8 @@ class TestEnsemble:
 
     def test_mixed_class_counts_rejected(self):
         images = np.zeros((1, 3, 32, 32), dtype=np.float32)
-        members = [make_model(num_classes=k).soft_predict(images)
-                   for k in (2, 3)]
+        members = [m.predict(m.latent(images))[0].values
+                   for m in (make_model(num_classes=k) for k in (2, 3))]
         with pytest.raises(ValueError, match="class count"):
             rf.ensemble_mean(members)
 
@@ -528,7 +546,7 @@ class TestDeadNodeCollapse:
         model = PlantedModel(2, 4, [1.0 + 1.0001 * self.DEAD_DISTANCE,
                                     values[1], 0.5])
         one_leaf_per_class(model, [0, 1, 2, 3])
-        before = model.soft_predict(train.images)
+        before = rf.evaluate(model, train, "soft").soft
         p_right = np.exp(-np.abs(np.asarray(values)
                                  - model.prototypes.row(0)[0]))
         assert p_right.max() <= rf.DEAD_NODE_EPS
@@ -538,7 +556,8 @@ class TestDeadNodeCollapse:
         assert model.topology.num_internal == 1
         assert [(r.node_index, r.image_id, r.distance) for r in records] \
             == [(0, 1, 0.0)]
-        moved = np.abs(model.soft_predict(train.images) - before).sum(axis=1)
+        moved = np.abs(rf.evaluate(model, train, "soft").soft - before) \
+            .sum(axis=1)
         assert moved.max() <= 2 * rf.DEAD_NODE_EPS
         # left and right leaves share no class, so the bound is nearly met
         assert moved.max() > 1.99 * rf.DEAD_NODE_EPS

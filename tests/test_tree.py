@@ -95,7 +95,7 @@ class TestInitTree:
         np.testing.assert_array_equal(order[order >= m],
                                       np.arange(m, 2 * m + 1))
         np.testing.assert_array_equal(topo.preorder, order)
-        assert topo.leaf_depths().tolist() == [height] * (m + 1)
+        assert topo.depth[topo.num_internal:].tolist() == [height] * (m + 1)
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
@@ -597,7 +597,8 @@ class TestTopology:
 
     def test_leaf_depths_full_tree(self):
         topo, _, _ = tr.init_tree(4, 2, 2, seed=0)
-        np.testing.assert_array_equal(topo.leaf_depths(), np.full(16, 4))
+        np.testing.assert_array_equal(topo.depth[topo.num_internal:],
+                                      np.full(16, 4))
 
 
 class TestRouteAsArrays:
@@ -628,7 +629,7 @@ class TestRouteAsArrays:
     def test_gradients_match_finite_differences_on_pruned_tree(self):
         rng = np.random.default_rng(51)
         topo = unbalanced_topology()
-        assert sorted(topo.leaf_depths().tolist()) == [1, 2, 3, 3]
+        assert sorted(topo.depth[topo.num_internal:].tolist()) == [1, 2, 3, 3]
         bank = tr.PrototypeBank(Tensor(rng.uniform(0, 1, (3, 2)),
                                        requires_grad=True))
         latent = Tensor(rng.uniform(0, 1, (3, 2, 2, 2)), requires_grad=True)
@@ -721,7 +722,7 @@ class TestTopologyIndex:
         paths = enumerate_paths(topo)
         for leaf, path in paths:
             assert topo.path_to_leaf(leaf) == path
-            assert topo.leaf_depths()[leaf] == len(path)
+            assert topo.depth[topo.num_internal + leaf] == len(path)
 
 
 def _assert_keeping_matches_recursion(topo, keep_leaf):
