@@ -1,19 +1,24 @@
 """Dense tensors with reverse-mode differentiation.
 
-A small numpy-backed engine: ``Tensor``, ``Tape``, ``record_op`` and
-``conv_stack``, whose batch slices run on a ``ThreadPoolExecutor`` over
-the cores BLAS leaves idle. Values live in a numpy array; every
-differentiable operation computes its result eagerly and, when a tape is
-active and some input participates in gradients, records a backward
-closure. ``conv_stack`` is the only op kept here: a whole CNN pass, every
-stage's convolution, bias and activation, as one op that runs each
-slice's images through all stages a cache-sized block at a time;
-routing, the leaf mix and the loss record their own ops, each through
-``record_op`` with its own backward rule.
+A small numpy-backed engine: ``Tensor``, ``Tape``, ``record_op``,
+``Buffers`` and ``conv_stack``, whose batch slices run on a
+``ThreadPoolExecutor`` over the cores BLAS leaves idle. Values live in a
+numpy array; every differentiable operation computes its result eagerly
+and, when a tape is active and some input participates in gradients,
+records a backward closure. ``conv_stack`` is the only op kept here: a
+whole CNN pass, every stage's convolution, bias and activation, as one
+op that runs each slice's images through all stages a cache-sized block
+at a time; routing, the leaf mix and the loss record their own ops,
+each through ``record_op`` with its own backward rule.
 
 Precision is carried by the arrays themselves: float32 for training,
 float64 for derivative checks. Mixing the two in one operation is an
 error.
+
+A tape made with a ``Buffers`` store lends its ops their large arrays
+(``buffer``) and gives them back once its backward has run, so a
+training loop that keeps one store maps fresh pages in its first step of
+each shape only.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 _TAPES: list["Tape"] = []
+_BACKWARD: list["Tape"] = []    # the tape whose backward is running
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -67,15 +73,38 @@ class Tensor:
             self.grad[...] = 0.0
 
 
+class Buffers:
+    """Arrays kept for reuse, by shape and dtype: the store a training
+    loop creates, hands to each step's ``Tape`` and drops when done."""
+
+    def __init__(self):
+        self._free: dict[tuple, list[np.ndarray]] = {}
+
+    def take(self, shape, dtype) -> np.ndarray:
+        free = self._free.get((tuple(shape), np.dtype(dtype)))
+        return free.pop() if free else np.empty(shape, dtype)
+
+    def give(self, arrays: list[np.ndarray]) -> None:
+        for a in arrays:
+            self._free.setdefault((a.shape, a.dtype), []).append(a)
+
+
 class Tape:
     """Records one forward pass; freed after its backward pass.
 
     A tape and the tensors flowing through it belong to a single thread.
+    With a ``store``, the arrays its ops ask ``buffer`` for, recorded
+    results' values and gradients among them, are lent from the store
+    and given back after the backward pass: read a result before another
+    tape on the same store records. A second tape alive at the same time
+    borrows other arrays.
     """
 
-    def __init__(self):
+    def __init__(self, store: Buffers | None = None):
         self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._consumed = False
+        self._store = store
+        self._lent: list[np.ndarray] = []
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -93,11 +122,32 @@ class Tape:
         if self._consumed:
             raise ValueError("tape already consumed by a previous backward pass")
         loss.grad += np.ones_like(loss.values)
-        for out, bwd in reversed(self._nodes):
-            bwd(out.grad)
+        _BACKWARD.append(self)
+        try:
+            for out, bwd in reversed(self._nodes):
+                bwd(out.grad)
+        finally:
+            _BACKWARD.pop()
         # free the pass: bounded memory inside training loops
         self._nodes.clear()
         self._consumed = True
+        if self._store is not None:
+            self._store.give(self._lent)
+            self._lent.clear()
+
+
+def buffer(shape, dtype, zero: bool = False) -> np.ndarray:
+    """An uninitialised array (zero-filled with ``zero``) for an op, lent
+    until its backward has run by the store of the tape running its
+    backward, else of the innermost recording tape; fresh without one."""
+    tape = _BACKWARD[-1] if _BACKWARD else _TAPES[-1] if _TAPES else None
+    if tape is None or tape._store is None:
+        return (np.zeros if zero else np.empty)(shape, dtype)
+    out = tape._store.take(shape, dtype)
+    tape._lent.append(out)
+    if zero:
+        out.fill(0)
+    return out
 
 
 def record_op(values: np.ndarray, inputs: Sequence[Tensor],
@@ -108,8 +158,10 @@ def record_op(values: np.ndarray, inputs: Sequence[Tensor],
     each input's ``grad`` (guarding on ``requires_grad`` itself).
     """
     if _TAPES and any(t.requires_grad for t in inputs):
-        out = Tensor(values, requires_grad=True)
         tape = _TAPES[-1]
+        out = Tensor(values)
+        out.requires_grad = True
+        out.grad = buffer(out.shape, out.dtype, zero=True)
         out._tape = tape
         tape._nodes.append((out, backward_fn))
         return out
@@ -194,11 +246,18 @@ def _split_batch(n: int, fn: Callable[[slice], None]) -> None:
         raise first
 
 
-def _sigmoid(v: np.ndarray) -> None:
+def _sigmoid(v: np.ndarray, e: np.ndarray) -> None:
     """The logistic function, in place, split by sign: e = exp(-|v|)
-    cannot overflow, and min(v, -v) keeps a nan's sign bit."""
-    e = np.exp(np.minimum(v, -v))
-    np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=v)
+    cannot overflow, and min(v, -v) keeps a nan's sign bit. ``e``, of
+    v's shape, is scratch."""
+    right = v >= 0
+    np.negative(v, out=e)
+    np.minimum(v, e, out=e)
+    np.exp(e, out=e)
+    np.copyto(v, e)
+    np.copyto(v, 1.0, where=right)
+    e += 1.0
+    v /= e
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
@@ -279,10 +338,11 @@ class _Stage:
         return [self.kernel] if self.bias is None else [self.kernel, self.bias]
 
     def run(self, a: np.ndarray, xp: np.ndarray | None, cols: np.ndarray,
-            out: np.ndarray) -> None:
+            out: np.ndarray, scratch: np.ndarray) -> None:
         """Convolve the images ``a`` into ``out`` through the pad buffer
         ``xp`` and the columns ``cols``, then add the bias and apply the
-        ReLU, or the sigmoid at the head."""
+        ReLU, or the sigmoid at the head, with ``scratch`` of out's
+        shape."""
         if self.direct:
             cols = a.reshape(a.shape[0], self.c, self.length)
         else:
@@ -294,7 +354,7 @@ class _Stage:
                     out=cols)
         np.matmul(self.kflat, cols, out=out)
         if self.shift is None:
-            _sigmoid(out)
+            _sigmoid(out, scratch)
         else:
             out += self.shift
             np.maximum(out, 0.0, out=out)
@@ -305,11 +365,11 @@ _WORKSPACE = threading.local()
 
 def _workspace(layers: list[_Stage], dtype) -> tuple[list, list, list]:
     """The calling thread's block workspace for a stack: per stage, a pad
-    buffer with zero borders, columns and activations for ``BLOCK``
-    images. A thread runs one slice at a time, so it keeps the last
-    workspace it made and hands it out again for the same shapes: fresh
-    pages cost a first-touch fault each, and blocks only ever write the
-    pad buffers' interiors."""
+    buffer with zero borders, columns and activations (the head's are
+    the sigmoid's scratch) for ``BLOCK`` images. A thread runs one slice
+    at a time, so it keeps the last workspace it made and hands it out
+    again for the same shapes: fresh pages cost a first-touch fault each,
+    and blocks only ever write the pad buffers' interiors."""
     key = (np.dtype(dtype), *((s.c, s.h, s.w, s.f, s.kh, s.kw, s.stride,
                                s.padding) for s in layers))
     kept = getattr(_WORKSPACE, "kept", None)
@@ -319,7 +379,7 @@ def _workspace(layers: list[_Stage], dtype) -> tuple[list, list, list]:
              for s in layers],
             [None if s.direct else np.empty((BLOCK, s.rows, s.length), dtype)
              for s in layers],
-            [np.empty((BLOCK, s.f, s.length), dtype) for s in layers[:-1]])
+            [np.empty((BLOCK, s.f, s.length), dtype) for s in layers])
     return kept[1]
 
 
@@ -338,7 +398,8 @@ def conv_stack(x: Tensor, stages: Sequence[tuple[Tensor, Tensor, int, int]],
     taped, the blocks write batch-wide columns and activations, which the
     backward, one more split, reads from the head down to the first
     stage. The kernel and bias gradients are summed over the batch
-    afterwards, in image order, so no bit depends on the slices.
+    afterwards, in image order, so no bit depends on the slices. Taped,
+    every batch-wide array is a ``buffer`` of the tape.
     """
     if x.values.ndim != 4:
         raise ValueError("conv_stack expects 4-D input and kernels")
@@ -354,11 +415,11 @@ def conv_stack(x: Tensor, stages: Sequence[tuple[Tensor, Tensor, int, int]],
     layers.append(top)
     inputs = [x, *(t for s in layers for t in s.params())]
     taped = bool(_TAPES) and any(t.requires_grad for t in inputs)
-    out = np.empty((n, top.f, top.length), dtype=dtype)
+    out = (buffer if taped else np.empty)((n, top.f, top.length), dtype)
     if taped:   # what the backward reads
-        acts = [np.empty((n, s.f, s.length), dtype=dtype)
+        acts = [buffer((n, s.f, s.length), dtype)
                 for s in layers[:-1]] + [out]
-        cols = [np.empty((n, s.rows, s.length), dtype) if not s.direct
+        cols = [buffer((n, s.rows, s.length), dtype) if not s.direct
                 else acts[k - 1] if k else xv.reshape(n, s.c, s.length)
                 for k, s in enumerate(layers)]
 
@@ -373,7 +434,8 @@ def conv_stack(x: Tensor, stages: Sequence[tuple[Tensor, Tensor, int, int]],
                 else:
                     cs = None if s.direct else work_cols[k][:hi - lo]
                     o = out[lo:hi] if s is top else work_acts[k][:hi - lo]
-                s.run(a, None if pads[k] is None else pads[k][:hi - lo], cs, o)
+                s.run(a, None if pads[k] is None else pads[k][:hi - lo], cs, o,
+                      work_acts[k][:hi - lo])
                 a = o.reshape(hi - lo, s.f, s.oh, s.ow)
 
     _split_batch(n, forward)
@@ -385,17 +447,20 @@ def conv_stack(x: Tensor, stages: Sequence[tuple[Tensor, Tensor, int, int]],
         for s in layers:
             flows.append(flows[-1] or any(t.requires_grad for t in s.params()))
         running = [k for k, s in enumerate(layers) if flows[k + 1]]
-        grads = {k: np.empty_like(acts[k]) for k in running}
-        per_image = {k: np.empty((n, layers[k].f, layers[k].rows), dtype)
+        grads = {k: buffer(acts[k].shape, dtype) for k in running}
+        # the activation's slope: the sigmoid's 1 - out, the ReLU's out > 0
+        slopes = {k: buffer(acts[k].shape, bool if layers[k].bias is not None
+                            else dtype) for k in running}
+        per_image = {k: buffer((n, layers[k].f, layers[k].rows), dtype)
                      for k in running if layers[k].kernel.requires_grad}
         cols_grad, gx = {}, {}
         for k in running:
             s = layers[k]
             if flows[k]:
-                cols_grad[k] = np.empty((n, s.rows, s.length), dtype)
+                cols_grad[k] = buffer((n, s.rows, s.length), dtype)
                 # a 1x1 stage's column gradient is its input gradient
                 gx[k] = cols_grad[k].reshape(n, s.c, s.h, s.w) if s.direct \
-                    else np.zeros(s.padded(n), dtype)
+                    else buffer(s.padded(n), dtype, zero=True)
 
         def backward(part):
             gk = g[part]
@@ -403,12 +468,16 @@ def conv_stack(x: Tensor, stages: Sequence[tuple[Tensor, Tensor, int, int]],
                 s = layers[k]
                 o = acts[k][part].reshape(gk.shape)
                 gf = grads[k][part]
-                # before the activation; as max(nan, 0) is nan, out > 0
-                # means a > 0
+                slope = slopes[k][part].reshape(gk.shape)
+                # before the activation, g out times 1 - out or g times
+                # out > 0; as max(nan, 0) is nan, out > 0 means a > 0
                 if s.bias is None:
-                    np.multiply(gk * o, 1.0 - o, out=gf.reshape(gk.shape))
+                    np.subtract(1.0, o, out=slope)
+                    np.multiply(gk, o, out=gf.reshape(gk.shape))
+                    gf *= slope.reshape(gf.shape)
                 else:
-                    np.multiply(gk, o > 0, out=gf.reshape(gk.shape))
+                    np.greater(o, 0, out=slope)
+                    np.multiply(gk, slope, out=gf.reshape(gk.shape))
                 if k in per_image:
                     np.matmul(gf, cols[k][part].transpose(0, 2, 1),
                               out=per_image[k][part])

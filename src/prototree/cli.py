@@ -265,7 +265,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("train", help="train a model on a dataset directory")
+    p = sub.add_parser(
+        "train", help="train a model on a dataset directory",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="config keys, for --config files and --set, with their "
+               "defaults:\n" + "\n".join(f"  {key} = {value}".rstrip()
+                                         for key, value in _DEFAULTS.items()))
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--data", required=True, help="dataset root (train/, test/)")
     p.add_argument("--out", required=True, help="output checkpoint path")

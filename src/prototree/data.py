@@ -281,6 +281,17 @@ def ablated_test_split(num_classes: int, per_class: int, side: int, seed: int,
 _PPM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
+_PPM_NUMBERS = ("extent", "extent", "maxval")   # width, height, maxval
+
+
+def _decimal(field: bytes, name: str) -> int:
+    """A header number: ASCII digits only, where int() would also take a
+    sign or underscores."""
+    if not field.isdigit():
+        raise ValueError(f"{name} field {field!r} is not a decimal number")
+    return int(field)
+
+
 def load_ppm(path: str) -> np.ndarray:
     """Binary P6 file to a channels-first float tensor with values v/255."""
     with open(path, "rb") as fh:
@@ -298,7 +309,7 @@ def load_ppm(path: str) -> np.ndarray:
             pos = field.end()
             if not field[1]:
                 raise ValueError(f"{path}: malformed header at byte {pos}")
-            fields.append(int(field[1]))
+            fields.append(_decimal(field[1], _PPM_NUMBERS[len(fields)]))
     except ValueError as err:
         raise ValueError(f"{path}: malformed header near byte {pos}: {err}") from None
     width, height, maxval = fields

@@ -8,9 +8,10 @@ nearest-patch distances has its minimum at -ln(DEAD_NODE_EPS) or more
 resembles no training patch and routes almost every image left, so
 projection collapses it into its left child instead (see ``project``).
 Hard inference converts the soft tree into a single root-to-leaf
-decision path. ``evaluate`` is the one loop that runs a dataset through
-the model: one routed pass per chunk of ``CHUNK`` images gives the soft
-distributions and the scores of any strategy.
+decision path. ``evaluate`` runs a dataset through the model: one routed
+pass per chunk of ``CHUNK`` images gives the soft distributions and the
+scores of any strategy. ``project`` reads the training set in the same
+chunks.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ def prune(model, tau: float) -> PruneReport:
     that child, so every surviving internal node keeps two children.
     Rejected without touching the model if nothing would survive.
     """
+    if np.isnan(tau):
+        raise ValueError(f"tau must be a number, got {tau}")
     dists = model.leaves.distributions()
     if tau < 1.0 / model.leaves.num_classes:
         warnings.warn(
@@ -121,19 +124,24 @@ def project(model, dataset: Dataset, constrained: bool = True,
     collapsed nodes lie one below another, the bound is 2 eps per
     collapsed node on the image's root-to-leaf path. Records exist for
     the surviving nodes only.
+
+    The training set runs through the backbone once, ``CHUNK`` images at
+    a time, and only each prototype's nearest patch per label bucket is
+    kept, so that no collapse needs a second pass.
     """
-    latents = model.latents_per_image(dataset.images)        # N x D x H x W
-    n_img, _, _, w = latents.shape
-    every_image = np.arange(n_img)
-    # squared distance and cell of each image's patch nearest each row: N x M
-    sq, cell = map(np.concatenate, zip(*(
-        tr.min_patch_distances(latents[start:start + CHUNK],
-                               model.prototypes.tensor.values)
-        for start in range(0, n_img, CHUNK))))
+    if len(dataset) == 0:
+        raise ValueError("project needs a non-empty dataset")
+    k = model.leaves.num_classes
+    # the label bucket of each image: its class, or K for every label >= K
+    bucket = np.minimum(dataset.labels, k)
+    best, sq, cell, patch, w = _nearest_per_bucket(model, dataset.images,
+                                                   bucket, k + 1)
 
     topo = model.topology
-    dead = np.flatnonzero(sq.min(axis=0) >= np.log(DEAD_NODE_EPS) ** 2)
-    # column of sq and cell per surviving node: its index before any rebuild
+    # a bucket no image falls in keeps inf, and a nan anywhere stays nan
+    dead = np.flatnonzero(sq.min(axis=1) >= np.log(DEAD_NODE_EPS) ** 2)
+    # row of best, sq, cell and patch per surviving node: its index
+    # before any rebuild
     rows = np.arange(topo.num_internal)
     if dead.size:
         # the right subtree goes, the left takes its place
@@ -148,37 +156,79 @@ def project(model, dataset: Dataset, constrained: bool = True,
             f"{topo.num_internal - model.topology.num_internal} prototypes",
             stacklevel=2)
 
-    topo, k = model.topology, model.leaves.num_classes
+    topo = model.topology
     m = topo.num_internal
-    # classes of the leaf majorities below each column; the extra last
-    # class stands for every label >= K and is below none
+    # classes of the leaf majorities below each column; bucket K is
+    # below none
     majority = model.leaves.distributions().argmax(axis=1)
     below = np.zeros((2 * m + 1, k + 1), dtype=bool)
     below[m + np.arange(m + 1), majority] = True
     for cols in reversed(topo.levels[:-1]):
         nodes = cols[cols < m]
         below[nodes] = below[topo.left[nodes]] | below[topo.right[nodes]]
-    in_pool = below[:m][:, np.minimum(dataset.labels, k)]      # M x N
+    filled = np.bincount(bucket, minlength=k + 1) > 0
 
     records: list[ProjectionRecord] = []
     images = np.empty((m, *dataset.images.shape[1:]), dtype=np.float32)
     for node, row in enumerate(rows):
-        pool = np.flatnonzero(in_pool[node]) if constrained else every_image
-        applied = constrained and pool.size > 0
-        if not pool.size:
-            pool = every_image
-        # the first minimum keeps the smallest image id
-        image_id = int(pool[sq[pool, row].argmin()])
-        i, j = divmod(int(cell[image_id, row]), w)
-        model.prototypes.tensor.values[node] = latents[image_id, :, i, j]
+        pool = np.flatnonzero(below[node] & filled) if constrained else ()
+        applied = constrained and len(pool) > 0
+        if not applied:
+            pool = np.flatnonzero(filled)
+        # the pool's first minimum: its buckets' own, in image order
+        pool = pool[np.argsort(best[row, pool])]
+        b = pool[sq[row, pool].argmin()]
+        image_id = int(best[row, b])
+        i, j = divmod(int(cell[row, b]), w)
+        model.prototypes.tensor.values[node] = patch[row, b]
         images[node] = dataset.images[image_id]
         records.append(ProjectionRecord(
             node_index=node, image_id=image_id, location=(i, j),
-            distance=float(np.sqrt(sq[image_id, row])), constrained=applied,
+            distance=float(np.sqrt(sq[row, b])), constrained=applied,
             fallback=constrained and not applied))
     model.projection = records
     model.projection_images = images
     return records
+
+
+def _nearest_per_bucket(model, images: np.ndarray, bucket: np.ndarray,
+                        buckets: int):
+    """Per prototype row and label bucket, the bucket's image whose patch
+    lies nearest: its image id (-1 for an empty bucket), squared distance,
+    cell and patch, each M x ``buckets`` (x D), and the latent's width.
+
+    One pass over ``images`` in chunks of ``CHUNK``, holding one chunk's
+    latents at a time. An image's latent does not depend on its chunk,
+    and each bucket keeps the first minimum over its images in image
+    order, or its first nan, as ``argmin`` over them all would; so does
+    any union of buckets, taken over their picks in image order.
+    """
+    protos = model.prototypes.tensor.values
+    rows = np.arange(protos.shape[0])
+    best = np.full((len(rows), buckets), -1)
+    for start in range(0, len(images), CHUNK):
+        latents = model.latents_per_image(images[start:start + CHUNK])
+        chunk_sq, chunk_cell = tr.min_patch_distances(latents, protos)
+        if start == 0:
+            sq = np.full(best.shape, np.inf, dtype=chunk_sq.dtype)
+            cell = np.zeros(best.shape, dtype=np.int64)
+            patch = np.empty((*best.shape, latents.shape[1]), latents.dtype)
+            w = latents.shape[3]
+        here = bucket[start:start + CHUNK]
+        for b in np.unique(here):
+            members = np.flatnonzero(here == b)
+            pick = members[chunk_sq[members].argmin(axis=0)]     # per row
+            new = chunk_sq[pick, rows]
+            # a later image wins only where argmin would move to it
+            take = np.flatnonzero((best[:, b] < 0) | (np.argmin(
+                np.stack([sq[:, b], new]), axis=0) == 1))
+            img, at = pick[take], chunk_cell[pick[take], take]
+            best[take, b] = start + img
+            sq[take, b] = new[take]
+            cell[take, b] = at
+            patch[take, b] = latents[img, :, at // w, at % w]
+        del latents     # before the next chunk's arrive
+    return best, sq, cell, patch, w
 
 
 def _choose_leaves(model, trace: tr.RoutingTrace, strategy: str) -> np.ndarray:

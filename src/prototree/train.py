@@ -12,6 +12,7 @@ Leaf logits never receive gradients.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 
@@ -79,9 +80,11 @@ class Adam:
         self.groups = groups
         self.config = config
         self.step_count = 0
-        self.moments = {name: [(np.zeros_like(t.values), np.zeros_like(t.values))
-                               for t in tensors]
-                        for name, tensors in groups.items()}
+        # per tensor: both moments, then two scratch arrays, so that a
+        # step allocates nothing
+        self.state = {name: [tuple(np.zeros_like(t.values) for _ in range(4))
+                             for t in tensors]
+                      for name, tensors in groups.items()}
 
     def step(self, rates: dict[str, float]) -> None:
         cfg = self.config
@@ -90,17 +93,21 @@ class Adam:
         correct2 = 1.0 - cfg.beta2 ** self.step_count
         for name, tensors in self.groups.items():
             lr = rates.get(name, 0.0)
-            for tensor, (m, v) in zip(tensors, self.moments[name]):
+            for tensor, (m, v, step, root) in zip(tensors, self.state[name]):
                 g = tensor.grad
                 m *= cfg.beta1
-                m += (1.0 - cfg.beta1) * g
+                m += np.multiply(1.0 - cfg.beta1, g, out=step)
                 v *= cfg.beta2
-                v += (1.0 - cfg.beta2) * g * g
+                np.multiply(1.0 - cfg.beta2, g, out=step)
+                v += np.multiply(step, g, out=step)
                 if lr == 0.0:
                     continue
-                m_hat = m / correct1
-                v_hat = v / correct2
-                tensor.values -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                # lr * m_hat / (sqrt(v_hat) + eps)
+                np.divide(m, correct1, out=step)
+                np.sqrt(np.divide(v, correct2, out=root), out=root)
+                root += cfg.eps
+                step *= lr
+                tensor.values -= np.divide(step, root, out=step)
 
     def zero_grad(self) -> None:
         for tensors in self.groups.values():
@@ -188,11 +195,15 @@ def _item_rng(seed: int, epoch: int, item: int) -> np.random.Generator:
 
 def _assemble(images: np.ndarray, indices: np.ndarray, config: TrainConfig,
               epoch: int) -> np.ndarray:
+    """The batch's images, in an ``autodiff.buffer``."""
+    shape = (len(indices), *images.shape[1:])
     if not config.augment.enabled:
-        return images[indices]
+        # mode="raise" would copy through a temporary the size of out
+        return np.take(images, indices, axis=0, mode="clip",
+                       out=ad.buffer(shape, images.dtype))
     return np.stack([augment(images[i], config.augment,
                              _item_rng(config.seed, epoch, int(i)))
-                     for i in indices])
+                     for i in indices], out=ad.buffer(shape, np.float32))
 
 
 def train_epoch(model: ProtoTreeModel, dataset: Dataset, config: TrainConfig,
@@ -202,6 +213,11 @@ def train_epoch(model: ProtoTreeModel, dataset: Dataset, config: TrainConfig,
     With ``adam=None`` the gradient-trained parameters stay frozen and
     only the interleaved leaf update runs, which is the configuration the
     equivalence oracle checks.
+
+    Each step's tape borrows its large arrays from one store, so only the
+    first step of each batch shape maps fresh pages. The store goes when
+    the epoch ends: kept through ``fit``'s scoring of the test set, its
+    arrays would add to that pass's own.
     """
     n = len(dataset)
     perm = _epoch_rng(config.seed, epoch).permutation(n)
@@ -217,22 +233,22 @@ def train_epoch(model: ProtoTreeModel, dataset: Dataset, config: TrainConfig,
     total_loss = 0.0
     correct = 0
     labels = one_hot(dataset.labels, model.num_classes)
+    store = ad.Buffers()
     for batch_no, indices in enumerate(batches):
-        images = _assemble(dataset.images, indices, config, epoch)
         y = labels[indices]
-        if adam is None:
+        with contextlib.nullcontext() if adam is None \
+                else ad.Tape(store) as tape:
+            images = _assemble(dataset.images, indices, config, epoch)
             y_hat, trace = model.predict(model.latent(images))
-            loss_value = cross_entropy(y_hat, y).item()
-        else:
-            with ad.Tape() as tape:
-                y_hat, trace = model.predict(model.latent(images))
-                loss = cross_entropy(y_hat, y)
-                loss_value = loss.item()
+            loss = cross_entropy(y_hat, y)
+            loss_value = loss.item()
+            if tape is not None:
                 if not np.isfinite(loss_value):
                     raise TrainingError(
                         f"non-finite loss {loss_value} at epoch {epoch}, "
                         f"batch {batch_no}")
                 tape.backward(loss)
+        if adam is not None:
             adam.step(rates)
             adam.zero_grad()
             # latents are sigmoid outputs, so prototypes outside the unit

@@ -10,8 +10,10 @@ class logits.
 
 ``route`` tapes the whole map from latent and prototypes to path
 probabilities as one op with a closed-form backward; the nearest-patch
-search it calls, ``min_patch_distances``, works on plain arrays.
-``mix_leaf_distributions`` tapes the leaf mix.
+search it calls, ``min_patch_distances``, works on plain arrays; the
+large ones of both are ``autodiff.buffer``s, which a training loop's
+store keeps from step to step. ``mix_leaf_distributions`` tapes the leaf
+mix.
 
 The topology numbers nodes and leaves in one column index: internal node
 k is column k and leaf l is column M + l, M being the number of internal
@@ -270,11 +272,11 @@ def _min_patch_grads(flat: np.ndarray, protos: np.ndarray, argmin: np.ndarray,
     """
     n, d, length = flat.shape
     m = protos.shape[0]
-    contrib = np.empty((n, m, d), dtype=flat.dtype)      # N x M x D
+    contrib = ad.buffer((n, m, d), flat.dtype)      # N x M x D
     grad_l = index = None
     if want_latent:
-        grad_l = np.zeros((n, length, d), dtype=flat.dtype)
-        index = np.empty((n, m, d), dtype=np.int64)
+        grad_l = ad.buffer((n, length, d), flat.dtype, zero=True)
+        index = ad.buffer((n, m, d), np.int64)
 
     def grads(part):
         images = np.arange(n)[part, None]
@@ -283,8 +285,9 @@ def _min_patch_grads(flat: np.ndarray, protos: np.ndarray, argmin: np.ndarray,
                     out=mine)
         mine *= coeff[part, :, None]
         if grad_l is not None:
-            np.add(((images * length + argmin[part]) * d)[:, :, None],
-                   np.arange(d), out=index[part])
+            # in two steps: one broadcast add buffers both operands
+            index[part] = np.arange(d)
+            index[part] += ((images * length + argmin[part]) * d)[:, :, None]
             np.add.at(grad_l.reshape(-1), index[part].reshape(-1),
                       mine.reshape(-1))
 
@@ -347,11 +350,11 @@ def min_patch_distances(latent: np.ndarray, protos: np.ndarray,
     gamma = (d + 2) * u / (1 - (d + 2) * u)
     with np.errstate(invalid="ignore", over="ignore"):
         pp = np.einsum("md,md->m", protos, protos)
-    score = np.empty((n, hw, m), dtype=np.result_type(flat, protos))
-    far = np.empty((n, hw, m), dtype=bool)
+    score = ad.buffer((n, hw, m), np.result_type(flat, protos))
+    far = ad.buffer((n, hw, m), bool)
     # depth-major copies, so that gathering a block of candidates
     # reads and writes contiguous rows
-    flat_t = np.empty((d, n * hw), dtype=flat.dtype)
+    flat_t = ad.buffer((d, n * hw), flat.dtype)
     protos_t = np.ascontiguousarray(protos.T)
     sq_min = np.empty(n * m, dtype=flat.dtype)
     argmin = np.empty(n * m, dtype=np.int64)

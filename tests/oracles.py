@@ -166,7 +166,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         if activation == "relu":
             np.maximum(o, 0.0, out=o)
         elif activation == "sigmoid":
-            ad._sigmoid(o)
+            ad._sigmoid(o, np.empty_like(o))
 
     ad._split_batch(n, forward)
 
@@ -490,7 +490,13 @@ def unfused_predict(model, latent):
 
 def bytewise_load_ppm(path):
     """``data.load_ppm`` with its header read one byte at a time by a
-    ``token()`` closure: the same images, or the same ValueError."""
+    ``token()`` closure: the same images, or the same ValueError. A
+    header number is ASCII digits only."""
+    def decimal(field: bytes, name: str) -> int:
+        if not all(48 <= byte <= 57 for byte in field):   # b"0" to b"9"
+            raise ValueError(f"{name} field {field!r} is not a decimal number")
+        return int(field)
+
     with open(path, "rb") as fh:
         raw = fh.read()
 
@@ -519,7 +525,8 @@ def bytewise_load_ppm(path):
         raise ValueError(f"{path}: unsupported magic {magic!r} at byte 0, "
                          "only binary P6 is supported")
     try:
-        width, height, maxval = int(token()), int(token()), int(token())
+        width, height, maxval = (decimal(token(), name) for name in
+                                 ("extent", "extent", "maxval"))
     except ValueError as err:
         raise ValueError(f"{path}: malformed header near byte {pos}: {err}") from None
     if width < 1 or height < 1:

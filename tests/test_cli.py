@@ -83,6 +83,12 @@ class TestGenData:
 
 
 class TestTrain:
+    def test_help_lists_every_config_key_with_its_default(self, capsys):
+        assert main(["train", "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for key, value in cli._DEFAULTS.items():
+            assert f"  {key} = {value}".rstrip() in lines
+
     def test_checkpoint_and_metrics_exist(self, workspace):
         assert os.path.exists(workspace["ckpt"])
         csv = workspace["ckpt"] + ".metrics.csv"
@@ -416,6 +422,13 @@ class TestExitCodes:
                      "--out", out]) == 3
         assert capsys.readouterr().err == \
             f"error: [Errno 2] No such file or directory: {out!r}\n"
+
+    def test_nan_tau_names_tau(self, workspace, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["prune", "--ckpt", workspace["ckpt"], "--tau", "nan",
+                     "--out", str(tmp_path / "p.npt")]) == 1
+        assert capsys.readouterr().err == \
+            "error: tau must be a number, got nan\n"
 
     def test_version_mismatch_is_four(self, workspace, tmp_path):
         bogus = tmp_path / "bogus.npt"

@@ -162,6 +162,21 @@ class TestPpmCodec:
         np.testing.assert_allclose(img[:, 0, 0],
                                    np.array([16, 32, 48]) / 255.0, atol=1e-7)
 
+    @pytest.mark.parametrize("header", [b"+1 0_1 0255", b"1 1 +255",
+                                        b"\xd9\xa1 1 255", b"1 1_0 255"])
+    def test_numbers_other_than_ascii_digits_rejected(self, tmp_path,
+                                                      header):
+        # int() alone would read "+1 0_1 0255" as a 1 x 1 image
+        path = tmp_path / "signed.ppm"
+        path.write_bytes(b"P6 " + header + b"\n" + b"\x00" * 300)
+        with pytest.raises(ValueError, match="malformed header.*not a "
+                           "decimal number") as err:
+            load_ppm(str(path))
+        assert str(path) in str(err.value)
+        with pytest.raises(ValueError) as oracle:
+            bytewise_load_ppm(str(path))
+        assert str(oracle.value) == str(err.value)
+
     @pytest.mark.parametrize("extent", [b"0 2", b"2 0", b"-3 2", b"2 -1"])
     def test_non_positive_extent_rejected(self, tmp_path, extent):
         path = tmp_path / "empty.ppm"

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -61,6 +62,23 @@ class PlantedModel(StubModel):
         return images.astype(np.float64)
 
 
+class HoldingModel(PlantedModel):
+    """A PlantedModel that records, at each latent pass, how many images'
+    latents from earlier passes are still alive, plus its own."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.passed = []      # weak references to every pass's latents
+        self.most_held = 0
+
+    def latents_per_image(self, images):
+        latents = super().latents_per_image(images)
+        held = sum(len(ref()) for ref in self.passed if ref() is not None)
+        self.most_held = max(self.most_held, held + len(latents))
+        self.passed.append(weakref.ref(latents))
+        return latents
+
+
 def planted_set(values):
     """One image per value, labelled round-robin over four classes."""
     values = np.asarray(values, dtype=np.float32)
@@ -76,7 +94,7 @@ def assert_per_node_scan(model, train, records, protos, rows,
     the prototypes before projection and ``rows`` each node's row there.
     A node's pool is the images of the majority classes of the leaves
     below it, or every image when unconstrained or when none has those
-    classes."""
+    classes. Distances compare by repr, so that a nan equals a nan."""
     latents = model.latents_per_image(train.images)
     majority = model.leaves.distributions().argmax(axis=1)
     want = []
@@ -87,10 +105,12 @@ def assert_per_node_scan(model, train, records, protos, rows,
         applied = constrained and pool.size > 0
         if not applied:
             pool = np.arange(len(train))
-        want.append((*scan_projection(latents, protos[row], pool), applied,
+        image_id, location, distance = scan_projection(latents, protos[row],
+                                                       pool)
+        want.append((image_id, location, repr(distance), applied,
                      constrained and not applied))
-    assert [(r.image_id, r.location, r.distance, r.constrained, r.fallback)
-            for r in records] == want
+    assert [(r.image_id, r.location, repr(r.distance), r.constrained,
+             r.fallback) for r in records] == want
     for record in records:
         i, j = record.location
         assert_same_bits(model.prototypes.row(record.node_index),
@@ -176,6 +196,13 @@ class TestPrune:
             rf.prune(model, tau=0.5)
         np.testing.assert_array_equal(model.leaves.logits, before)
         assert model.topology.num_leaves == 4
+
+    def test_nan_tau_rejected_by_name(self):
+        model = make_model(height=2, num_classes=2)
+        logits = model.leaves.logits.copy()
+        with pytest.raises(ValueError, match="tau must be a number, got nan"):
+            rf.prune(model, float("nan"))
+        np.testing.assert_array_equal(model.leaves.logits, logits)
 
     def test_low_tau_warns(self):
         model = make_model(height=1, num_classes=2)
@@ -611,6 +638,42 @@ class TestDeadNodeCollapse:
         assert len(records) == got.num_internal == 4
         assert_per_node_scan(model, train, records, protos, nodes,
                              constrained=constrained)
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    @pytest.mark.parametrize("chunk", [1, 3, 256])
+    @pytest.mark.parametrize("case", ["dead", "nan"])
+    def test_streams_chunks_of_latents_in_one_pass(self, monkeypatch, case,
+                                                   constrained, chunk):
+        monkeypatch.setattr(rf, "CHUNK", chunk)
+        # ties across chunks (0.5 and 0.1 twice) and a label past the
+        # class count; node 2 is dead, unless a nan image keeps every
+        # node alive
+        values = [0.5, 0.1, 0.9, 0.5, 0.2, 0.1, 0.3, 0.7, 0.05, 0.6]
+        if case == "nan":
+            values[4] = np.nan
+        train = planted_set(values)
+        train = Dataset(train.images, np.asarray([0, 1, 2, 3, 1, 0, 5, 2, 3,
+                                                  1]), "train",
+                        train.class_names)
+        model = HoldingModel(2, 4, [0.5, 0.3,
+                                    1.0 + 1.001 * self.DEAD_DISTANCE])
+        one_leaf_per_class(model, [0, 1, 2, 3])
+        protos = model.prototypes.tensor.values.copy()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = rf.project(model, train, constrained=constrained)
+        assert [str(w.message)[:9] for w in caught] == \
+            (["nodes [2]"] if case == "dead" else [])
+        assert model.latent_passes == -(-len(values) // chunk)
+        assert model.most_held <= chunk
+        assert_per_node_scan(model, train, records, protos,
+                             np.arange(model.topology.num_internal),
+                             constrained=constrained)
+
+    def test_empty_training_set_rejected(self):
+        model = PlantedModel(2, 4, [0.3, 0.4, 0.5])
+        with pytest.raises(ValueError, match="non-empty"):
+            rf.project(model, planted_set([]))
 
     @pytest.mark.parametrize("constrained", [True, False])
     def test_nan_prototype_is_never_dead(self, constrained):

@@ -29,3 +29,24 @@ def test_desk_experiment_runs_without_the_package_installed(tmp_path):
     assert images
     for rel in images:
         assert (run / "viz" / rel).is_file()
+
+
+def test_cold_train_alternates_checkouts_in_fresh_processes(tmp_path):
+    checkout = str(SCRIPTS.parent)
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "cold_train.py"), "--a", checkout,
+         "--b", checkout, "--pairs", "2", "--classes", "2", "--per-class",
+         "2", "--side", "32", "--set", "input_side=32", "--set",
+         "stages=4:3:2", "--set", "latent_depth=4", "--set", "height=1",
+         "--set", "batch_size=2"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "pair,checkout,wall_s,minor_faults"
+    runs = [line.split(",") for line in lines[1:5]]
+    assert [(pair, side) for pair, side, _, _ in runs] == \
+        [("0", "a"), ("0", "b"), ("1", "b"), ("1", "a")]
+    assert all(float(wall) > 0 and int(faults) > 0
+               for _, _, wall, faults in runs)
+    assert [line.split(" ")[:2] for line in lines[5:]] == \
+        [["median", "a"], ["median", "b"]]

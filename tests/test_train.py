@@ -1,6 +1,11 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import prototree.autodiff as ad
 import prototree.train as trn
 import prototree.tree as tr
 from prototree.autodiff import Tape, Tensor
@@ -10,7 +15,8 @@ from prototree.model import build_model
 from prototree.train import Adam, EpochLeafAccumulator, TrainConfig, \
     cross_entropy, leaf_update_batch, one_hot, train_epoch
 
-from oracles import scatter_min_patch_grad, two_pass_leaf_update
+from oracles import assert_same_bits, scatter_min_patch_grad, \
+    two_pass_leaf_update
 
 TINY_BACKBONE = BackboneConfig(input_side=32, latent_depth=8,
                                stages=((8, 3, 2), (8, 3, 2)))
@@ -210,6 +216,181 @@ class TestDeterminism:
             assert g.tobytes() == w.tobytes()
 
 
+DESK_BACKBONE = BackboneConfig(input_side=64, latent_depth=64)
+LARGE = 128 * 1024      # bytes from which glibc maps fresh pages by default
+
+
+def largest_line_allocations(monkeypatch, fn,
+                             after_first_step: bool = True,
+                             ) -> list[tuple[str, int]]:
+    """Run ``fn`` with every Python line traced on the calling thread and
+    on ``autodiff``'s worker threads, and return each line whose run
+    raised tracemalloc's peak by ``LARGE`` bytes or more above the traced
+    memory it started from, with that rise; with ``after_first_step``,
+    only lines that ran after the first ``Tape.backward`` returned.
+
+    A line's rise bounds each allocation made while it ran, numpy's
+    arrays (tracemalloc domain 389047) and iterator buffers included, so
+    an empty list means no array of ``LARGE`` bytes was allocated. The
+    slices of a batch still run on their threads, but one at a time, so
+    that a rise is one thread's.
+    """
+    split, turn = ad._split_batch, threading.Lock()
+    backward = Tape.backward
+    hits, lock = [], threading.Lock()
+    state = {"current": 0, "line": None, "armed": not after_first_step}
+
+    def in_turn(n, fn):
+        def locked(part):
+            with turn:
+                fn(part)
+        split(n, locked)
+
+    def arming(tape, loss):
+        backward(tape, loss)
+        state["armed"] = True
+
+    monkeypatch.setattr(ad, "_split_batch", in_turn)
+    monkeypatch.setattr(Tape, "backward", arming)
+
+    def trace(frame, event, arg):
+        with lock:
+            current, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            if state["armed"] and peak - state["current"] >= LARGE:
+                hits.append((state["line"], peak - state["current"]))
+            state["current"] = current
+            state["line"] = f"{frame.f_code.co_filename}:{frame.f_lineno}"
+        return trace
+
+    def on_workers(tracer):
+        threads = ad._EXECUTOR._max_workers
+        barrier = threading.Barrier(threads)
+
+        def set_trace():
+            barrier.wait(10)   # one call per thread
+            sys.settrace(tracer)
+
+        for future in [ad._EXECUTOR.submit(set_trace)
+                       for _ in range(threads)]:
+            future.result(timeout=10)
+
+    tracemalloc.start()
+    try:
+        on_workers(trace)
+        state["current"] = tracemalloc.get_traced_memory()[0]
+        sys.settrace(trace)
+        try:
+            fn()
+        finally:
+            sys.settrace(None)
+            on_workers(None)
+    finally:
+        tracemalloc.stop()
+    return hits
+
+
+def desk_training(seed=0, height=4):
+    model = build_model(DESK_BACKBONE, height=height, num_classes=8,
+                        seed=seed)
+    config = TrainConfig(epochs=2, batch_size=16, seed=seed, lr_body=5e-3,
+                         lr_head=5e-3, lr_prototypes=5e-3)
+    return model, config, Adam(model.parameters(), config)
+
+
+class TestKeptBuffers:
+    """An epoch's steps borrow their large arrays from one store: after
+    its first step of a shape, a step maps no fresh array."""
+
+    @pytest.mark.parametrize("epoch", [1, 2])
+    def test_warm_desk_step_allocates_no_large_array(self, monkeypatch,
+                                                     epoch):
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        train_set, _ = gen_synthetic(8, 6, 64, seed=71)   # three steps
+        model, config, adam = desk_training(seed=72)
+        if epoch == 2:
+            train_epoch(model, train_set, config, 1, adam)
+        hits = largest_line_allocations(monkeypatch, lambda: train_epoch(
+            model, train_set, config, epoch, adam))
+        assert hits == []
+
+    def test_a_first_step_is_seen(self, monkeypatch):
+        # the same check from the first step on
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        train_set, _ = gen_synthetic(8, 2, 64, seed=71)
+        model, config, adam = desk_training(seed=72)
+        hits = largest_line_allocations(monkeypatch, lambda: train_epoch(
+            model, train_set, config, 1, adam), after_first_step=False)
+        assert any("autodiff.py" in line for line, _ in hits)
+
+    def test_live_tapes_borrow_apart_and_match_sequential_steps(self):
+        model, _, _ = desk_training(seed=73)
+        train_set, _ = gen_synthetic(8, 4, 64, seed=74)
+        labels = one_hot(train_set.labels, 8)
+        batches = [(train_set.images[s], labels[s])
+                   for s in (slice(0, 16), slice(16, 32))]
+        store = ad.Buffers()
+
+        def forward(tape, images, y):
+            with tape:
+                latent = model.latent(images)
+                y_hat, _ = model.predict(latent)
+                return latent, cross_entropy(y_hat, y)
+
+        def grads():
+            out = [t.grad.copy() for group in model.parameters().values()
+                   for t in group]
+            for group in model.parameters().values():
+                for t in group:
+                    t.zero_grad()
+            return out
+
+        sequential, lent, kept = [], [], []
+        for images, y in batches:
+            tape = Tape(store)
+            _, loss = forward(tape, images, y)
+            lent.append({id(a) for a in tape._lent})
+            tape.backward(loss)
+            kept.append({id(a) for free in store._free.values()
+                         for a in free})
+            sequential.append(grads())
+        # the second step borrowed what the first gave back
+        assert lent[1] <= kept[0] and kept[1] == kept[0]
+
+        tapes = [Tape(store), Tape(store)]
+        (latent, loss), (_, other) = (forward(t, *b)
+                                      for t, b in zip(tapes, batches))
+        assert not any(np.shares_memory(a, b) for a in tapes[0]._lent
+                       for b in tapes[1]._lent)
+        assert_same_bits(latent.values, model.latent(batches[0][0]).values)
+        for tape, loss, want in zip(tapes, (loss, other), sequential):
+            tape.backward(loss)
+            for g, w in zip(grads(), want, strict=True):
+                assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_reused_arrays_keep_training_bits(self, monkeypatch, augmented):
+        train_set, _ = gen_synthetic(2, 7, 32, seed=75)   # steps of 4 and 2
+        config = TrainConfig(batch_size=4, seed=76,
+                             augment=AugmentConfig(enabled=augmented))
+        runs = []
+        for reuse in (False, True):
+            if not reuse:   # every array fresh
+                monkeypatch.setattr(ad.Buffers, "give",
+                                    lambda self, arrays: None)
+            else:
+                monkeypatch.undo()
+            model = tiny_model(seed=76)
+            adam = Adam(model.parameters(), config)
+            runs.append([train_epoch(model, train_set, config, e, adam)
+                         for e in (1, 2, 3)]
+                        + [t.values.copy() for group in
+                           model.parameters().values() for t in group])
+        assert runs[0][:3] == runs[1][:3]
+        for got, want in zip(runs[1][3:], runs[0][3:], strict=True):
+            assert_same_bits(got, want)
+
+
 class TestSchedule:
     def test_milestone_decay(self):
         config = TrainConfig(milestones=(10, 20), gamma=0.5)
@@ -246,6 +427,25 @@ class TestAdam:
         param.grad[:] = np.array([1.0, -1.0, 0.5])
         adam.step({"g": 0.1})
         assert (param.values[0] < 0) and (param.values[1] > 0)
+
+    def test_steps_as_the_moment_formulas_round(self):
+        rng = np.random.default_rng(77)
+        param = Tensor(rng.standard_normal((5, 7)).astype(np.float32),
+                       requires_grad=True)
+        config = TrainConfig()
+        adam = Adam({"g": [param]}, config)
+        values = param.values.copy()
+        m, v = np.zeros_like(values), np.zeros_like(values)
+        for step in range(1, 4):
+            g = rng.standard_normal(values.shape).astype(np.float32)
+            param.grad[...] = g
+            adam.step({"g": 0.01})
+            m = config.beta1 * m + (1.0 - config.beta1) * g
+            v = config.beta2 * v + (1.0 - config.beta2) * g * g
+            m_hat = m / (1.0 - config.beta1 ** step)
+            v_hat = v / (1.0 - config.beta2 ** step)
+            values -= 0.01 * m_hat / (np.sqrt(v_hat) + config.eps)
+            assert_same_bits(param.values, values)
 
     def test_zero_rate_freezes_values(self):
         param = Tensor(np.ones(2), requires_grad=True)
