@@ -2,15 +2,16 @@
 """Fingerprint a short run of CLI commands in the checkout this script is in.
 
 Runs gen-data (8 classes, 40 train images each), a 3-epoch train, prune,
-project, eval with each strategy, visualize, explain, ensemble-eval and
-selftest in a fresh temporary directory, then projects a copy of the
-trained model whose nodes 1 and 2 and node 1's right child hold a
-prototype far from every latent patch, so that projection collapses
-them. It prints one line per command, the sha1 of its stdout and its
-exit code, one sha1 per checkpoint record of each ``.npt`` file (its
-name, dtype, shape and payload), one per other output file and one for
-the generated dataset, each with the work
-directory's path replaced by a fixed token; stderr is not compared. A
+project with and without the class-constrained pools, eval with each
+strategy, visualize, explain, ensemble-eval and selftest in a fresh
+temporary directory, then projects a copy of the trained model whose
+nodes 1 and 2 and node 1's right child hold a prototype far from every
+latent patch, so that projection collapses them. It prints one line per
+command, the sha1 of its stdout and its exit code, one sha1 per
+checkpoint record of each ``.npt`` file (its name, dtype, shape and
+payload), one per other output file and one for the generated dataset,
+each with the work directory's path replaced by a fixed token; stderr
+is not compared. A
 change to one checkpoint record shows as that record's line alone. Two
 checkouts print the same lines exactly when the outputs are
 byte-identical. To compare them, run this same script in both: copy it
@@ -59,6 +60,9 @@ def commands(work: str, height: int, tau: str | None,
          + (["--tau", tau] if tau else [])),
         ("project", ["project", "--ckpt", pruned, "--data", data,
                      "--out", projected]),
+        ("project-unconstrained", ["project", "--ckpt", pruned, "--data",
+                                   data, "--no-constrained", "--out",
+                                   os.path.join(work, "unconstrained.npt")]),
     ]
     steps += [(f"eval-{strategy}", ["eval", "--ckpt", projected, "--data",
                                     data, "--strategy", strategy])

@@ -152,6 +152,8 @@ def cmd_train(args) -> int:
     config.validate()
     if height < 1:
         raise ValueError(f"height must be >= 1, got {height}")
+    # as fit does for the metrics CSV, so the run is not lost at save
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     train_set = _load_split(args.data, "train")
     test_set = _load_split(args.data, "test", train_set.class_names)
     model = build_model(backbone_cfg, height, train_set.num_classes,

@@ -11,7 +11,8 @@ Hard inference converts the soft tree into a single root-to-leaf
 decision path. ``evaluate`` runs a dataset through the model: one routed
 pass per chunk of ``CHUNK`` images gives the soft distributions and the
 scores of any strategy. ``project`` reads the training set in the same
-chunks.
+chunks into one table of each image's nearest patch to each prototype,
+and each node takes its pool's nearest row.
 """
 
 from __future__ import annotations
@@ -125,31 +126,37 @@ def project(model, dataset: Dataset, constrained: bool = True,
     collapsed node on the image's root-to-leaf path. Records exist for
     the surviving nodes only.
 
-    The training set runs through the backbone once, ``CHUNK`` images at
-    a time, and only each prototype's nearest patch per label bucket is
-    kept, so that no collapse needs a second pass.
+    The training set runs through the backbone in chunks of ``CHUNK``
+    images into an N x M table: each image's nearest patch to each
+    prototype, its squared distance and cell. Each surviving node takes
+    the first minimum, or first nan, of its column over its pool's rows.
+    A second chunked pass fetches the patches of the distinct chosen
+    images. Either pass holds one chunk's latents at a time.
     """
     if len(dataset) == 0:
         raise ValueError("project needs a non-empty dataset")
-    k = model.leaves.num_classes
-    # the label bucket of each image: its class, or K for every label >= K
-    bucket = np.minimum(dataset.labels, k)
-    best, sq, cell, patch, w = _nearest_per_bucket(model, dataset.images,
-                                                   bucket, k + 1)
+    protos = model.prototypes.tensor.values
+    table = []
+    for start in range(0, len(dataset), CHUNK):
+        latents = model.latents_per_image(dataset.images[start:start + CHUNK])
+        w = latents.shape[3]
+        table.append(tr.min_patch_distances(latents, protos))
+        del latents     # before the next chunk's arrive
+    sq, cell = (np.concatenate(part) for part in zip(*table))
 
     topo = model.topology
-    # a bucket no image falls in keeps inf, and a nan anywhere stays nan
-    dead = np.flatnonzero(sq.min(axis=1) >= np.log(DEAD_NODE_EPS) ** 2)
-    # row of best, sq, cell and patch per surviving node: its index
-    # before any rebuild
-    rows = np.arange(topo.num_internal)
+    # a nan anywhere in a column stays nan, so its node is never dead
+    dead = np.flatnonzero(sq.min(axis=0) >= np.log(DEAD_NODE_EPS) ** 2)
+    # column of sq and cell per surviving node: its index before any
+    # rebuild
+    old = np.arange(topo.num_internal)
     if dead.size:
         # the right subtree goes, the left takes its place
         cut = np.zeros(2 * topo.num_internal + 1, dtype=bool)
         cut[topo.right[dead]] = True
         for cols in topo.levels[1:]:
             cut[cols] |= cut[topo.parent[cols]]
-        rows = _rebuild(model, ~cut[topo.num_internal:])
+        old = _rebuild(model, ~cut[topo.num_internal:])
         warnings.warn(
             f"nodes {dead.tolist()} have p_right <= {DEAD_NODE_EPS} on every "
             "training image; collapsed into their left children, removing "
@@ -158,77 +165,44 @@ def project(model, dataset: Dataset, constrained: bool = True,
 
     topo = model.topology
     m = topo.num_internal
-    # classes of the leaf majorities below each column; bucket K is
-    # below none
+    k = model.leaves.num_classes
+    # classes of the leaf majorities below each column; the label bucket
+    # K, of every label >= K, is below none
     majority = model.leaves.distributions().argmax(axis=1)
     below = np.zeros((2 * m + 1, k + 1), dtype=bool)
     below[m + np.arange(m + 1), majority] = True
     for cols in reversed(topo.levels[:-1]):
         nodes = cols[cols < m]
         below[nodes] = below[topo.left[nodes]] | below[topo.right[nodes]]
-    filled = np.bincount(bucket, minlength=k + 1) > 0
+    bucket = np.minimum(dataset.labels, k)
 
+    picks = np.empty(m, dtype=np.int64)
     records: list[ProjectionRecord] = []
-    images = np.empty((m, *dataset.images.shape[1:]), dtype=np.float32)
-    for node, row in enumerate(rows):
-        pool = np.flatnonzero(below[node] & filled) if constrained else ()
-        applied = constrained and len(pool) > 0
+    for node, col in enumerate(old):
+        pool = np.flatnonzero(below[node, bucket]) if constrained else ()
+        applied = len(pool) > 0
         if not applied:
-            pool = np.flatnonzero(filled)
-        # the pool's first minimum: its buckets' own, in image order
-        pool = pool[np.argsort(best[row, pool])]
-        b = pool[sq[row, pool].argmin()]
-        image_id = int(best[row, b])
-        i, j = divmod(int(cell[row, b]), w)
-        model.prototypes.tensor.values[node] = patch[row, b]
-        images[node] = dataset.images[image_id]
+            pool = np.arange(len(dataset))
+        image_id = picks[node] = int(pool[sq[pool, col].argmin()])
         records.append(ProjectionRecord(
-            node_index=node, image_id=image_id, location=(i, j),
-            distance=float(np.sqrt(sq[row, b])), constrained=applied,
+            node_index=node, image_id=image_id,
+            location=divmod(int(cell[image_id, col]), w),
+            distance=float(np.sqrt(sq[image_id, col])), constrained=applied,
             fallback=constrained and not applied))
-    model.projection = records
-    model.projection_images = images
-    return records
 
-
-def _nearest_per_bucket(model, images: np.ndarray, bucket: np.ndarray,
-                        buckets: int):
-    """Per prototype row and label bucket, the bucket's image whose patch
-    lies nearest: its image id (-1 for an empty bucket), squared distance,
-    cell and patch, each M x ``buckets`` (x D), and the latent's width.
-
-    One pass over ``images`` in chunks of ``CHUNK``, holding one chunk's
-    latents at a time. An image's latent does not depend on its chunk,
-    and each bucket keeps the first minimum over its images in image
-    order, or its first nan, as ``argmin`` over them all would; so does
-    any union of buckets, taken over their picks in image order.
-    """
-    protos = model.prototypes.tensor.values
-    rows = np.arange(protos.shape[0])
-    best = np.full((len(rows), buckets), -1)
-    for start in range(0, len(images), CHUNK):
-        latents = model.latents_per_image(images[start:start + CHUNK])
-        chunk_sq, chunk_cell = tr.min_patch_distances(latents, protos)
-        if start == 0:
-            sq = np.full(best.shape, np.inf, dtype=chunk_sq.dtype)
-            cell = np.zeros(best.shape, dtype=np.int64)
-            patch = np.empty((*best.shape, latents.shape[1]), latents.dtype)
-            w = latents.shape[3]
-        here = bucket[start:start + CHUNK]
-        for b in np.unique(here):
-            members = np.flatnonzero(here == b)
-            pick = members[chunk_sq[members].argmin(axis=0)]     # per row
-            new = chunk_sq[pick, rows]
-            # a later image wins only where argmin would move to it
-            take = np.flatnonzero((best[:, b] < 0) | (np.argmin(
-                np.stack([sq[:, b], new]), axis=0) == 1))
-            img, at = pick[take], chunk_cell[pick[take], take]
-            best[take, b] = start + img
-            sq[take, b] = new[take]
-            cell[take, b] = at
-            patch[take, b] = latents[img, :, at // w, at % w]
+    # the chosen images' latents, a chunk of distinct images at a time
+    chosen = np.unique(picks)
+    for start in range(0, len(chosen), CHUNK):
+        ids = chosen[start:start + CHUNK]
+        latents = model.latents_per_image(dataset.images[ids])
+        nodes = np.flatnonzero(np.isin(picks, ids))
+        at = cell[picks[nodes], old[nodes]]
+        model.prototypes.tensor.values[nodes] = latents[
+            np.searchsorted(ids, picks[nodes]), :, at // w, at % w]
         del latents     # before the next chunk's arrive
-    return best, sq, cell, patch, w
+    model.projection = records
+    model.projection_images = dataset.images[picks]
+    return records
 
 
 def _choose_leaves(model, trace: tr.RoutingTrace, strategy: str) -> np.ndarray:

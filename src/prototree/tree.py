@@ -171,14 +171,6 @@ class PrototypeBank:
 
     tensor: Tensor
 
-    @property
-    def count(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
-    def depth(self) -> int:
-        return self.tensor.shape[1]
-
     def row(self, i: int) -> np.ndarray:
         return self.tensor.values[i]
 
@@ -188,10 +180,6 @@ class LeafParams:
     """Per-leaf class logits, trained derivative-free (never on a tape)."""
 
     logits: np.ndarray
-
-    @property
-    def num_leaves(self) -> int:
-        return self.logits.shape[0]
 
     @property
     def num_classes(self) -> int:
@@ -214,7 +202,6 @@ class RoutingTrace:
     """
 
     edge_right: np.ndarray        # N x M
-    distances: np.ndarray         # N x M
     locations: np.ndarray         # N x M x 2 (row, col) of the nearest patch
     leaf_probabilities: Tensor    # N x L
 
@@ -449,8 +436,7 @@ def route(topology: TreeTopology, prototypes: PrototypeBank,
     bank = prototypes.tensor
     squared, nearest = min_patch_distances(latent.values, bank.values)
     n, d, h, w = latent.shape
-    distances = np.sqrt(squared)
-    p = np.exp(-distances)
+    p = np.exp(-np.sqrt(squared))
     q = 1.0 - p
     m = topology.num_internal
     reach = np.empty((n, 2 * m + 1), dtype=p.dtype)
@@ -481,7 +467,7 @@ def route(topology: TreeTopology, prototypes: PrototypeBank,
             latent.grad += grad_l.reshape(n, h, w, d).transpose(0, 3, 1, 2)
 
     return RoutingTrace(
-        edge_right=p, distances=distances,
+        edge_right=p,
         locations=np.stack([nearest // w, nearest % w], axis=2),
         leaf_probabilities=ad.record_op(reach[:, m:].copy(), [latent, bank],
                                         bwd))

@@ -93,9 +93,9 @@ class TestForward:
 
 
 class TestBatchIndependence:
-    """Evaluation computes latents in chunks and projection in one pass;
-    both rely on each image's latent bits being those of a one-image
-    forward."""
+    """Evaluation and both of projection's passes compute latents in
+    chunks; they rely on each image's latent bits being those of a
+    one-image forward."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rows_equal_one_image_forwards(self, dtype):

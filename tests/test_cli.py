@@ -106,6 +106,14 @@ class TestTrain:
         assert open(out1 + ".metrics.csv").read() \
             == open(out2 + ".metrics.csv").read()
 
+    def test_out_directory_created_when_metrics_go_elsewhere(
+            self, workspace, tmp_path):
+        out = str(tmp_path / "new" / "m.npt")
+        assert main(["train", "--config", workspace["config"], "--data",
+                     workspace["data"], "--out", out, "--metrics",
+                     str(tmp_path / "m.csv"), "--quiet"]) == 0
+        assert open(out, "rb").read() == open(workspace["ckpt"], "rb").read()
+
     def test_config_override_changes_result(self, workspace, tmp_path):
         out = str(tmp_path / "c.npt")
         assert main(["train", "--config", workspace["config"], "--data",

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prototree.refine as rf
 import prototree.tree as tr
@@ -117,6 +119,13 @@ def assert_per_node_scan(model, train, records, protos, rows,
                          latents[record.image_id][:, i, j])
 
 
+def assert_latent_passes(model, records, n):
+    """``project`` read n images' latents in chunks of ``CHUNK``, then
+    those of each distinct chosen image once, in chunks of ``CHUNK``."""
+    chosen = len({record.image_id for record in records})
+    assert model.latent_passes == -(-n // rf.CHUNK) + -(-chosen // rf.CHUNK)
+
+
 def leaf_depths(topology):
     return topology.depth[topology.num_internal:]
 
@@ -159,7 +168,7 @@ class TestPrune:
         assert abs(report.fraction_pruned - 2 / 3) < 1e-12
         assert model.topology.num_internal == 1
         assert model.topology.num_leaves == 2
-        assert model.prototypes.count == 1
+        assert model.prototypes.tensor.shape[0] == 1
         model.topology.validate()
 
     def test_single_uniform_leaf_splices_parent(self):
@@ -579,7 +588,7 @@ class TestDeadNodeCollapse:
         assert p_right.max() <= rf.DEAD_NODE_EPS
         with pytest.warns(UserWarning, match=r"nodes \[0\]"):
             records = rf.project(model, train)
-        assert model.latent_passes == 1
+        assert_latent_passes(model, records, len(train))
         assert model.topology.num_internal == 1
         assert [(r.node_index, r.image_id, r.distance) for r in records] \
             == [(0, 1, 0.0)]
@@ -604,7 +613,7 @@ class TestDeadNodeCollapse:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             records = rf.project(model, train)
-        assert model.latent_passes == 1
+        assert_latent_passes(model, records, len(train))
         assert bool(caught) == collapsed
         assert model.topology.num_internal == (2 if collapsed else 3)
         assert len(records) == model.topology.num_internal
@@ -644,6 +653,8 @@ class TestDeadNodeCollapse:
     @pytest.mark.parametrize("case", ["dead", "nan"])
     def test_streams_chunks_of_latents_in_one_pass(self, monkeypatch, case,
                                                    constrained, chunk):
+        """The table pass reads every image once and the patch pass each
+        chosen image once, both holding at most ``CHUNK`` latents."""
         monkeypatch.setattr(rf, "CHUNK", chunk)
         # ties across chunks (0.5 and 0.1 twice) and a label past the
         # class count; node 2 is dead, unless a nan image keeps every
@@ -664,7 +675,7 @@ class TestDeadNodeCollapse:
             records = rf.project(model, train, constrained=constrained)
         assert [str(w.message)[:9] for w in caught] == \
             (["nodes [2]"] if case == "dead" else [])
-        assert model.latent_passes == -(-len(values) // chunk)
+        assert_latent_passes(model, records, len(values))
         assert model.most_held <= chunk
         assert_per_node_scan(model, train, records, protos,
                              np.arange(model.topology.num_internal),
@@ -697,3 +708,65 @@ class TestDeadNodeCollapse:
         assert all(r.constrained for r in records)
         assert all(train.labels[r.image_id] < 2 for r in records)
         assert_per_node_scan(model, train, records, protos, np.arange(3))
+
+
+# a prototype this far from every image value in [0, 1] is dead
+FAR_PROTOTYPE = 1.0 + 1.001 * TestDeadNodeCollapse.DEAD_DISTANCE
+
+
+@st.composite
+def projection_cases(draw):
+    """A planted tree of height 1 to 3 over K classes, with dead
+    prototypes among the live ones, and 1 to 12 images labelled up to
+    K + 1, some of them nan; few distinct values make ties common."""
+    height = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 4))
+    m = 2 ** height - 1
+    model = draw(st.sampled_from([PlantedModel, HoldingModel]))(
+        height, k, draw(st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0, FAR_PROTOTYPE])
+            | st.floats(0, 1), min_size=m, max_size=m)))
+    one_leaf_per_class(model, draw(st.lists(
+        st.integers(0, k - 1), min_size=m + 1, max_size=m + 1)))
+    n = draw(st.integers(1, 12))
+    values = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, np.nan])
+                           | st.floats(0, 1, width=32),
+                           min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, k + 1), min_size=n, max_size=n))
+    train = Dataset(np.asarray(values, dtype=np.float32).reshape(-1, 1, 1, 1),
+                    np.asarray(labels), "train",
+                    [f"c{i}" for i in range(k + 2)])
+    return model, train
+
+
+class TestProjectionProperty:
+    @given(case=projection_cases(), chunk=st.sampled_from([1, 3, 256]),
+           constrained=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_node_scan_in_two_chunked_passes(self, case, chunk,
+                                                         constrained):
+        model, train = case
+        topo = model.topology
+        protos = model.prototypes.tensor.values.copy()
+        # a nan image is nearest to every prototype, so none is dead
+        dead = [] if np.isnan(train.images).any() else \
+            np.flatnonzero(protos[:, 0] == FAR_PROTOTYPE).tolist()
+        keep = np.array([not any(went_right and node in dead
+                                 for node, went_right in path)
+                         for _, path in enumerate_paths(topo)])
+        want, nodes, _ = topo.keeping(keep)
+        with pytest.MonkeyPatch.context() as patch, \
+                warnings.catch_warnings(record=True) as caught:
+            patch.setattr(rf, "CHUNK", chunk)
+            warnings.simplefilter("always")
+            records = rf.project(model, train, constrained=constrained)
+            assert_latent_passes(model, records, len(train))
+        assert [str(w.message).split(" have")[0] for w in caught] == \
+            ([f"nodes {dead}"] if dead else [])
+        if isinstance(model, HoldingModel):
+            assert model.most_held <= chunk
+        got = model.topology
+        assert (got.left.tolist(), got.right.tolist(), got.root) == \
+            (want.left.tolist(), want.right.tolist(), want.root)
+        assert_per_node_scan(model, train, records, protos, nodes,
+                             constrained=constrained)

@@ -106,11 +106,14 @@ class TestInitTree:
 
 def routed_nearest_patch(latent, proto):
     """((i, j), distance) of the patch that routing measures for one
-    D x H x W latent and one prototype: a one-node tree's trace."""
+    D x H x W latent and one prototype: a one-node tree's trace, and the
+    root of the squared distance that route exponentiates."""
     topo, bank, _ = tr.init_tree(1, 2, len(proto), seed=0)
     bank = tr.PrototypeBank(Tensor(np.asarray(proto)[None]))
-    trace = tr.route(topo, bank, Tensor(np.asarray(latent)[None]))
-    return tuple(trace.locations[0, 0].tolist()), float(trace.distances[0, 0])
+    latent = np.asarray(latent)[None]
+    trace = tr.route(topo, bank, Tensor(latent))
+    squared, _ = tr.min_patch_distances(latent, bank.tensor.values)
+    return tuple(trace.locations[0, 0].tolist()), float(np.sqrt(squared[0, 0]))
 
 
 class TestNearestPatch:
@@ -393,7 +396,7 @@ class TestNearestPatchSearch:
         # prototypes planted within 1e-3 of real patches, as training
         # drives them, make near-ties between patches common
         n, d, h, w = lat.shape
-        m = bank.count
+        m = bank.tensor.shape[0]
         patches = lat.transpose(0, 2, 3, 1).reshape(-1, d)
         planted = patches[rng.integers(0, len(patches), m)] \
             + rng.uniform(-1e-3, 1e-3, (m, d)).astype(np.float32)
