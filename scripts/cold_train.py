@@ -49,7 +49,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--classes", type=int, default=8)
     parser.add_argument("--per-class", type=int, default=40)
-    parser.add_argument("--side", type=int, default=64, choices=(32, 64))
+    parser.add_argument("--side", type=int, default=64, choices=(32, 64),
+                        help="image side (default 64). A checkout whose "
+                             "train still has the input_side key trains at "
+                             "64 unless --set changes it, and --set items "
+                             "go to both checkouts: compare it with a newer "
+                             "one on 64 px data")
     parser.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="train config override (epochs=3 is always set "

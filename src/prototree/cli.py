@@ -3,14 +3,17 @@
 Exit codes: 0 success, 2 usage or config errors, 3 missing files,
 4 checkpoint format or version mismatches, 1 anything else, aborted
 training included. Errors are
-emitted as a single machine-parsable line on stderr.
+emitted as a single machine-parsable line on stderr, and each warning as
+one ``warning: <message>`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -35,7 +38,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_BACKBONE, _TRAIN = vars(BackboneConfig()), vars(trn.TrainConfig())
+# the training images fix in_channels and input_side
+_BACKBONE = {key: value for key, value in vars(BackboneConfig()).items()
+             if key not in ("in_channels", "input_side")}
+_TRAIN = vars(trn.TrainConfig())
 _AUGMENT = _TRAIN.pop("augment")
 _DEFAULTS: dict[str, str] = {key: str(value) for key, value in {
     **_BACKBONE, **_TRAIN, "height": 4,
@@ -60,7 +66,8 @@ def read_config(path: str | None, overrides: list[str]) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, value = (part.strip() for part in text.split("=", 1))
                 if key not in values:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                    raise ConfigError(
+                        f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = value
     for item in overrides:
         if "=" not in item:
@@ -109,11 +116,8 @@ def build_configs(values: dict[str, str]) -> tuple[BackboneConfig, int,
     def num(kind, key):
         return _number(kind, key, values[key])
 
-    backbone = BackboneConfig(
-        in_channels=num(int, "in_channels"),
-        stages=_parse_stages(values["stages"]),
-        latent_depth=num(int, "latent_depth"),
-        input_side=num(int, "input_side"))
+    backbone = BackboneConfig(stages=_parse_stages(values["stages"]),
+                              latent_depth=num(int, "latent_depth"))
     milestones = tuple(_number(int, "milestones", m)
                        for m in values["milestones"].split(",") if m.strip())
     augment = AugmentConfig(
@@ -126,9 +130,7 @@ def build_configs(values: dict[str, str]) -> tuple[BackboneConfig, int,
         lr_body=num(float, "lr_body"), lr_head=num(float, "lr_head"),
         lr_prototypes=num(float, "lr_prototypes"), milestones=milestones,
         gamma=num(float, "gamma"), seed=num(int, "seed"),
-        beta1=num(float, "beta1"), beta2=num(float, "beta2"),
-        eps=num(float, "eps"), frozen_epochs=num(int, "frozen_epochs"),
-        augment=augment)
+        frozen_epochs=num(int, "frozen_epochs"), augment=augment)
     return backbone, num(int, "height"), config
 
 
@@ -156,6 +158,12 @@ def cmd_train(args) -> int:
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     train_set = _load_split(args.data, "train")
     test_set = _load_split(args.data, "test", train_set.class_names)
+    channels, side, width = train_set.images.shape[1:]
+    if side != width:
+        raise ValueError(f"training images must be square, got "
+                         f"{channels}x{side}x{width}")
+    backbone_cfg = dataclasses.replace(backbone_cfg, in_channels=channels,
+                                       input_side=side)
     model = build_model(backbone_cfg, height, train_set.num_classes,
                         config.seed, class_names=train_set.class_names)
     csv_path = args.metrics or args.out + ".metrics.csv"
@@ -213,7 +221,7 @@ def cmd_project(args) -> int:
 
 def cmd_visualize(args) -> int:
     model = ProtoTreeModel.load(_require(args.ckpt, "checkpoint"))
-    graph = xp.export_tree(model, args.out_dir, png=args.png)
+    graph = xp.export_tree(model, args.out_dir)
     print(f"wrote {len(graph.files)} files under {args.out_dir}")
     return 0
 
@@ -223,7 +231,7 @@ def cmd_explain(args) -> int:
     image = load_ppm(_require(args.image, "image"))
     name = os.path.splitext(os.path.basename(args.image))[0]
     graph = xp.export_tree(model, args.out_dir, sample=image,
-                           sample_name=name, png=args.png)
+                           sample_name=name)
     print(f"wrote {len(graph.files)} files under {args.out_dir}")
     print(f"path_length {len(graph.sample_path)}")
     return 0
@@ -309,15 +317,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("visualize", help="export the global tree")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--png", action="store_true",
-                   help="write PNG patches instead of PPM")
     p.set_defaults(func=cmd_visualize)
 
     p = sub.add_parser("explain", help="export the greedy path for one image")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--image", required=True, help="PPM image to explain")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--png", action="store_true")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("ensemble-eval", help="mean-prediction ensemble accuracy")
@@ -342,8 +347,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings():   # restores showwarning on exit
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            args = parser.parse_args(argv)
+            return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except FileNotFoundError as err:

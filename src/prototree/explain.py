@@ -21,7 +21,6 @@ import numpy as np
 
 from . import refine
 from . import tree as tr
-from .data import save_ppm
 
 
 @dataclass
@@ -116,13 +115,6 @@ def _write_text(graph: ExplanationGraph, path: str, text: str) -> None:
     graph.files.append(path)
 
 
-def _save_image(path: str, image: np.ndarray, png: bool) -> None:
-    if png:
-        write_png(path, image)
-    else:
-        save_ppm(path, image)
-
-
 def _class_label(model, k: int) -> str:
     if model.class_names and k < len(model.class_names):
         return model.class_names[k]
@@ -190,16 +182,14 @@ def _html_tree(model, patch_rel: dict[int, str]) -> str:
 
 
 def export_tree(model, out_dir: str, sample: np.ndarray | None = None,
-                sample_name: str = "sample", png: bool = False,
-                ) -> ExplanationGraph:
-    """Write patch images, tree.dot and tree.html; optionally a local
+                sample_name: str = "sample") -> ExplanationGraph:
+    """Write PNG patch images, tree.dot and tree.html; optionally a local
     greedy-path page for one sample. The model must be projected first,
     otherwise the patches would not show what the tree actually matches.
     """
     if model.projection is None:
         raise ValueError("export requires a projected model")
     os.makedirs(os.path.join(out_dir, "prototypes"), exist_ok=True)
-    ext = "png" if png else "ppm"
     graph = ExplanationGraph()
     patch_rel: dict[int, str] = {}
     if model.projection:    # latent bits do not depend on the batch
@@ -212,9 +202,9 @@ def export_tree(model, out_dir: str, sample: np.ndarray | None = None,
         source = model.projection_images[node]
         scores = _similarity_grid(latents[node], model.prototypes.row(node))
         patch, _ = extract_patch(scores, source, matrices)
-        patch_rel[node] = os.path.join("prototypes", f"node_{node}.{ext}")
+        patch_rel[node] = os.path.join("prototypes", f"node_{node}.png")
         graph.patch_paths[node] = os.path.join(out_dir, patch_rel[node])
-        _save_image(graph.patch_paths[node], patch, png)
+        write_png(graph.patch_paths[node], patch)
         graph.files.append(graph.patch_paths[node])
 
     _write_text(graph, os.path.join(out_dir, "tree.dot"),
@@ -224,19 +214,18 @@ def export_tree(model, out_dir: str, sample: np.ndarray | None = None,
 
     if sample is not None:
         graph.sample_path = _export_sample(model, sample, sample_name,
-                                           out_dir, patch_rel, png, graph)
+                                           out_dir, patch_rel, graph)
     return graph
 
 
 def _export_sample(model, sample: np.ndarray, name: str, out_dir: str,
-                   patch_rel: dict[int, str], png: bool,
-                   graph: ExplanationGraph) -> list[tuple[int, bool, float]]:
+                   patch_rel: dict[int, str], graph: ExplanationGraph,
+                   ) -> list[tuple[int, bool, float]]:
     lat = model.latent(sample[None])
     trace = tr.route(model.topology, model.prototypes, lat)
     dist, leaf, path = refine.hard_decision(model, trace, "greedy")
     side = sample.shape[1]
     h, w = lat.shape[2:]
-    ext = "png" if png else "ppm"
     found_dir = os.path.join(out_dir, f"explain_{name}_patches")
     os.makedirs(found_dir, exist_ok=True)
     rows = []
@@ -246,8 +235,8 @@ def _export_sample(model, sample: np.ndarray, name: str, out_dir: str,
         top = min(max(0, i * ph), side - ph)
         left = min(max(0, j * pw), side - pw)
         crop = sample[:, top:top + ph, left:left + pw]
-        rel = os.path.join(f"explain_{name}_patches", f"node_{node}.{ext}")
-        _save_image(os.path.join(out_dir, rel), crop, png)
+        rel = os.path.join(f"explain_{name}_patches", f"node_{node}.png")
+        write_png(os.path.join(out_dir, rel), crop)
         graph.files.append(os.path.join(out_dir, rel))
         rows.append((node, went_right, p_right, rel))
     k = int(np.argmax(dist))

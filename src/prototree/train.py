@@ -26,6 +26,7 @@ from .data import AugmentConfig, Dataset, augment
 from .model import ProtoTreeModel
 
 PREDICTION_FLOOR = 1e-9  # guards the elementwise division of the leaf update
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and eps
 
 
 class TrainingError(RuntimeError):
@@ -42,9 +43,6 @@ class TrainConfig:
     milestones: tuple[int, ...] = ()
     gamma: float = 0.5
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     frozen_epochs: int = 0          # body excluded from updates early on
     augment: AugmentConfig = field(
         default_factory=lambda: AugmentConfig(enabled=False))
@@ -55,12 +53,8 @@ class TrainConfig:
         for rate in (self.lr_body, self.lr_head, self.lr_prototypes):
             if not rate > 0:   # rejects nan too
                 raise ValueError(f"learning rates must be > 0, got {rate}")
-        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0 <= value < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {value}")
-        for name, value in (("eps", self.eps), ("gamma", self.gamma)):
-            if not value > 0:   # rejects nan too
-                raise ValueError(f"{name} must be > 0, got {value}")
+        if not self.gamma > 0:   # rejects nan too
+            raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if any(b >= a for a, b in zip(self.milestones[1:], self.milestones)):
             raise ValueError(f"milestones must increase strictly: "
                              f"{self.milestones}")
@@ -76,9 +70,8 @@ class TrainConfig:
 class Adam:
     """Adaptive moment estimation over named parameter groups."""
 
-    def __init__(self, groups: dict[str, list[Tensor]], config: TrainConfig):
+    def __init__(self, groups: dict[str, list[Tensor]]):
         self.groups = groups
-        self.config = config
         self.step_count = 0
         # per tensor: both moments, then two scratch arrays, so that a
         # step allocates nothing
@@ -87,25 +80,24 @@ class Adam:
                       for name, tensors in groups.items()}
 
     def step(self, rates: dict[str, float]) -> None:
-        cfg = self.config
         self.step_count += 1
-        correct1 = 1.0 - cfg.beta1 ** self.step_count
-        correct2 = 1.0 - cfg.beta2 ** self.step_count
+        correct1 = 1.0 - BETA1 ** self.step_count
+        correct2 = 1.0 - BETA2 ** self.step_count
         for name, tensors in self.groups.items():
             lr = rates.get(name, 0.0)
             for tensor, (m, v, step, root) in zip(tensors, self.state[name]):
                 g = tensor.grad
-                m *= cfg.beta1
-                m += np.multiply(1.0 - cfg.beta1, g, out=step)
-                v *= cfg.beta2
-                np.multiply(1.0 - cfg.beta2, g, out=step)
+                m *= BETA1
+                m += np.multiply(1.0 - BETA1, g, out=step)
+                v *= BETA2
+                np.multiply(1.0 - BETA2, g, out=step)
                 v += np.multiply(step, g, out=step)
                 if lr == 0.0:
                     continue
                 # lr * m_hat / (sqrt(v_hat) + eps)
                 np.divide(m, correct1, out=step)
                 np.sqrt(np.divide(v, correct2, out=root), out=root)
-                root += cfg.eps
+                root += ADAM_EPS
                 step *= lr
                 tensor.values -= np.divide(step, root, out=step)
 
@@ -115,38 +107,23 @@ class Adam:
                 tensor.zero_grad()
 
 
-def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float32) -> np.ndarray:
-    out = np.zeros((len(labels), num_classes), dtype=dtype)
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
-
-
-def cross_entropy(y_hat: Tensor, y: np.ndarray) -> Tensor:
-    """Mean cross-entropy between N x K predicted distributions and
-    one-hot rows."""
-    target = np.asarray(y, dtype=y_hat.dtype)
+def cross_entropy(y_hat: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy between N x K predicted distributions and N
+    class indices: the mean of -log y_hat at each row's true class."""
     if y_hat.values.ndim != 2:
         raise ValueError(f"expected N x K predictions, got {y_hat.shape}")
-    if target.shape != y_hat.shape:
-        raise ValueError(f"label shape {target.shape} != prediction shape "
-                         f"{y_hat.shape}")
-    ok = np.isin(target, (0.0, 1.0)).all() and \
-        np.abs(target.sum(axis=1) - 1.0).max() == 0.0
-    if not ok:
-        raise ValueError("labels must be exact one-hot rows")
-    # evaluate the log only at true-class entries: mathematically equal to
-    # -sum(y * log yhat) for one-hot y, and exact when other entries are 0
     values = y_hat.values
     n = values.shape[0]
+    if np.shape(labels) != (n,):
+        raise ValueError(f"expected {n} labels, got shape {np.shape(labels)}")
     rows = np.arange(n)
-    cols = target.argmax(axis=1)
-    picked = values[rows, cols]
+    picked = values[rows, labels]
     loss = np.asarray(-np.log(picked).sum() / n, dtype=values.dtype)
 
     def bwd(g):
         if y_hat.requires_grad:
             grad = np.zeros_like(values)
-            grad[rows, cols] = -g / (picked * n)
+            grad[rows, labels] = -g / (picked * n)
             y_hat.grad += grad
 
     return ad.record_op(loss, [y_hat], bwd)
@@ -171,7 +148,7 @@ class EpochLeafAccumulator:
 
 
 def leaf_update_batch(acc: EpochLeafAccumulator, pi: np.ndarray,
-                      y: np.ndarray, y_hat: np.ndarray) -> None:
+                      labels: np.ndarray, y_hat: np.ndarray) -> None:
     """Fold one batch into the running leaf replacement.
 
     Per leaf: subtract the 1/B share of the epoch-start logits, then add
@@ -179,7 +156,9 @@ def leaf_update_batch(acc: EpochLeafAccumulator, pi: np.ndarray,
     distributions and the batch's freshly computed predictions. The
     division is floored to dodge float32 underflow of tiny predictions.
     """
-    weights = y.astype(np.float64) / np.maximum(y_hat, PREDICTION_FLOOR)
+    weights = np.zeros(y_hat.shape)   # one-hot rows, in float64
+    weights[np.arange(len(labels)), labels] = 1.0
+    weights /= np.maximum(y_hat, PREDICTION_FLOOR)
     acc.running -= acc.snapshot / acc.num_batches
     acc.running += acc.snapshot_dist * (pi.astype(np.float64).T @ weights)
 
@@ -232,15 +211,14 @@ def train_epoch(model: ProtoTreeModel, dataset: Dataset, config: TrainConfig,
     }
     total_loss = 0.0
     correct = 0
-    labels = one_hot(dataset.labels, model.num_classes)
     store = ad.Buffers()
     for batch_no, indices in enumerate(batches):
-        y = labels[indices]
+        labels = dataset.labels[indices]
         with contextlib.nullcontext() if adam is None \
                 else ad.Tape(store) as tape:
             images = _assemble(dataset.images, indices, config, epoch)
             y_hat, trace = model.predict(model.latent(images))
-            loss = cross_entropy(y_hat, y)
+            loss = cross_entropy(y_hat, labels)
             loss_value = loss.item()
             if tape is not None:
                 if not np.isfinite(loss_value):
@@ -255,11 +233,10 @@ def train_epoch(model: ProtoTreeModel, dataset: Dataset, config: TrainConfig,
             # box can only drift away from every patch, saturating routing
             np.clip(model.prototypes.tensor.values, 0.0, 1.0,
                     out=model.prototypes.tensor.values)
-        leaf_update_batch(acc, trace.leaf_probabilities.values, y,
+        leaf_update_batch(acc, trace.leaf_probabilities.values, labels,
                           y_hat.values)
         total_loss += loss_value * len(indices)
-        correct += int((y_hat.values.argmax(axis=1)
-                        == dataset.labels[indices]).sum())
+        correct += int((y_hat.values.argmax(axis=1) == labels).sum())
     model.leaves.logits = acc.committed().astype(model.leaves.logits.dtype)
     return {"loss": total_loss / n, "train_acc": correct / n}
 
@@ -269,7 +246,7 @@ def fit(model: ProtoTreeModel, train_set: Dataset, test_set: Dataset | None,
         verbose: bool = False) -> list[dict[str, float]]:
     """Full training run; optionally logs per-epoch metrics to a CSV."""
     config.validate()
-    adam = Adam(model.parameters(), config)
+    adam = Adam(model.parameters())
     history: list[dict[str, float]] = []
     writer = None
     if csv_path:

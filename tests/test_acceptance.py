@@ -20,7 +20,7 @@ from prototree.data import gen_synthetic
 from prototree.explain import export_tree
 from prototree.model import build_model
 from prototree.refine import ensemble_mean, evaluate
-from prototree.train import TrainConfig, cross_entropy, one_hot, train_epoch
+from prototree.train import TrainConfig, cross_entropy, train_epoch
 
 from conftest import DESK
 from oracles import finite_difference_grad, max_relative_error, \
@@ -44,7 +44,7 @@ def test_criterion_01_gradient_correctness():
                         dtype=np.float64)
     rng = np.random.default_rng(7)
     images = rng.uniform(0, 1, (2, 3, 8, 8))
-    labels = one_hot(np.array([1, 2]), 3, dtype=np.float64)
+    labels = np.array([1, 2])
 
     def loss_value():
         y_hat, _ = model.predict(model.latent(images))
@@ -224,7 +224,7 @@ def test_criterion_10_determinism(tmp_path):
                           "32", "--seed", "9", "--out", data_dir],
                    check=True, env=env)
     config = tmp_path / "cfg"
-    config.write_text("height = 2\nlatent_depth = 8\ninput_side = 32\n"
+    config.write_text("height = 2\nlatent_depth = 8\n"
                       "stages = 8:3:2,8:3:2\nepochs = 3\nbatch_size = 8\n"
                       "seed = 21\naugment_enabled = true\n")
     blobs = []

@@ -7,7 +7,7 @@ import prototree.autodiff as ad
 from prototree.autodiff import Tape
 from prototree.backbone import BackboneConfig, build
 from prototree.model import build_model
-from prototree.train import cross_entropy, one_hot
+from prototree.train import cross_entropy
 
 from oracles import assert_same_bits
 
@@ -144,7 +144,7 @@ class TestOnePass:
         calls = self.counting_splits(monkeypatch)
         with Tape() as tape:
             y_hat, _ = model.predict(model.latent(images))
-            tape.backward(cross_entropy(y_hat, one_hot(np.zeros(n, int), 2)))
+            tape.backward(cross_entropy(y_hat, np.zeros(n, int)))
         # routing splits only from tree.SPLIT_MIN_MACS on, far above this
         assert calls == [n, n]
 
@@ -183,7 +183,7 @@ class TestGradientFlow:
         model = build_model(config, height=2, num_classes=3, seed=seed)
         rng = np.random.default_rng(seed + 100)
         images = rng.uniform(0, 1, (6, 3, 16, 16)).astype(np.float32)
-        labels = one_hot(rng.integers(0, 3, 6), 3)
+        labels = rng.integers(0, 3, 6)
         with Tape() as tape:
             y_hat, _ = model.predict(model.latent(images))
             tape.backward(cross_entropy(y_hat, labels))

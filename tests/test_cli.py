@@ -1,7 +1,10 @@
 import csv
 import os
+import re
 import shutil
 import warnings
+from html import unescape
+from urllib.parse import unquote
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from prototree import cli
 from prototree.backbone import Backbone, BackboneConfig
 from prototree.checkpoint import read_blob, write_blob
 from prototree.cli import main
-from prototree.data import load_dataset, save_ppm
+from prototree.data import Dataset, load_dataset, save_ppm, write_dataset
 from prototree.model import ProtoTreeModel
 from prototree.train import TrainConfig
 
@@ -20,7 +23,6 @@ TINY_CONFIG = """
 # desk-scale smoke configuration
 height = 2
 latent_depth = 8
-input_side = 32
 stages = 8:3:2,8:3:2
 epochs = 2
 batch_size = 8
@@ -85,9 +87,10 @@ class TestGenData:
 class TestTrain:
     def test_help_lists_every_config_key_with_its_default(self, capsys):
         assert main(["train", "--help"]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        out = capsys.readouterr().out
         for key, value in cli._DEFAULTS.items():
-            assert f"  {key} = {value}".rstrip() in lines
+            assert f"  {key} = {value}".rstrip() in out.splitlines()
+        assert len(re.findall(r"^  \w+ =", out, re.M)) == 16
 
     def test_checkpoint_and_metrics_exist(self, workspace):
         assert os.path.exists(workspace["ckpt"])
@@ -134,9 +137,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("settings, message", [
         (["milestones=2", "gamma=-1"], "gamma must be > 0, got -1.0"),
-        (["eps=-1e-8"], "eps must be > 0, got -1e-08"),
-        (["beta1=1"], "beta1 must lie in [0, 1), got 1.0"),
-        (["beta2=1"], "beta2 must lie in [0, 1), got 1.0"),
+        (["lr_head=0"], "learning rates must be > 0, got 0.0"),
+        (["lr_prototypes=-1"], "learning rates must be > 0, got -1.0"),
+        (["milestones=3,2"], "milestones must increase strictly: (3, 2)"),
         (["lr_body=nan"], "learning rates must be > 0, got nan"),
     ])
     def test_optimizer_value_out_of_range_fails_before_loading(
@@ -210,6 +213,41 @@ class TestTrain:
                      str(tmp_path / "x.npt"), "--set", "leaf_norm=l1"]) == 2
         assert capsys.readouterr().err == \
             "error: unknown config key 'leaf_norm'\n"
+
+    def test_input_shape_read_from_the_training_images(self, workspace):
+        config = ProtoTreeModel.load(workspace["ckpt"]).backbone.config
+        assert (config.in_channels, config.input_side) == (3, 32)
+
+    @pytest.mark.parametrize("key", ["in_channels", "input_side", "beta1",
+                                     "beta2", "eps"])
+    @pytest.mark.parametrize("where", ["set", "file"])
+    def test_removed_shape_and_adam_keys_exit_two(self, workspace, tmp_path,
+                                                  capsys, key, where):
+        config = tmp_path / "old.cfg"
+        config.write_text(TINY_CONFIG + f"{key} = 1\n")
+        source = ["--set", f"{key}=1"] if where == "set" \
+            else ["--config", str(config)]
+        capsys.readouterr()
+        assert main(["train", *source, "--data", workspace["data"],
+                     "--out", str(tmp_path / "x.npt"), "--quiet"]) == 2
+        prefix = "" if where == "set" \
+            else f"{config}:{TINY_CONFIG.count(chr(10)) + 1}: "
+        assert capsys.readouterr().err == \
+            f"error: {prefix}unknown config key {key!r}\n"
+        assert not (tmp_path / "x.npt").exists()
+
+    def test_non_square_training_images_exit_one(self, tmp_path, capsys):
+        data = tmp_path / "wide"
+        images = np.full((4, 3, 32, 40), 0.5, dtype=np.float32)
+        for split in ("train", "test"):
+            write_dataset(Dataset(images, np.array([0, 1, 0, 1]), split,
+                                  ["a", "b"]), str(data / split))
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "m.npt"), "--quiet"]) == 1
+        assert capsys.readouterr().err == \
+            "error: training images must be square, got 3x32x40\n"
+        assert not (tmp_path / "m.npt").exists()
 
     def test_default_strings_build_the_dataclass_defaults(self):
         assert cli.build_configs(dict(cli._DEFAULTS)) == \
@@ -339,12 +377,14 @@ class TestLifecycle:
         model.prototypes.tensor.values[1] = 3.0  # beyond every latent patch
         far = str(tmp_path / "far.npt")
         model.save(far)
-        with pytest.warns(UserWarning, match="collapsed"):
-            code = main(["project", "--ckpt", far, "--data",
-                         workspace["data"], "--out",
-                         str(tmp_path / "projected.npt")])
-        lines = capsys.readouterr().out.splitlines()
+        capsys.readouterr()
+        code = main(["project", "--ckpt", far, "--data", workspace["data"],
+                     "--out", str(tmp_path / "projected.npt")])
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
         assert code == 0
+        assert re.fullmatch(r"warning: nodes \[1\] have .*; collapsed .*\n",
+                            captured.err)
         assert lines[0].startswith("node,image_id,")
         assert len(lines) == 1 + 2  # header, then the two live nodes
 
@@ -353,15 +393,52 @@ class TestLifecycle:
                      str(tmp_path / "nope")])
         assert code == 1
 
-    def test_png_flag(self, workspace, tmp_path):
+    def test_prune_warning_is_one_line(self, workspace, tmp_path, capsys):
+        shown = warnings.showwarning
+        capsys.readouterr()
+        assert main(["prune", "--ckpt", workspace["ckpt"], "--tau", "0.1",
+                     "--out", str(tmp_path / "pruned.npt")]) == 0
+        assert capsys.readouterr().err == ("warning: tau=0.1 is below "
+                                           "uniform 1/K=0.5; nothing will "
+                                           "be pruned\n")
+        assert warnings.showwarning is shown
+
+    def test_every_image_reference_names_a_png_file(self, workspace,
+                                                    tmp_path):
         projected = str(tmp_path / "proj.npt")
-        main(["project", "--ckpt", workspace["ckpt"], "--data",
-              workspace["data"], "--out", projected])
-        viz = str(tmp_path / "vizpng")
-        assert main(["visualize", "--ckpt", projected, "--out-dir", viz,
-                     "--png"]) == 0
-        assert any(f.endswith(".png")
-                   for f in os.listdir(os.path.join(viz, "prototypes")))
+        assert main(["project", "--ckpt", workspace["ckpt"], "--data",
+                     workspace["data"], "--out", projected]) == 0
+        out = tmp_path / "out"
+        image = os.path.join(workspace["data"], "test", "class_1",
+                             "00000.ppm")
+        assert main(["visualize", "--ckpt", projected, "--out-dir",
+                     str(out)]) == 0
+        assert main(["explain", "--ckpt", projected, "--image", image,
+                     "--out-dir", str(out)]) == 0
+        pages = {name: re.findall(r"<img src='([^']*)'",
+                                  (out / name).read_text())
+                 for name in ("tree.html", "explain_00000.html")}
+        pages["tree.dot"] = re.findall(r'image="([^"]*)"',
+                                       (out / "tree.dot").read_text())
+        num_internal = ProtoTreeModel.load(projected).topology.num_internal
+        assert len(pages["tree.html"]) == len(pages["tree.dot"]) \
+            == num_internal > 0
+        assert pages["explain_00000.html"]
+        for name, sources in pages.items():
+            for src in sources:
+                path = out / unquote(unescape(src))
+                assert path.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n", \
+                    (name, src)
+
+    @pytest.mark.parametrize("command", ["visualize", "explain"])
+    def test_patch_commands_offer_no_png_option(self, workspace, tmp_path,
+                                                capsys, command):
+        capsys.readouterr()
+        assert main([command, "--help"]) == 0
+        assert "--png" not in capsys.readouterr().out
+        extra = ["--image", "x.ppm"] if command == "explain" else []
+        assert main([command, "--ckpt", workspace["ckpt"], *extra,
+                     "--out-dir", str(tmp_path / "o"), "--png"]) == 2
 
 
 class TestEnsembleEval:
@@ -425,11 +502,15 @@ class TestExitCodes:
         out = str(tmp_path / "missing" / "p.npt")
         extra = {"prune": ["--tau", "0.4"],
                  "project": ["--data", workspace["data"]]}[command]
+        # 0.4 lies below uniform at K=2, and prune says so before it saves
+        warned = {"prune": "warning: tau=0.4 is below uniform 1/K=0.5; "
+                           "nothing will be pruned\n",
+                  "project": ""}[command]
         capsys.readouterr()
         assert main([command, "--ckpt", workspace["ckpt"], *extra,
                      "--out", out]) == 3
         assert capsys.readouterr().err == \
-            f"error: [Errno 2] No such file or directory: {out!r}\n"
+            f"{warned}error: [Errno 2] No such file or directory: {out!r}\n"
 
     def test_nan_tau_names_tau(self, workspace, tmp_path, capsys):
         capsys.readouterr()

@@ -254,8 +254,8 @@ class TestExportTree:
 
         monkeypatch.setattr(Backbone, "forward", counting)
         monkeypatch.setattr(xp, "_resample_matrix", building)
-        monkeypatch.setattr(xp, "_save_image",
-                            lambda path, image, png: saved.update(
+        monkeypatch.setattr(xp, "write_png",
+                            lambda path, image: saved.update(
                                 {path: image.copy()}))
         graph = xp.export_tree(model, str(tmp_path))
         assert batches == [model.topology.num_internal]
@@ -282,8 +282,8 @@ class TestExportTree:
             return trace
 
         monkeypatch.setattr(xp.tr, "route", planting)
-        monkeypatch.setattr(xp, "_save_image",
-                            lambda path, image, png: saved.update(
+        monkeypatch.setattr(xp, "write_png",
+                            lambda path, image: saved.update(
                                 {path: image.copy()}))
         graph = xp.export_tree(model, str(tmp_path), sample=sample,
                                sample_name="probe")
@@ -291,7 +291,7 @@ class TestExportTree:
         for node, _, _ in graph.sample_path:
             i, j = planted[0, node]
             crop = saved[os.path.join(str(tmp_path), "explain_probe_patches",
-                                      f"node_{node}.ppm")]
+                                      f"node_{node}.png")]
             # the 8 x 8 latent grid tiles the 32-pixel side in 4-pixel cells
             np.testing.assert_array_equal(
                 crop, sample[:, 4 * i:4 * i + 4, 4 * j:4 * j + 4])

@@ -36,9 +36,8 @@ def test_cold_train_alternates_checkouts_in_fresh_processes(tmp_path):
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / "cold_train.py"), "--a", checkout,
          "--b", checkout, "--pairs", "2", "--classes", "2", "--per-class",
-         "2", "--side", "32", "--set", "input_side=32", "--set",
-         "stages=4:3:2", "--set", "latent_depth=4", "--set", "height=1",
-         "--set", "batch_size=2"],
+         "2", "--side", "32", "--set", "stages=4:3:2", "--set",
+         "latent_depth=4", "--set", "height=1", "--set", "batch_size=2"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()

@@ -13,7 +13,7 @@ from prototree.backbone import BackboneConfig
 from prototree.data import AugmentConfig, gen_synthetic
 from prototree.model import build_model
 from prototree.train import Adam, EpochLeafAccumulator, TrainConfig, \
-    cross_entropy, leaf_update_batch, one_hot, train_epoch
+    cross_entropy, leaf_update_batch, train_epoch
 
 from oracles import assert_same_bits, scatter_min_patch_grad, \
     two_pass_leaf_update
@@ -29,74 +29,79 @@ def tiny_model(seed=0, num_classes=2, height=2):
 
 class TestCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
-        loss = cross_entropy(Tensor(np.array([[1.0, 0.0]])),
-                             np.array([[1.0, 0.0]]))
+        loss = cross_entropy(Tensor(np.array([[1.0, 0.0]])), np.array([0]))
         assert abs(loss.item()) < 1e-12
 
     def test_unbatched_prediction_rejected(self):
         with pytest.raises(ValueError, match="N x K"):
-            cross_entropy(Tensor(np.array([1.0, 0.0])), np.array([1.0, 0.0]))
+            cross_entropy(Tensor(np.array([1.0, 0.0])), np.array([0]))
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ValueError, match="expected 2 labels"):
+            cross_entropy(Tensor(np.full((2, 2), 0.5)), np.array([0]))
 
     def test_uniform_over_four(self):
-        loss = cross_entropy(Tensor(np.full((1, 4), 0.25)),
-                             np.array([[0.0, 0.0, 1.0, 0.0]]))
+        loss = cross_entropy(Tensor(np.full((1, 4), 0.25)), np.array([2]))
         assert abs(loss.item() - 1.3862943611198906) < 1e-9
 
     def test_hand_value(self):
-        loss = cross_entropy(Tensor(np.array([[0.65, 0.35]])),
-                             np.array([[0.0, 1.0]]))
+        loss = cross_entropy(Tensor(np.array([[0.65, 0.35]])), np.array([1]))
         assert abs(loss.item() - 1.0498221244986778) < 1e-9
 
     def test_batch_mean(self):
         y_hat = Tensor(np.array([[0.5, 0.5], [0.25, 0.75]]))
-        y = np.array([[1.0, 0.0], [0.0, 1.0]])
         want = (-np.log(0.5) - np.log(0.75)) / 2
-        assert abs(cross_entropy(y_hat, y).item() - want) < 1e-9
+        assert abs(cross_entropy(y_hat, np.array([0, 1])).item() - want) \
+            < 1e-9
 
-    def test_rejects_non_one_hot(self):
-        with pytest.raises(ValueError, match="one-hot"):
-            cross_entropy(Tensor(np.array([[0.6, 0.4]])),
-                          np.array([[0.5, 0.5]]))
-        with pytest.raises(ValueError, match="one-hot"):
-            cross_entropy(Tensor(np.array([[0.6, 0.4]])),
-                          np.array([[1.0, 1.0]]))
+
+def bare_accumulator(num_leaves, num_classes, dist):
+    acc = object.__new__(EpochLeafAccumulator)
+    acc.snapshot = np.zeros((num_leaves, num_classes))
+    acc.snapshot_dist = np.asarray(dist, dtype=np.float64)
+    acc.running = np.zeros((num_leaves, num_classes))
+    acc.num_batches = 1
+    return acc
 
 
 class TestLeafUpdateBatch:
     def test_single_sample_single_leaf(self):
         # one leaf (pi = 1), uniform sigma, true class 0: contribution (1, 0)
-        leaves = type("L", (), {})()
-        acc = object.__new__(EpochLeafAccumulator)
-        acc.snapshot = np.zeros((1, 2))
-        acc.snapshot_dist = np.array([[0.5, 0.5]])
-        acc.running = np.zeros((1, 2))
-        acc.num_batches = 1
-        leaf_update_batch(acc, pi=np.array([[1.0]]),
-                          y=np.array([[1.0, 0.0]]),
+        acc = bare_accumulator(1, 2, [[0.5, 0.5]])
+        leaf_update_batch(acc, pi=np.array([[1.0]]), labels=np.array([0]),
                           y_hat=np.array([[0.5, 0.5]]))
         np.testing.assert_allclose(acc.running, [[1.0, 0.0]])
 
     def test_zero_path_probability_contributes_nothing(self):
-        acc = object.__new__(EpochLeafAccumulator)
-        acc.snapshot = np.zeros((2, 2))
-        acc.snapshot_dist = np.full((2, 2), 0.5)
-        acc.running = np.zeros((2, 2))
-        acc.num_batches = 1
+        acc = bare_accumulator(2, 2, np.full((2, 2), 0.5))
         leaf_update_batch(acc, pi=np.array([[1.0, 0.0]]),
-                          y=np.array([[0.0, 1.0]]),
-                          y_hat=np.array([[0.5, 0.5]]))
+                          labels=np.array([1]), y_hat=np.array([[0.5, 0.5]]))
         np.testing.assert_array_equal(acc.running[1], [0.0, 0.0])
 
     def test_division_floor_engages(self):
-        acc = object.__new__(EpochLeafAccumulator)
-        acc.snapshot = np.zeros((1, 2))
-        acc.snapshot_dist = np.array([[0.5, 0.5]])
-        acc.running = np.zeros((1, 2))
-        acc.num_batches = 1
-        leaf_update_batch(acc, pi=np.array([[1.0]]),
-                          y=np.array([[1.0, 0.0]]),
+        acc = bare_accumulator(1, 2, [[0.5, 0.5]])
+        leaf_update_batch(acc, pi=np.array([[1.0]]), labels=np.array([0]),
                           y_hat=np.array([[0.0, 1.0]]))
         assert np.isfinite(acc.running).all()
+
+    def test_same_bits_as_dividing_one_hot_rows(self):
+        """Weights from the labels equal the one-hot rows divided by the
+        floored predictions, a nan prediction spreading to its row."""
+        rng = np.random.default_rng(21)
+        labels = rng.integers(0, 3, 6)
+        y_hat = rng.dirichlet(np.ones(3), 6).astype(np.float32)
+        y_hat[2, 1] = np.nan
+        y_hat[4, labels[4]] = 0.0
+        pi = rng.dirichlet(np.ones(4), 6).astype(np.float32)
+        dist = rng.dirichlet(np.ones(3), 4)
+        one_hot = np.eye(3, dtype=np.float32)[labels]
+        weights = one_hot.astype(np.float64) / np.maximum(
+            y_hat, trn.PREDICTION_FLOOR)
+        want = dist * (pi.astype(np.float64).T @ weights)
+        acc = bare_accumulator(4, 3, dist)
+        leaf_update_batch(acc, pi, labels, y_hat)
+        assert np.isnan(acc.running).any()
+        assert_same_bits(acc.running, want)
 
 
 class TestLeafUpdateEquivalence:
@@ -123,7 +128,7 @@ class TestLeafUpdateEquivalence:
         train_set, _ = gen_synthetic(3, 6, 32, seed=47)
         model = tiny_model(seed=6, num_classes=3)
         config = TrainConfig(batch_size=5, seed=6)
-        adam = Adam(model.parameters(), config)
+        adam = Adam(model.parameters())
         for epoch in (1, 2):
             train_epoch(model, train_set, config, epoch, adam)
         assert (model.leaves.logits >= 0.0).all()
@@ -140,7 +145,7 @@ class TestOptimizerLeafSeparation:
         train_set, _ = gen_synthetic(2, 4, 32, seed=53)
         model = tiny_model(seed=8)
         config = TrainConfig(batch_size=4, seed=8)
-        adam = Adam(model.parameters(), config)
+        adam = Adam(model.parameters())
         train_epoch(model, train_set, config, 1, adam)
         assert isinstance(model.leaves.logits, np.ndarray)
 
@@ -167,7 +172,7 @@ class TestTapedOps:
 
         monkeypatch.setattr(Tape, "backward", counting)
         train_epoch(model, train_set, config, 1,
-                    Adam(model.parameters(), config))
+                    Adam(model.parameters()))
         assert taped == [4]
 
 
@@ -179,7 +184,7 @@ class TestDeterminism:
             model = tiny_model(seed=9)
             config = TrainConfig(epochs=2, batch_size=4, seed=9,
                                  augment=AugmentConfig(enabled=True))
-            adam = Adam(model.parameters(), config)
+            adam = Adam(model.parameters())
             out = [train_epoch(model, train_set, config, e, adam)
                    for e in (1, 2)]
             metrics.append((out, model.leaves.logits.copy(),
@@ -295,7 +300,7 @@ def desk_training(seed=0, height=4):
                         seed=seed)
     config = TrainConfig(epochs=2, batch_size=16, seed=seed, lr_body=5e-3,
                          lr_head=5e-3, lr_prototypes=5e-3)
-    return model, config, Adam(model.parameters(), config)
+    return model, config, Adam(model.parameters())
 
 
 class TestKeptBuffers:
@@ -326,7 +331,7 @@ class TestKeptBuffers:
     def test_live_tapes_borrow_apart_and_match_sequential_steps(self):
         model, _, _ = desk_training(seed=73)
         train_set, _ = gen_synthetic(8, 4, 64, seed=74)
-        labels = one_hot(train_set.labels, 8)
+        labels = train_set.labels
         batches = [(train_set.images[s], labels[s])
                    for s in (slice(0, 16), slice(16, 32))]
         store = ad.Buffers()
@@ -381,7 +386,7 @@ class TestKeptBuffers:
             else:
                 monkeypatch.undo()
             model = tiny_model(seed=76)
-            adam = Adam(model.parameters(), config)
+            adam = Adam(model.parameters())
             runs.append([train_epoch(model, train_set, config, e, adam)
                          for e in (1, 2, 3)]
                         + [t.values.copy() for group in
@@ -422,8 +427,7 @@ class TestSchedule:
 class TestAdam:
     def test_moves_against_gradient(self):
         param = Tensor(np.zeros(3), requires_grad=True)
-        config = TrainConfig()
-        adam = Adam({"g": [param]}, config)
+        adam = Adam({"g": [param]})
         param.grad[:] = np.array([1.0, -1.0, 0.5])
         adam.step({"g": 0.1})
         assert (param.values[0] < 0) and (param.values[1] > 0)
@@ -432,24 +436,24 @@ class TestAdam:
         rng = np.random.default_rng(77)
         param = Tensor(rng.standard_normal((5, 7)).astype(np.float32),
                        requires_grad=True)
-        config = TrainConfig()
-        adam = Adam({"g": [param]}, config)
+        adam = Adam({"g": [param]})
+        assert (trn.BETA1, trn.BETA2, trn.ADAM_EPS) == (0.9, 0.999, 1e-8)
         values = param.values.copy()
         m, v = np.zeros_like(values), np.zeros_like(values)
         for step in range(1, 4):
             g = rng.standard_normal(values.shape).astype(np.float32)
             param.grad[...] = g
             adam.step({"g": 0.01})
-            m = config.beta1 * m + (1.0 - config.beta1) * g
-            v = config.beta2 * v + (1.0 - config.beta2) * g * g
-            m_hat = m / (1.0 - config.beta1 ** step)
-            v_hat = v / (1.0 - config.beta2 ** step)
-            values -= 0.01 * m_hat / (np.sqrt(v_hat) + config.eps)
+            m = trn.BETA1 * m + (1.0 - trn.BETA1) * g
+            v = trn.BETA2 * v + (1.0 - trn.BETA2) * g * g
+            m_hat = m / (1.0 - trn.BETA1 ** step)
+            v_hat = v / (1.0 - trn.BETA2 ** step)
+            values -= 0.01 * m_hat / (np.sqrt(v_hat) + trn.ADAM_EPS)
             assert_same_bits(param.values, values)
 
     def test_zero_rate_freezes_values(self):
         param = Tensor(np.ones(2), requires_grad=True)
-        adam = Adam({"g": [param]}, TrainConfig())
+        adam = Adam({"g": [param]})
         param.grad[:] = 1.0
         adam.step({"g": 0.0})
         np.testing.assert_array_equal(param.values, np.ones(2))

@@ -9,7 +9,7 @@ from prototree.autodiff import Tape, Tensor
 from prototree.backbone import BackboneConfig
 from prototree.data import gen_synthetic
 from prototree.model import ProtoTreeModel, build_model
-from prototree.train import cross_entropy, one_hot
+from prototree.train import cross_entropy
 
 from oracles import assert_same_bits, enumerate_paths, \
     finite_difference_grad, leaf_probabilities_from_edges, \
@@ -279,12 +279,11 @@ class TestGradients:
         topo, bank, leaves = tr.init_tree(2, 3, 4, seed=17, dtype=np.float64)
         leaves.logits = rng.normal(0, 1, leaves.logits.shape)
         images = rng.uniform(0, 1, (2, 4, 3, 3))
-        labels = np.zeros((2, 3))
-        labels[0, 1] = labels[1, 2] = 1.0
+        labels = np.array([1, 2])
 
         def loss_value():
             y_hat, _ = predict(topo, bank, leaves, Tensor(images))
-            return cross_entropy(y_hat, labels)   # -sum(y log y_hat) / 2
+            return cross_entropy(y_hat, labels)   # -sum(log y_hat[i, y_i]) / 2
 
         with Tape() as tape:
             tape.backward(loss_value())
@@ -298,7 +297,7 @@ class TestGradients:
         topo, bank, leaves = tr.init_tree(2, 2, 3, seed=19, dtype=np.float64)
         leaves.logits = rng.normal(0, 1, leaves.logits.shape)
         latent = Tensor(rng.uniform(0, 1, (1, 3, 3, 3)), requires_grad=True)
-        labels = np.array([[1.0, 0.0]])
+        labels = np.array([0])
 
         def loss_value():
             y_hat, _ = predict(topo, bank, leaves, latent)
@@ -663,7 +662,7 @@ class TestRouteAsArrays:
         model.leaves.logits = np.random.default_rng(53).normal(
             0, 2, model.leaves.logits.shape)
         images, _ = gen_synthetic(3, 4, 32, seed=54)
-        labels = one_hot(images.labels, 3)
+        labels = images.labels
         params = [t for group in model.parameters().values() for t in group]
         grads = []
         for predict in (lambda z: model.predict(z)[0],
