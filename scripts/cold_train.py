@@ -5,8 +5,9 @@ Each run is a new interpreter that trains at the desk config of
 ``cli_digest.py`` (8 classes of 40 train images, height 4, 3 epochs,
 test scoring each epoch) on one dataset generated once, with the
 package of its checkout. Pairs alternate which checkout runs first. Each
-run prints its wall time and its minor page faults (``RUSAGE_CHILDREN``),
-then the medians per checkout:
+run prints its wall time, its minor page faults and its peak resident set
+(that child's own rusage, from ``os.wait4``), then the medians per
+checkout:
 
     python3 scripts/cold_train.py --a ../parent --b . --pairs 10
 
@@ -17,7 +18,6 @@ measures whatever its earlier work left to the allocator.
 
 import argparse
 import os
-import resource
 import statistics
 import subprocess
 import sys
@@ -28,17 +28,21 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 RUN = "import sys; from prototree.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def prototree(checkout: str, args: list[str]) -> tuple[float, int]:
-    """Wall seconds and minor faults of one ``prototree`` command run in a
-    fresh interpreter with ``checkout``'s package."""
+def prototree(checkout: str, args: list[str]) -> tuple[float, int, float]:
+    """Wall seconds, minor faults and peak RSS in MB of one ``prototree``
+    command run in a fresh interpreter with ``checkout``'s package."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-c", RUN, *args], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    child = subprocess.Popen([sys.executable, "-c", RUN, *args], env=env,
+                             stdout=subprocess.DEVNULL)
+    # RUSAGE_CHILDREN's ru_maxrss is the largest of all children so far;
+    # wait4 gives this child's own
+    _, status, usage = os.wait4(child.pid, 0)
     seconds = time.perf_counter() - start
-    return seconds, resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt \
-        - before
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, child.args)
+    return seconds, usage.ru_minflt, usage.ru_maxrss / 1024.0
 
 
 def main(argv=None) -> int:
@@ -69,18 +73,20 @@ def main(argv=None) -> int:
                                    str(args.side), "--out", data])
         train = ["train", "--data", data, "--quiet", "--set", "epochs=3",
                  *(f"--set={item}" for item in args.set)]
-        print("pair,checkout,wall_s,minor_faults", flush=True)
+        print("pair,checkout,wall_s,minor_faults,peak_rss_mb", flush=True)
         for pair in range(args.pairs):
             for side in ("ab" if pair % 2 == 0 else "ba"):
                 out = os.path.join(work, f"{side}.npt")
-                seconds, faults = prototree(checkouts[side],
-                                            [*train, "--out", out])
-                runs[side].append((seconds, faults))
-                print(f"{pair},{side},{seconds:.3f},{faults}", flush=True)
+                seconds, faults, peak = prototree(checkouts[side],
+                                                  [*train, "--out", out])
+                runs[side].append((seconds, faults, peak))
+                print(f"{pair},{side},{seconds:.3f},{faults},{peak:.1f}",
+                      flush=True)
     for side in "ab":
-        print(f"median {side} {checkouts[side]}: "
-              f"{statistics.median(s for s, _ in runs[side]):.3f} s, "
-              f"{statistics.median(f for _, f in runs[side]):.0f} faults")
+        seconds, faults, peak = (statistics.median(column)
+                                 for column in zip(*runs[side]))
+        print(f"median {side} {checkouts[side]}: {seconds:.3f} s, "
+              f"{faults:.0f} faults, {peak:.1f} MB")
     return 0
 
 

@@ -334,53 +334,42 @@ class _Stage:
         p = self.padding
         return n, self.c, self.h + 2 * p, self.w + 2 * p
 
+    def interior(self, xp: np.ndarray) -> np.ndarray:
+        """The input images inside the padded input ``xp``."""
+        p = self.padding
+        return xp[:, :, p:p + self.h, p:p + self.w]
+
+    def zero_borders(self, xp: np.ndarray) -> None:
+        """Zero the cells of the padded input ``xp`` outside its interior
+        that some window reads."""
+        p = self.padding
+        bottom = (self.oh - 1) * self.stride + self.kh
+        right = (self.ow - 1) * self.stride + self.kw
+        for rim in (np.s_[:, :, :p], np.s_[:, :, p + self.h:bottom],
+                    np.s_[:, :, :, :p], np.s_[:, :, :, p + self.w:right]):
+            xp[rim] = 0
+
     def params(self) -> list[Tensor]:
         return [self.kernel] if self.bias is None else [self.kernel, self.bias]
 
-    def run(self, a: np.ndarray, xp: np.ndarray | None, cols: np.ndarray,
-            out: np.ndarray, scratch: np.ndarray) -> None:
-        """Convolve the images ``a`` into ``out`` through the pad buffer
-        ``xp`` and the columns ``cols``, then add the bias and apply the
-        ReLU, or the sigmoid at the head, with ``scratch`` of out's
-        shape."""
+    def run(self, a: np.ndarray, cols: np.ndarray | None, out: np.ndarray,
+            dest: np.ndarray) -> None:
+        """Convolve the images ``a``, already padded if the stage pads,
+        into ``out`` through the columns ``cols``, then add the bias and
+        write the ReLU into ``dest``: ``out`` itself or the interior of
+        the next stage's padded input. The head applies the sigmoid in
+        place instead, with ``dest`` as scratch of out's shape."""
         if self.direct:
             cols = a.reshape(a.shape[0], self.c, self.length)
         else:
-            if self.padding:
-                p = self.padding
-                xp[:, :, p:p + self.h, p:p + self.w] = a
-                a = xp
             _im2col(a, self.kh, self.kw, self.stride, self.oh, self.ow,
                     out=cols)
         np.matmul(self.kflat, cols, out=out)
         if self.shift is None:
-            _sigmoid(out, scratch)
+            _sigmoid(out, dest)
         else:
             out += self.shift
-            np.maximum(out, 0.0, out=out)
-
-
-_WORKSPACE = threading.local()
-
-
-def _workspace(layers: list[_Stage], dtype) -> tuple[list, list, list]:
-    """The calling thread's block workspace for a stack: per stage, a pad
-    buffer with zero borders, columns and activations (the head's are
-    the sigmoid's scratch) for ``BLOCK`` images. A thread runs one slice
-    at a time, so it keeps the last workspace it made and hands it out
-    again for the same shapes: fresh pages cost a first-touch fault each,
-    and blocks only ever write the pad buffers' interiors."""
-    key = (np.dtype(dtype), *((s.c, s.h, s.w, s.f, s.kh, s.kw, s.stride,
-                               s.padding) for s in layers))
-    kept = getattr(_WORKSPACE, "kept", None)
-    if kept is None or kept[0] != key:
-        kept = _WORKSPACE.kept = key, (
-            [np.zeros(s.padded(BLOCK), dtype) if s.padding else None
-             for s in layers],
-            [None if s.direct else np.empty((BLOCK, s.rows, s.length), dtype)
-             for s in layers],
-            [np.empty((BLOCK, s.f, s.length), dtype) for s in layers])
-    return kept[1]
+            np.maximum(out.reshape(dest.shape), 0.0, out=dest)
 
 
 def conv_stack(x: Tensor, stages: Sequence[tuple[Tensor, Tensor, int, int]],
@@ -393,13 +382,16 @@ def conv_stack(x: Tensor, stages: Sequence[tuple[Tensor, Tensor, int, int]],
     to the output's, through the sigmoid.
 
     One ``_split_batch`` runs each slice's images through every stage,
-    ``BLOCK`` images at a time, with one GEMM per image, through the
-    block workspace its thread keeps. Untaped, only the output is kept;
-    taped, the blocks write batch-wide columns and activations, which the
-    backward, one more split, reads from the head down to the first
-    stage. The kernel and bias gradients are summed over the batch
-    afterwards, in image order, so no bit depends on the slices. Taped,
-    every batch-wide array is a ``buffer`` of the tape.
+    ``BLOCK`` images at a time, with one GEMM per image into a contiguous
+    output; a padded stage's ReLU writes straight into the interior of
+    the next stage's zero-bordered input. Untaped, each slice allocates
+    its buffers for one block, one column buffer serving every stage,
+    and keeps none of them past the call; only the output is kept.
+    Taped, the blocks write batch-wide padded inputs, columns and GEMM
+    outputs, every one a ``buffer`` of the tape taken before the split,
+    and the backward, one more split, reads them from the head down to
+    the first stage. The kernel and bias gradients are summed over the
+    batch afterwards, in image order, so no bit depends on the slices.
     """
     if x.values.ndim != 4:
         raise ValueError("conv_stack expects 4-D input and kernels")
@@ -416,27 +408,52 @@ def conv_stack(x: Tensor, stages: Sequence[tuple[Tensor, Tensor, int, int]],
     inputs = [x, *(t for s in layers for t in s.params())]
     taped = bool(_TAPES) and any(t.requires_grad for t in inputs)
     out = (buffer if taped else np.empty)((n, top.f, top.length), dtype)
-    if taped:   # what the backward reads
-        acts = [buffer((n, s.f, s.length), dtype)
-                for s in layers[:-1]] + [out]
-        cols = [buffer((n, s.rows, s.length), dtype) if not s.direct
-                else acts[k - 1] if k else xv.reshape(n, s.c, s.length)
-                for k, s in enumerate(layers)]
+
+    def arrays(m: int, take) -> tuple[list, list, list, np.ndarray]:
+        # per stage, for m images: the padded input, the GEMM output (the
+        # head's is ``out``) and the columns; then the sigmoid's scratch
+        pads = [take(s.padded(m), dtype) if s.padding else None
+                for s in layers]
+        outs = [take((m, s.f, s.length), dtype) for s in layers[:-1]]
+        if taped:   # what the backward reads
+            cols = [take((m, s.rows, s.length), dtype) if not s.direct
+                    else outs[k - 1] if k else xv.reshape(m, s.c, s.length)
+                    for k, s in enumerate(layers)]
+        else:       # a block's stages run in turn
+            flat = take(max((m * s.rows * s.length for s in layers
+                             if not s.direct), default=0), dtype)
+            cols = [None if s.direct else
+                    flat[:m * s.rows * s.length].reshape(m, s.rows, s.length)
+                    for s in layers]
+        return pads, outs, cols, take((m, top.f, top.length), dtype)
+
+    if taped:
+        pads, outs, cols, scratch = arrays(n, buffer)
 
     def forward(part):
-        pads, work_cols, work_acts = _workspace(layers, dtype)
+        xps, zs, cs, e = (pads, outs, cols, scratch) if taped else \
+            arrays(min(BLOCK, part.stop - part.start), np.empty)
         for lo in range(part.start, part.stop, BLOCK):
             hi = min(lo + BLOCK, part.stop)
+            rows = slice(lo, hi) if taped else slice(hi - lo)
+            # a padded input's borders are zeroed right after its interior
+            # is written, on lines still in cache; an untaped slice's
+            # buffers serve all its blocks, so the first block's zeros last
+            fresh = taped or lo == part.start
             a = xv[lo:hi]
             for k, s in enumerate(layers):
-                if taped:
-                    cs, o = cols[k][lo:hi], acts[k][lo:hi]
-                else:
-                    cs = None if s.direct else work_cols[k][:hi - lo]
-                    o = out[lo:hi] if s is top else work_acts[k][:hi - lo]
-                s.run(a, None if pads[k] is None else pads[k][:hi - lo], cs, o,
-                      work_acts[k][:hi - lo])
-                a = o.reshape(hi - lo, s.f, s.oh, s.ow)
+                if xps[k] is not None:
+                    xp = xps[k][rows]
+                    if not k:
+                        s.interior(xp)[...] = a
+                    if fresh:   # a borrowed array holds another op's bits
+                        s.zero_borders(xp)
+                    a = xp
+                z = out[lo:hi] if s is top else zs[k][rows]
+                dest = e[rows] if s is top else z if xps[k + 1] is None \
+                    else layers[k + 1].interior(xps[k + 1][rows])
+                s.run(a, None if s.direct else cs[k][rows], z, dest)
+                a = z.reshape(hi - lo, s.f, s.oh, s.ow)
 
     _split_batch(n, forward)
 
@@ -447,8 +464,11 @@ def conv_stack(x: Tensor, stages: Sequence[tuple[Tensor, Tensor, int, int]],
         for s in layers:
             flows.append(flows[-1] or any(t.requires_grad for t in s.params()))
         running = [k for k, s in enumerate(layers) if flows[k + 1]]
+        acts = [*outs, out]
         grads = {k: buffer(acts[k].shape, dtype) for k in running}
-        # the activation's slope: the sigmoid's 1 - out, the ReLU's out > 0
+        # the activation's slope: the sigmoid's 1 - out, the ReLU's v > 0
+        # on its input v, read from v or, where the ReLU ran in place, from
+        # max(v, 0): the two agree, nan included
         slopes = {k: buffer(acts[k].shape, bool if layers[k].bias is not None
                             else dtype) for k in running}
         per_image = {k: buffer((n, layers[k].f, layers[k].rows), dtype)
@@ -470,7 +490,7 @@ def conv_stack(x: Tensor, stages: Sequence[tuple[Tensor, Tensor, int, int]],
                 gf = grads[k][part]
                 slope = slopes[k][part].reshape(gk.shape)
                 # before the activation, g out times 1 - out or g times
-                # out > 0; as max(nan, 0) is nan, out > 0 means a > 0
+                # the ReLU's slope
                 if s.bias is None:
                     np.subtract(1.0, o, out=slope)
                     np.multiply(gk, o, out=gf.reshape(gk.shape))
@@ -487,8 +507,7 @@ def conv_stack(x: Tensor, stages: Sequence[tuple[Tensor, Tensor, int, int]],
                     if not s.direct:
                         _col2im(cg, gx[k][part], s.kh, s.kw, s.stride, s.oh,
                                 s.ow)
-                    p = s.padding
-                    gk = gx[k][part, :, p:p + s.h, p:p + s.w]
+                    gk = s.interior(gx[k][part])
             if x.requires_grad:
                 x.grad[part] += gk
 

@@ -155,17 +155,17 @@ BIAS = [0.0, -0.0, 0.5, -0.5, -1e4]
 
 
 def conv_run(x, stages, head, conv=ad.conv_stack, weights=None, tape=True,
-             x_grad=True):
+             x_grad=True, store=None):
     """Output and, taped, the input, kernel, bias and head gradients of a
     weighted conv stack; ``stages`` holds (kernel, bias, stride, padding)
-    arrays."""
+    arrays, and a taped run borrows from ``store``."""
     xt = Tensor(x, requires_grad=x_grad)
     params = [(Tensor(k, requires_grad=True), Tensor(b, requires_grad=True),
                stride, padding) for k, b, stride, padding in stages]
     ht = Tensor(head, requires_grad=True)
     if not tape:
         return (conv(xt, params, ht).values,)
-    with Tape() as taping:
+    with Tape(store) as taping:
         out = conv(xt, params, ht)
         if weights is None:
             weights = rand(out.shape, seed=8).astype(x.dtype)
@@ -316,6 +316,28 @@ class TestConvStack:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(ad, "_WORKERS", workers)
                 got = conv_run(x, stages, head, **kwargs)
+                for g, w in zip(got, want, strict=True):
+                    assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_on_one_store_match_the_reference_chain(self, monkeypatch,
+                                                           dtype):
+        # the second step borrows the first step's padded input gradients,
+        # whose borders took gradients, as its padded activations
+        n = ad.BLOCK + 1
+        x = special_batch(n, dtype, seed=52)
+        stages = [(rand((5, 4, 3, 3), seed=53).astype(dtype),
+                   np.array(BIAS, dtype=dtype), 2, 1),
+                  (rand((6, 5, 3, 3), seed=54).astype(dtype),
+                   rand(6, seed=55).astype(dtype), 1, 1)]
+        head = rand((4, 6, 1, 1), seed=56).astype(dtype)
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        store = ad.Buffers()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # inf - inf
+            want = conv_run(x, stages, head, chained_conv_stack)
+            for _ in range(2):
+                got = conv_run(x, stages, head, store=store)
                 for g, w in zip(got, want, strict=True):
                     assert_same_bits(g, w)
 

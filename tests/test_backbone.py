@@ -148,21 +148,32 @@ class TestOnePass:
         # routing splits only from tree.SPLIT_MIN_MACS on, far above this
         assert calls == [n, n]
 
-    def test_a_thread_reuses_its_block_workspace(self, monkeypatch):
+    def test_untaped_forwards_on_one_thread_repeat_bits(self, monkeypatch):
         monkeypatch.setattr(ad, "_WORKERS", 1)
         net = build(BackboneConfig(input_side=32, latent_depth=8), seed=8)
         rng = np.random.default_rng(9)
         images = rng.uniform(0, 1, (40, 3, 32, 32)).astype(np.float32)
         first = net.forward(images[:ad.BLOCK + 3]).values
-        kept = ad._WORKSPACE.kept
         net.forward(images[ad.BLOCK + 3:])
-        assert ad._WORKSPACE.kept is kept
-        # a reused pad buffer kept its zero borders
+        # every pass zeroes its padded inputs' borders
         assert_same_bits(net.forward(images[:ad.BLOCK + 3]).values, first)
 
+    def test_untaped_forward_keeps_no_buffer(self):
+        net = build(BackboneConfig(latent_depth=64), seed=10)
+        images = np.random.default_rng(11).uniform(
+            0, 1, (2 * ad.BLOCK + 3, 3, 64, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            latent = net.forward(images).values
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(after - before - latent.nbytes) < 2 ** 20
+
     def test_untaped_desk_forward_peak_memory(self):
-        # at one conv op per stage, 78 MB: each stage's 256-image columns
-        # and activations (stage 0's columns alone are 28 MB)
+        # the 256-image latent (4.2 MB) and, per slice, one block's padded
+        # inputs, columns and GEMM outputs (about 7 MB)
         net = build(BackboneConfig(latent_depth=64), seed=6)
         images = np.random.default_rng(7).uniform(
             0, 1, (256, 3, 64, 64)).astype(np.float32)

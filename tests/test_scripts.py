@@ -41,11 +41,13 @@ def test_cold_train_alternates_checkouts_in_fresh_processes(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == "pair,checkout,wall_s,minor_faults"
+    assert lines[0] == "pair,checkout,wall_s,minor_faults,peak_rss_mb"
     runs = [line.split(",") for line in lines[1:5]]
-    assert [(pair, side) for pair, side, _, _ in runs] == \
+    assert [(pair, side) for pair, side, _, _, _ in runs] == \
         [("0", "a"), ("0", "b"), ("1", "b"), ("1", "a")]
-    assert all(float(wall) > 0 and int(faults) > 0
-               for _, _, wall, faults in runs)
+    assert all(float(wall) > 0 and int(faults) > 0 and float(peak) > 0
+               for _, _, wall, faults, peak in runs)
     assert [line.split(" ")[:2] for line in lines[5:]] == \
         [["median", "a"], ["median", "b"]]
+    assert all(re.search(r" s, \d+ faults, [\d.]+ MB$", line)
+               for line in lines[5:])
